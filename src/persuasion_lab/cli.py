@@ -99,7 +99,7 @@ def _resolve_instance(ref: str):
 def _write_json(outdir: Path, name: str, payload: dict) -> Path:
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / name
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return path
 
 
@@ -334,6 +334,8 @@ def _cmd_simulate(args) -> int:
     seeds = list(range(args.seed, args.seed + args.seeds))
     checkpoint_every = args.checkpoint_every or max(1, args.rounds // 10)
     threads = _threads(len(seeds))
+    if args.receiver == "exp3":
+        threads = 1  # Exp3 replications step in lockstep on one thread
 
     traces = run_replications(
         inst,
@@ -500,10 +502,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Count options; each must be at least 1 where the command takes it.
+_POSITIVE_OPTIONS = ("rounds", "seeds", "samples", "checkpoint_every", "instances")
+
+
+def _check_positive(args: argparse.Namespace) -> None:
+    for name in _POSITIVE_OPTIONS:
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            flag = "--" + name.replace("_", "-")
+            raise ValidationError(f"{flag} must be at least 1, got {value}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_positive(args)
         return args.func(args)
     except PersuasionError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)

@@ -10,7 +10,8 @@ Determinism contract: a run is driven by three independent substreams
 (states, signals, receiver randomization) spawned from one seed, each
 consumed as one uniform per round through inverse-CDF sampling.  Identical
 (instance, policy, receiver, rounds, seed) give bit-identical traces; the
-vectorized fast paths reproduce the generic loop exactly.
+vectorized fast paths and the lockstep Exp3 loop reproduce the generic loop
+exactly.
 """
 
 from __future__ import annotations
@@ -46,83 +47,66 @@ def _spawn_rngs(seed: int) -> tuple[np.random.Generator, ...]:
 
 
 def _sample_row(cdf_row: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw; the fast paths replicate this arithmetic exactly."""
+    """Inverse-CDF draw; ``_sample_rows`` replicates this arithmetic exactly."""
     return min(int(np.searchsorted(cdf_row, u, side="right")), cdf_row.size - 1)
 
 
-# ---------------------------------------------------------------------------
-# learner state and receiver decision rules
+def _sample_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One inverse-CDF draw per row of ``cdf``, one uniform per row.
 
-
-class LearnerState:
-    """Per-signal sufficient statistics of a learning receiver.
-
-    Full feedback keeps integer state counts per signal; cumulative action
-    utilities are derived from them, so the empirical-mean identity
-    ``cumulative / counts = v(a, empirical posterior)`` holds by
-    construction.  Partial feedback keeps importance-weighted cumulative
-    reward estimates instead.
+    Counting the entries at or below ``u`` equals ``searchsorted(side="right")``
+    because every CDF row is nondecreasing; leaving out the last entry caps
+    the count at the last index, as ``_sample_row`` does.
     """
-
-    def __init__(
-        self,
-        n_signals: int,
-        n_actions: int,
-        feedback_mode: str,
-        receiver_utility: np.ndarray | None = None,
-        exp3: "Exp3Config | None" = None,
-    ):
-        if feedback_mode not in ("full", "partial"):
-            raise ValidationError(f"feedback_mode must be 'full' or 'partial', got {feedback_mode!r}")
-        if feedback_mode == "full" and receiver_utility is None:
-            raise ValidationError("full feedback requires the receiver utility matrix")
-        self.feedback_mode = feedback_mode
-        self.n_signals = n_signals
-        self.n_actions = n_actions
-        self.receiver_utility = receiver_utility
-        self.exp3 = exp3
-        self.counts = np.zeros(n_signals, dtype=np.int64)
-        if feedback_mode == "full":
-            self.state_counts = np.zeros((n_signals, receiver_utility.shape[1]), dtype=np.int64)
-            self._partial_cumulative = None
-        else:
-            self.state_counts = None
-            self._partial_cumulative = np.zeros((n_signals, n_actions))
-
-    @property
-    def cumulative(self) -> np.ndarray:
-        """Cumulative per-action utility (exact or importance-weighted)."""
-        if self.feedback_mode == "full":
-            return self.state_counts @ self.receiver_utility.T
-        return self._partial_cumulative
-
-    def record_full(self, signal: int, state: int) -> None:
-        self.counts[signal] += 1
-        self.state_counts[signal, state] += 1
-
-    def record_partial(self, signal: int, action: int, estimate: float) -> None:
-        self.counts[signal] += 1
-        self._partial_cumulative[signal, action] += estimate
+    return np.add.reduce(cdf[:, :-1] <= u[:, None], axis=1)
 
 
-def empirical_br_probs(state: LearnerState, signal: int) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# receiver decision rules
+#
+# Each rule maps per-signal statistics with a leading batch axis to action
+# probabilities, one row per batch entry.  The scalar receiver objects pass a
+# batch of one (``exp3_probs`` a 1-D row); the vectorized paths pass every visit of a signal, or every
+# seed of a lockstep run.  One function per rule keeps the paths bit-identical.
+
+
+def _scores(counts: np.ndarray, utility: np.ndarray) -> np.ndarray:
+    """``counts @ utility.T``, accumulated state by state.
+
+    A BLAS product blocks rows by batch size, so a row's last bits could
+    depend on the rest of the batch; this fixed order cannot.
+    """
+    scores = counts[:, :1] * utility[:, 0]
+    for k in range(1, counts.shape[1]):
+        scores += counts[:, k : k + 1] * utility[:, k]
+    return scores
+
+
+def empirical_br_probs(counts: np.ndarray, utility: np.ndarray) -> np.ndarray:
     """Uniform over the exact argmax actions against the empirical posterior.
 
-    Scores are integer-count weighted sums, so ties (including the cold-start
-    all-zero case) are detected exactly rather than by float tolerance.
+    ``counts`` is a ``(B, n_states)`` float array of the state counts seen
+    with the signal so far; ``utility`` is the receiver's ``(n_actions,
+    n_states)`` matrix.  Scores are integer-count weighted sums, so ties
+    (including the cold-start all-zero case) are detected exactly rather
+    than by float tolerance.
     """
-    scores = state.receiver_utility @ state.state_counts[signal].astype(np.float64)
-    ties = scores == scores.max()
-    return ties / ties.sum()
+    scores = _scores(counts, utility)
+    ties = scores == scores.max(axis=1, keepdims=True)
+    return ties / ties.sum(axis=1, keepdims=True)
 
 
-def exp_weights_probs(state: LearnerState, signal: int, t: int) -> np.ndarray:
-    """Exponential weights on cumulative utility with rate sqrt(log n / t)."""
-    eta = math.sqrt(math.log(state.n_actions) / t)
-    logits = eta * (state.receiver_utility @ state.state_counts[signal].astype(np.float64))
-    logits -= logits.max()
+def exp_weights_probs(counts: np.ndarray, utility: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Exponential weights on cumulative utility with rate sqrt(log n / t).
+
+    ``counts`` as in ``empirical_br_probs``; ``t`` holds the ``(B,)`` round
+    indices at which each row acts.
+    """
+    eta = np.sqrt(np.log(utility.shape[0]) / t)
+    logits = eta[:, None] * _scores(counts, utility)
+    logits -= logits.max(axis=1, keepdims=True)
     w = np.exp(logits)
-    return w / w.sum()
+    return w / w.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -143,69 +127,68 @@ class Exp3Config:
         return Exp3Config(exploration=g, learning_rate=g / n_actions)
 
 
-def exp3_probs(state: LearnerState, signal: int, t: int) -> np.ndarray:
-    cfg = state.exp3
-    logits = cfg.learning_rate * state.cumulative[signal]
-    logits -= logits.max()
-    w = np.exp(logits)
-    return (1.0 - cfg.exploration) * w / w.sum() + cfg.exploration / state.n_actions
+def exp3_probs(cumulative: np.ndarray, config: Exp3Config) -> np.ndarray:
+    """EXP3 (Auer et al. 2002): softmax of the ``(B, n_actions)`` cumulative
+    importance-weighted reward estimates, mixed with uniform exploration.
 
-
-def receiver_empirical_br(state: LearnerState, signal: int, rng: np.random.Generator) -> int:
-    p = empirical_br_probs(state, signal)
-    return _sample_row(np.cumsum(p), rng.random())
-
-
-def receiver_exp_weights(state: LearnerState, signal: int, t: int, rng: np.random.Generator) -> int:
-    p = exp_weights_probs(state, signal, t)
-    return _sample_row(np.cumsum(p), rng.random())
-
-
-def receiver_exp3(state: LearnerState, signal: int, t: int, rng: np.random.Generator) -> int:
-    p = exp3_probs(state, signal, t)
-    return _sample_row(np.cumsum(p), rng.random())
+    A 1-D ``(n_actions,)`` array is one row; the scalar receiver passes one,
+    since a 1-D reduction costs less per round and sums a row the same way.
+    It runs once per round, so it calls the ufunc reductions directly and
+    works in place; the arithmetic is that of ``max``/``sum`` and new arrays.
+    """
+    w = config.learning_rate * cumulative
+    w -= np.maximum.reduce(w, axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    total = np.add.reduce(w, axis=-1, keepdims=True)
+    w *= 1.0 - config.exploration
+    w /= total
+    w += config.exploration / cumulative.shape[-1]
+    return w
 
 
 # ---------------------------------------------------------------------------
 # receiver objects used by the simulator
 
 
-class EmpiricalBestResponse:
+class _FullFeedbackReceiver:
+    """Keeps per-signal state counts; the state is revealed after each round."""
+
+    feedback_mode = "full"
+
+    def reset(self, n_signals: int, instance: PersuasionInstance, horizon: int) -> None:
+        self.utility = instance.receiver_utility
+        self.counts = np.zeros((n_signals, instance.n_states))
+
+    def feed(self, signal: int, action: int, state: int, payoff: float, t: int) -> None:
+        self.counts[signal, state] += 1.0
+
+
+class EmpiricalBestResponse(_FullFeedbackReceiver):
     """Best response to the per-signal empirical state distribution."""
 
-    feedback_mode = "full"
     kind = "empirical-br"
 
-    def reset(self, n_signals: int, instance: PersuasionInstance, horizon: int) -> None:
-        self.state = LearnerState(n_signals, instance.n_actions, "full", instance.receiver_utility)
-
     def act(self, signal: int, t: int, u: float) -> int:
-        p = empirical_br_probs(self.state, signal)
-        return _sample_row(np.cumsum(p), u)
-
-    def feed(self, signal: int, action: int, state: int, payoff: float, t: int) -> None:
-        self.state.record_full(signal, state)
+        p = empirical_br_probs(self.counts[signal : signal + 1], self.utility)[0]
+        return _sample_row(np.add.accumulate(p), u)
 
 
-class ExpWeights:
+class ExpWeights(_FullFeedbackReceiver):
     """Per-signal exponential weights over full-information utilities."""
 
-    feedback_mode = "full"
     kind = "exp-weights"
 
-    def reset(self, n_signals: int, instance: PersuasionInstance, horizon: int) -> None:
-        self.state = LearnerState(n_signals, instance.n_actions, "full", instance.receiver_utility)
-
     def act(self, signal: int, t: int, u: float) -> int:
-        p = exp_weights_probs(self.state, signal, t)
-        return _sample_row(np.cumsum(p), u)
-
-    def feed(self, signal: int, action: int, state: int, payoff: float, t: int) -> None:
-        self.state.record_full(signal, state)
+        p = exp_weights_probs(self.counts[signal : signal + 1], self.utility, np.array([float(t)]))[0]
+        return _sample_row(np.add.accumulate(p), u)
 
 
 class Exp3:
-    """Per-signal adversarial bandit learner (partial feedback)."""
+    """Per-signal adversarial bandit learner (partial feedback).
+
+    Only the realized payoff is revealed; ``cumulative`` holds the per-signal
+    importance-weighted reward estimates.
+    """
 
     feedback_mode = "partial"
     kind = "exp3"
@@ -214,17 +197,17 @@ class Exp3:
         self.config = config
 
     def reset(self, n_signals: int, instance: PersuasionInstance, horizon: int) -> None:
-        cfg = self.config or Exp3Config.for_horizon(instance.n_actions, horizon)
-        self.state = LearnerState(n_signals, instance.n_actions, "partial", exp3=cfg)
+        self.tuned = self.config or Exp3Config.for_horizon(instance.n_actions, horizon)
+        self.cumulative = np.zeros((n_signals, instance.n_actions))
         self._last_probs: np.ndarray | None = None
 
     def act(self, signal: int, t: int, u: float) -> int:
-        p = exp3_probs(self.state, signal, t)
+        p = exp3_probs(self.cumulative[signal], self.tuned)
         self._last_probs = p
-        return _sample_row(np.cumsum(p), u)
+        return _sample_row(np.add.accumulate(p), u)
 
     def feed(self, signal: int, action: int, state: int, payoff: float, t: int) -> None:
-        self.state.record_partial(signal, action, payoff / self._last_probs[action])
+        self.cumulative[signal, action] += payoff / self._last_probs[action]
 
 
 def make_receiver(kind: str, **kwargs):
@@ -262,8 +245,7 @@ class FixedSchemePolicy:
         pass
 
     def signals_for_states(self, states: np.ndarray, u_signals: np.ndarray) -> np.ndarray:
-        idx = (self._cdf[states] <= u_signals[:, None]).sum(axis=1)
-        return np.minimum(idx, len(self.signals) - 1)
+        return _sample_rows(self._cdf[states], u_signals)
 
 
 class AlternatingSignalPolicy:
@@ -302,9 +284,10 @@ class AlternatingSignalPolicy:
 
     def signals_for_states(self, states: np.ndarray, u_signals: np.ndarray) -> np.ndarray:
         # the per-round scheme is deterministic, so the signal uniforms are
-        # unused here exactly as they are ignored by the inverse CDF
+        # unused here exactly as they are ignored by the inverse CDF; the
+        # target carries over, so consecutive chunks equal one whole call
         out = np.empty(states.size, dtype=np.int64)
-        target = 0
+        target = self.target
         for i, w in enumerate(states.tolist()):
             if w == target:
                 out[i] = 0
@@ -525,34 +508,99 @@ def _fast_full_feedback(
     signals = policy.signals_for_states(states, u_signals)
 
     v = instance.receiver_utility
-    n = instance.n_actions
-    m = instance.n_states
     actions = np.empty(rounds, dtype=np.int64)
-    is_ew = isinstance(receiver, ExpWeights)
     for s in range(len(policy.signals)):
         idx = np.flatnonzero(signals == s)
         if idx.size == 0:
             continue
-        onehot = np.zeros((idx.size, m))
+        onehot = np.zeros((idx.size, instance.n_states))
         onehot[np.arange(idx.size), states[idx]] = 1.0
-        prefix = np.cumsum(onehot, axis=0) - onehot  # counts before each visit
-        scores = prefix @ v.T  # (K, n)
-        if is_ew:
-            eta = np.sqrt(np.log(n) / (idx + 1.0))
-            logits = eta[:, None] * scores
-            logits -= logits.max(axis=1, keepdims=True)
-            w = np.exp(logits)
-            probs = w / w.sum(axis=1, keepdims=True)
+        counts = np.cumsum(onehot, axis=0) - onehot  # counts before each visit
+        if isinstance(receiver, ExpWeights):
+            probs = exp_weights_probs(counts, v, idx + 1.0)
         else:
-            ties = scores == scores.max(axis=1, keepdims=True)
-            probs = ties / ties.sum(axis=1, keepdims=True)
-        cdf = np.cumsum(probs, axis=1)
-        pick = (cdf <= u_actions[idx][:, None]).sum(axis=1)
-        actions[idx] = np.minimum(pick, n - 1)
+            probs = empirical_br_probs(counts, v)
+        actions[idx] = _sample_rows(np.cumsum(probs, axis=1), u_actions[idx])
 
     return _finish(
         instance, policy, policy.signals, states, signals, actions, seed, checkpoint_every
     )
+
+
+# Rounds of uniforms a lockstep run draws per seed at a time.
+_LOCKSTEP_CHUNK = 1024
+
+
+def _lockstep_exp3(
+    instance: PersuasionInstance,
+    policies: list,
+    config: Exp3Config,
+    rounds: int,
+    seeds: list[int],
+    summarize: Callable[[SimulationTrace], object],
+    checkpoint_every: int | None,
+) -> list:
+    """Exp3 against action-independent senders, all seeds stepped together.
+
+    EXP3 is sequential within a seed but seeds are independent, so each
+    round is one batched ``exp3_probs``, one inverse-CDF pick and one
+    scatter-add over the ``(B, S, n)`` estimates of all B seeds.  Each seed
+    draws its own three substreams in chunks of rounds; sequential draws
+    equal one whole-horizon draw, so every seed's trace is the one the
+    generic loop gives, whichever seeds share its batch.  Indices are kept
+    in the smallest integer type until each trace is finished and
+    summarized, one seed at a time.
+
+    The per-round indexing goes through flat offsets and ``take``, which
+    cost less than multi-array fancy indexing on arrays this small.
+    """
+    B, n, S = len(seeds), instance.n_actions, len(policies[0].signals)
+    compact = np.min_scalar_type(max(instance.n_states, S, n))
+    states = np.empty((B, rounds), dtype=compact)
+    signals = np.empty((B, rounds), dtype=compact)
+    actions = np.empty((B, rounds), dtype=compact)
+    estimates = np.zeros((B * S, n))  # row b * S + s: seed b, signal s
+    flat_estimates = estimates.reshape(-1)
+    payoffs = instance.receiver_utility.T.reshape(-1)  # [w * n + a] = v[a, w]
+    rngs = [_spawn_rngs(seed) for seed in seeds]
+    for policy in policies:
+        policy.reset()
+    seed_rows = np.arange(B) * S
+    prob_offsets = np.arange(B) * n
+    for lo in range(0, rounds, _LOCKSTEP_CHUNK):
+        c = min(_LOCKSTEP_CHUNK, rounds - lo)
+        u_actions = np.empty((c, B))
+        for b, (state_rng, signal_rng, recv_rng) in enumerate(rngs):
+            w = _draw_states(instance, state_rng.random(c))
+            states[b, lo : lo + c] = w
+            signals[b, lo : lo + c] = policies[b].signals_for_states(w, signal_rng.random(c))
+            u_actions[:, b] = recv_rng.random(c)
+        rows = signals[:, lo : lo + c].T + seed_rows
+        entries = rows * n
+        payoff_rows = states[:, lo : lo + c].T.astype(np.intp) * n
+        chunk_actions = np.empty((c, B), dtype=np.intp)
+        for j in range(c):
+            p = exp3_probs(estimates.take(rows[j], axis=0), config)
+            a = _sample_rows(np.add.accumulate(p, axis=1), u_actions[j])
+            idx = entries[j] + a
+            flat_estimates[idx] += payoffs.take(payoff_rows[j] + a) / p.take(prob_offsets + a)
+            chunk_actions[j] = a
+        actions[:, lo : lo + c] = chunk_actions.T
+
+    out = []
+    for b, seed in enumerate(seeds):
+        trace = _finish(
+            instance,
+            policies[b],
+            tuple(policies[b].signals),
+            states[b].astype(np.int64),
+            signals[b].astype(np.int64),
+            actions[b].astype(np.int64),
+            seed,
+            checkpoint_every,
+        )
+        out.append(summarize(trace))
+    return out
 
 
 def simulate(
@@ -612,6 +660,21 @@ def simulate(
     return _finish(instance, policy, signal_ids, states, signals, actions, seed, checkpoint_every)
 
 
+def _lockstep_config(instance, policies, receivers, rounds: int) -> Exp3Config | None:
+    """The Exp3 tuning all seeds share if they can run in lockstep, else None."""
+    eligible = (
+        all(type(r) is Exp3 for r in receivers)
+        and all(type(p) in (FixedSchemePolicy, AlternatingSignalPolicy) for p in policies)
+        and len({tuple(p.signals) for p in policies}) == 1
+    )
+    if not eligible:
+        return None
+    for policy, receiver in zip(policies, receivers):
+        receiver.reset(len(policy.signals), instance, rounds)
+    configs = {r.tuned for r in receivers}
+    return configs.pop() if len(configs) == 1 else None
+
+
 def run_replications(
     instance: PersuasionInstance,
     policy_factory: Callable[[], object],
@@ -623,23 +686,41 @@ def run_replications(
     checkpoint_every: int | None = None,
     threads: int = 1,
 ) -> list:
-    """Independent seeded runs; summaries returned in seed order."""
+    """Independent seeded runs; summaries returned in seed order.
 
-    def one(seed: int):
+    Two or more seeds of the built-in ``Exp3`` against a fixed or
+    alternating sender step in lockstep in this thread, whatever ``threads``
+    says; every other configuration runs ``simulate`` per seed, on
+    ``threads`` threads.  A lockstep batch of one costs about what the
+    scalar loop does per round, so a single seed takes ``simulate``.  The
+    results are the same either way.
+    """
+    if rounds < 1:
+        raise ValidationError("rounds must be positive")
+    seeds = list(seeds)
+    policies = [policy_factory() for _ in seeds]
+    receivers = [receiver_factory() for _ in seeds]
+    config = _lockstep_config(instance, policies, receivers, rounds) if len(seeds) > 1 else None
+    if config is not None:
+        return _lockstep_exp3(
+            instance, policies, config, rounds, seeds, summarize, checkpoint_every
+        )
+
+    def one(k: int):
         trace = simulate(
             instance,
-            policy_factory(),
-            receiver_factory(),
+            policies[k],
+            receivers[k],
             rounds,
-            seed,
+            seeds[k],
             checkpoint_every=checkpoint_every,
         )
         return summarize(trace)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, seeds))
-    return [one(s) for s in seeds]
+            return list(pool.map(one, range(len(seeds))))
+    return [one(k) for k in range(len(seeds))]
 
 
 # ---------------------------------------------------------------------------
@@ -885,10 +966,7 @@ def empirical_conditional_utilities(
     state_rng, signal_rng, _ = _spawn_rngs(seed)
     states = _draw_states(instance, state_rng.random(t))
     cdf = np.cumsum(scheme.conditional, axis=1)
-    draws = signal_rng.random(t)
-    signals = np.minimum(
-        (cdf[states] <= draws[:, None]).sum(axis=1), scheme.n_signals - 1
-    )
+    signals = _sample_rows(cdf[states], signal_rng.random(t))
     S, m = scheme.n_signals, instance.n_states
     counts = np.bincount(signals * m + states, minlength=S * m).reshape(S, m)
     totals = counts.sum(axis=1)

@@ -53,9 +53,14 @@ def _check_ids(kind: str, ids: Sequence[str]) -> tuple[str, ...]:
     return ids
 
 
+def _in_unit_interval(x: np.ndarray) -> bool:
+    """True when every entry lies in [0, 1]; NaN fails every comparison."""
+    return bool(np.all((x >= 0) & (x <= 1)))
+
+
 def _check_rows_sum_to_one(name: str, mat: np.ndarray) -> None:
-    if np.any(mat < 0):
-        raise ValidationError(f"{name} has negative entries")
+    if not np.all(mat >= 0):  # written so that NaN fails too
+        raise ValidationError(f"{name} has negative or NaN entries")
     sums = mat.sum(axis=1)
     worst = float(np.max(np.abs(sums - 1.0)))
     if worst > _SUM_TOL:
@@ -90,7 +95,7 @@ class PersuasionInstance:
             raise DimensionMismatchError(
                 f"prior has shape {prior.shape}, expected ({m},)"
             )
-        if np.any(prior < 0) or np.any(prior > 1):
+        if not _in_unit_interval(prior):
             raise ValidationError("prior entries must lie in [0, 1]")
         if abs(float(prior.sum()) - 1.0) > _SUM_TOL:
             raise ValidationError(
@@ -103,7 +108,7 @@ class PersuasionInstance:
                 raise DimensionMismatchError(
                     f"{name} has shape {mat.shape}, expected ({n}, {m})"
                 )
-            if np.any(mat < 0) or np.any(mat > 1):
+            if not _in_unit_interval(mat):
                 raise ValidationError(f"{name} entries must lie in [0, 1]")
             object.__setattr__(self, name, _freeze(mat))
 

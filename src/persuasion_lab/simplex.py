@@ -69,6 +69,16 @@ def _bland_iterate(
     raise LPIterationLimitError(f"simplex did not converge in {max_iter} iterations")
 
 
+def _basic_solution(n_vars: int, basis: np.ndarray, values: np.ndarray) -> np.ndarray:
+    x = np.zeros(n_vars)
+    x[basis] = values
+    return np.where(np.abs(x) < 1e-14, 0.0, x)
+
+
+def _residual(A: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(A @ x - b))) if A.shape[0] else 0.0
+
+
 def solve_standard_form(
     A: np.ndarray,
     b: np.ndarray,
@@ -130,22 +140,39 @@ def solve_standard_form(
     allowed = np.ones(n_vars, dtype=bool)
     iters += _bland_iterate(tableau, basis, allowed, max_iter)
 
-    x = np.zeros(n_vars)
-    x[basis] = tableau[: len(basis), -1]
-    x = np.where(np.abs(x) < 1e-14, 0.0, x)
+    x = _basic_solution(n_vars, basis, tableau[: len(basis), -1])
+    B = A[kept][:, basis]
+    residual = _residual(A, x, b)
+    resolved = residual > _FEAS_TOL
+    if resolved:
+        # Rounding in the pivots drifted the tableau, right-hand side and
+        # cost row alike: solve for the final basis's values directly, and
+        # below check the basis's optimality from its own dual rather than
+        # from the tableau's cost row.
+        try:
+            x_basic = np.linalg.solve(B, b[kept])
+        except np.linalg.LinAlgError as e:
+            raise LPError(f"singular final basis: {e}") from e
+        if float(x_basic.min()) < -_FEAS_TOL:
+            raise LPError(f"final basis is infeasible: x_B has entry {float(x_basic.min()):g}")
+        x = _basic_solution(n_vars, basis, np.maximum(x_basic, 0.0))
+        residual = _residual(A, x, b)
     objective = float(c @ x)
 
     # dual certificate from the final basis: y solves B^T y = c_B
-    B = A[kept][:, basis]
     try:
         y_kept = np.linalg.solve(B.T, c[basis])
     except np.linalg.LinAlgError as e:
         raise LPError(f"singular final basis: {e}") from e
+    if resolved:
+        # the gap c.x - y.b vanishes for any basis; optimality is A^T y >= c
+        reduced = float(np.min(A[kept].T @ y_kept - c))
+        if reduced < -_FEAS_TOL:
+            raise LPError(f"final basis is not optimal: reduced cost {reduced:g}")
     dual = np.zeros(n_rows)
     dual[kept] = y_kept
     duality_gap = abs(objective - float(dual @ b))
 
-    residual = float(np.max(np.abs(A @ x - b))) if n_rows else 0.0
     if residual > _FEAS_TOL:
         raise LPError(f"solution violates constraints by {residual:g}")
     if duality_gap > _FEAS_TOL:

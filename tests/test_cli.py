@@ -5,7 +5,7 @@ import subprocess
 import pytest
 
 from persuasion_lab import advantage, instance_to_json
-from persuasion_lab.cli import _exit_code, main
+from persuasion_lab.cli import _exit_code, _write_json, main
 from persuasion_lab.errors import (
     AssumptionViolatedError,
     HypothesisViolatedError,
@@ -311,6 +311,21 @@ class TestSimulate:
         assert code == 0
         assert read_json(tmp_path / "simulate.json")["config"]["threads"] == 3
 
+    def test_exp3_records_one_thread(self, tmp_path, monkeypatch):
+        # lockstep Exp3 runs on one thread whatever the cap says
+        monkeypatch.setenv("PERSUASION_LAB_THREADS", "8")
+        code = run(
+            "simulate",
+            "--instance", "judge",
+            "--sender", "robustified:0.2",
+            "--receiver", "exp3",
+            "--rounds", 200,
+            "--seeds", 3,
+            "--output-dir", tmp_path,
+        )
+        assert code == 0
+        assert read_json(tmp_path / "simulate.json")["config"]["threads"] == 1
+
     def test_bad_thread_env_exit_1(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PERSUASION_LAB_THREADS", "lots")
         code = run(
@@ -358,6 +373,42 @@ def test_eps_num_recorded(tmp_path):
         "--eps-num", 1e-7, "--output-dir", tmp_path,
     )
     assert read_json(tmp_path / "check-assumptions.json")["config"]["eps_num"] == 1e-7
+
+
+SIMULATE = ("simulate", "--instance", "judge", "--sender", "robustified:0.2", "--receiver", "exp3")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (*SIMULATE, "--rounds", 0),
+        (*SIMULATE, "--rounds", 100, "--seeds", 0),
+        (*SIMULATE, "--rounds", 100, "--checkpoint-every", -5),
+        ("bounds", "--instance", "judge", "--gamma", 0.05, "--samples", 0),
+        ("reproduce", "theorem-3-1-sweep", "--instances", 0),
+        ("reproduce", "theorem-4-1", "--rounds", -1),
+        ("reproduce", "theorem-4-1", "--seeds", 0),
+    ],
+)
+def test_counts_below_one_exit_1(tmp_path, capsys, argv):
+    assert run(*argv, "--output-dir", tmp_path) == 1
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_nan_instance_file_exit_1(tmp_path, judge):
+    blob = json.loads(instance_to_json(judge))
+    blob["prior"] = [float("nan"), 0.5]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(blob))
+    assert run("solve-classic", "--instance", path, "--output-dir", tmp_path / "out") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_reports_refuse_nan(tmp_path):
+    with pytest.raises(ValueError):
+        _write_json(tmp_path, "report.json", {"value": float("nan")})
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_exit_code_mapping():

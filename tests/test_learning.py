@@ -10,7 +10,7 @@ from persuasion_lab import (
     Exp3Config,
     ExpWeights,
     FixedSchemePolicy,
-    LearnerState,
+    PersuasionInstance,
     RadiusPreconditionError,
     ValidationError,
     WrongInstanceError,
@@ -29,73 +29,70 @@ from persuasion_lab import (
     simulate,
     solve_classic,
 )
+from persuasion_lab import learning
 from persuasion_lab.model import best_response_mask
 from persuasion_lab.repro import alternating_stats
-from persuasion_lab.sampling import random_instance
+from persuasion_lab.sampling import random_instance, random_scheme
 
 
-def full_state(instance, n_signals=2):
-    return LearnerState(n_signals, instance.n_actions, "full", instance.receiver_utility)
+def fed(receiver, instance, pairs, n_signals=2):
+    """Reset a full-feedback receiver and feed it (signal, state) rounds."""
+    receiver.reset(n_signals, instance, len(pairs))
+    for t, (sig, w) in enumerate(pairs, 1):
+        receiver.feed(sig, 0, w, 0.0, t)
+    return receiver
 
 
-class TestLearnerState:
-    def test_cumulative_identity(self, judge):
-        st = full_state(judge)
-        for sig, w in [(0, 1), (0, 1), (0, 0), (1, 1)]:
-            st.record_full(sig, w)
-        expect = st.state_counts @ judge.receiver_utility.T
-        assert np.array_equal(st.cumulative, expect)
-        assert st.counts.tolist() == [3, 1]
+class TestReceiverState:
+    def test_full_feedback_counts(self, judge):
+        rec = fed(EmpiricalBestResponse(), judge, [(0, 1), (0, 1), (0, 0), (1, 1)])
+        assert rec.counts.tolist() == [[1.0, 2.0], [0.0, 1.0]]
+        assert rec.counts.sum(axis=1).tolist() == [3, 1]
+        # the rules score actions by cumulative utility, counts @ v.T
+        expect = rec.counts @ judge.receiver_utility.T
+        assert np.array_equal(learning._scores(rec.counts, judge.receiver_utility), expect)
 
-    def test_mode_validation(self, judge):
-        with pytest.raises(ValidationError):
-            LearnerState(2, 2, "half", judge.receiver_utility)
-        with pytest.raises(ValidationError):
-            LearnerState(2, 2, "full")
-
-    def test_partial_mode_accumulates_estimates(self):
-        st = LearnerState(2, 3, "partial")
-        st.record_partial(1, 2, 4.5)
-        st.record_partial(1, 2, 0.5)
-        assert st.cumulative[1].tolist() == [0.0, 0.0, 5.0]
+    def test_partial_feedback_accumulates_estimates(self):
+        three = PersuasionInstance(
+            ("w0", "w1"), ("a0", "a1", "a2"), [0.5, 0.5], np.zeros((3, 2)), np.zeros((3, 2))
+        )
+        rec = Exp3(Exp3Config(exploration=1.0, learning_rate=0.0))
+        rec.reset(2, three, 10)
+        for t, payoff in ((1, 1.5), (2, 1.0 / 6.0)):
+            assert rec.act(1, t, 0.9) == 2  # uniform play: u = 0.9 picks the last action
+            rec.feed(1, 2, 0, payoff, t)
+        assert rec.cumulative[1].tolist() == [0.0, 0.0, 5.0]
+        assert rec.cumulative[0].tolist() == [0.0, 0.0, 0.0]
 
 
 class TestEmpiricalBr:
     def test_cold_start_uniform(self, judge):
-        st = full_state(judge)
-        assert empirical_br_probs(st, 0).tolist() == [0.5, 0.5]
+        assert empirical_br_probs(np.zeros((1, 2)), judge.receiver_utility).tolist() == [[0.5, 0.5]]
 
     def test_exact_tie_uniform(self, judge):
         # equal counts of each state tie acquit and convict exactly
-        st = full_state(judge)
-        for _ in range(7):
-            st.record_full(0, 0)
-            st.record_full(0, 1)
-        assert empirical_br_probs(st, 0).tolist() == [0.5, 0.5]
+        rec = fed(EmpiricalBestResponse(), judge, [(0, 0), (0, 1)] * 7)
+        assert empirical_br_probs(rec.counts[:1], judge.receiver_utility).tolist() == [[0.5, 0.5]]
 
     def test_majority_state_wins(self, judge):
-        st = full_state(judge)
-        st.record_full(0, 0)  # guilty twice, innocent once: convict wins
-        st.record_full(0, 0)
-        st.record_full(0, 1)
-        assert empirical_br_probs(st, 0).tolist() == [1.0, 0.0]
+        # guilty twice, innocent once: convict wins
+        rec = fed(EmpiricalBestResponse(), judge, [(0, 0), (0, 0), (0, 1)])
+        assert empirical_br_probs(rec.counts[:1], judge.receiver_utility).tolist() == [[1.0, 0.0]]
 
 
 class TestExpWeights:
     def test_cold_start_uniform(self, judge):
-        st = full_state(judge)
-        assert exp_weights_probs(st, 0, 1).tolist() == [0.5, 0.5]
+        p = exp_weights_probs(np.zeros((1, 2)), judge.receiver_utility, np.array([1.0]))
+        assert p.tolist() == [[0.5, 0.5]]
 
     def test_logistic_form(self, judge):
         # judge scores reduce to the count of each state, so the softmax is
         # a logistic in eta * (count difference)
-        st = full_state(judge)
-        for _ in range(10):
-            st.record_full(0, 1)  # ten innocent observations favor acquit
+        rec = fed(ExpWeights(), judge, [(0, 1)] * 10)  # ten innocent observations favor acquit
         for t in (2, 5, 1000):
             eta = math.sqrt(math.log(2) / t)
             expect = 1.0 / (1.0 + math.exp(-eta * 10))
-            p = exp_weights_probs(st, 0, t)
+            p = exp_weights_probs(rec.counts[:1], judge.receiver_utility, np.array([float(t)]))[0]
             assert p[1] == pytest.approx(expect, abs=1e-15)
             assert p.sum() == pytest.approx(1.0, abs=1e-15)
 
@@ -108,14 +105,11 @@ class TestExp3:
         assert cfg.learning_rate == pytest.approx(g / 4, abs=1e-15)
 
     def test_cold_start_uniform(self):
-        st = LearnerState(2, 4, "partial", exp3=Exp3Config.for_horizon(4, 1000))
-        assert np.allclose(exp3_probs(st, 0, 1), 0.25)
+        assert np.allclose(exp3_probs(np.zeros((1, 4)), Exp3Config.for_horizon(4, 1000)), 0.25)
 
     def test_exploration_floor(self):
         cfg = Exp3Config(exploration=0.2, learning_rate=0.05)
-        st = LearnerState(1, 2, "partial", exp3=cfg)
-        st.record_partial(0, 0, 50.0)
-        p = exp3_probs(st, 0, 2)
+        p = exp3_probs(np.array([[50.0, 0.0]]), cfg)[0]
         assert p.min() >= 0.1 - 1e-15
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -193,6 +187,20 @@ class TestSimulate:
         slow = simulate(inst, make_policy(), receiver_cls(), 3000, 11, fast=False)
         assert np.array_equal(fast.states, slow.states)
         assert np.array_equal(fast.signals, slow.signals)
+        assert np.array_equal(fast.actions, slow.actions)
+        assert np.array_equal(fast.running_avg, slow.running_avg)
+
+    @pytest.mark.parametrize("receiver_cls", [EmpiricalBestResponse, ExpWeights])
+    def test_fast_path_matches_generic_many_states(self, receiver_cls):
+        # scores mix several states and non-dyadic utilities, so their
+        # rounding must not depend on how many rows are computed at once
+        rng = np.random.default_rng(21)
+        inst = random_instance(rng, max_states=6, max_actions=12)
+        while inst.n_states < 4 or inst.n_actions < 9:
+            inst = random_instance(rng, max_states=6, max_actions=12)
+        scheme = random_scheme(rng, inst, n_signals=3)
+        fast = simulate(inst, FixedSchemePolicy(scheme), receiver_cls(), 1500, 2, fast=True)
+        slow = simulate(inst, FixedSchemePolicy(scheme), receiver_cls(), 1500, 2, fast=False)
         assert np.array_equal(fast.actions, slow.actions)
         assert np.array_equal(fast.running_avg, slow.running_avg)
 
@@ -286,6 +294,168 @@ class TestReplications:
         assert [s for s, _ in serial] == [3, 1, 2]
 
 
+def checkpoint_fields(trace):
+    return [
+        (c.t, c.running_avg, c.obedience_frequency, c.window_obedience, c.max_radius)
+        for c in trace.checkpoints
+    ]
+
+
+def assert_same_trace(got, want):
+    assert got.seed == want.seed
+    assert got.signal_ids == want.signal_ids
+    for field in ("states", "signals", "actions", "running_avg"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert getattr(got, field).dtype == getattr(want, field).dtype, field
+
+
+LOCKSTEP_ROUNDS = 1500  # more than one chunk of uniforms
+
+
+@pytest.fixture(scope="module")
+def oracle_traces():
+    """Generic-loop traces by (sender, seed), shared across the matrix."""
+    return {}
+
+
+class TestLockstepExp3:
+    @pytest.mark.parametrize("checkpoint_every", [None, 500])
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("seeds", [[0], [3, 1, 2], list(range(10))])
+    @pytest.mark.parametrize("sender", ["fixed", "alternating"])
+    def test_matches_generic_loop(
+        self, judge, judge_opt, mismatch, oracle_traces, sender, seeds, threads, checkpoint_every
+    ):
+        if sender == "fixed":
+            inst, make_policy = judge, lambda: FixedSchemePolicy(judge_opt)
+        else:
+            inst, make_policy = mismatch, lambda: AlternatingSignalPolicy(mismatch)
+        traces = run_replications(
+            inst, make_policy, Exp3, LOCKSTEP_ROUNDS, seeds, lambda tr: tr,
+            checkpoint_every=checkpoint_every, threads=threads,
+        )
+        assert [tr.seed for tr in traces] == seeds
+        for tr in traces:
+            if (sender, tr.seed) not in oracle_traces:
+                oracle_traces[sender, tr.seed] = simulate(
+                    inst, make_policy(), Exp3(), LOCKSTEP_ROUNDS, tr.seed,
+                    checkpoint_every=500, fast=False,
+                )
+            want = oracle_traces[sender, tr.seed]
+            assert_same_trace(tr, want)
+            expect_cps = checkpoint_fields(want) if checkpoint_every else []
+            assert checkpoint_fields(tr) == expect_cps
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_many_actions_and_chunk_boundaries(self, monkeypatch, chunk):
+        # ten actions: numpy unrolls sums of eight or more entries into
+        # partial sums, so a batched and a one-row sum could differ
+        rng = np.random.default_rng(4)
+        inst = random_instance(rng, max_states=5, max_actions=12)
+        while inst.n_actions < 9:
+            inst = random_instance(rng, max_states=5, max_actions=12)
+        scheme = random_scheme(rng, inst, n_signals=4)
+        if chunk is not None:
+            monkeypatch.setattr(learning, "_LOCKSTEP_CHUNK", chunk)
+        seeds = list(range(10))
+        traces = run_replications(
+            inst, lambda: FixedSchemePolicy(scheme), Exp3, 600, seeds, lambda tr: tr,
+            checkpoint_every=250,
+        )
+        for seed, tr in zip(seeds, traces):
+            want = simulate(
+                inst, FixedSchemePolicy(scheme), Exp3(), 600, seed, checkpoint_every=250, fast=False
+            )
+            assert_same_trace(tr, want)
+            assert checkpoint_fields(tr) == checkpoint_fields(want)
+
+    def test_bypasses_simulate_and_keeps_explicit_config(self, judge, judge_opt, monkeypatch):
+        cfg = Exp3Config(exploration=0.3, learning_rate=0.02)
+        want = [
+            simulate(judge, FixedSchemePolicy(judge_opt), Exp3(cfg), 300, s, fast=False)
+            for s in (5, 6)
+        ]
+
+        def no_simulate(*args, **kwargs):
+            raise AssertionError("the lockstep path should not call simulate")
+
+        monkeypatch.setattr(learning, "simulate", no_simulate)
+        got = run_replications(
+            judge, lambda: FixedSchemePolicy(judge_opt), lambda: Exp3(cfg), 300, [5, 6],
+            lambda tr: tr,
+        )
+        for g, w in zip(got, want):
+            assert_same_trace(g, w)
+
+    def test_mixed_configs_run_per_seed(self, judge, judge_opt):
+        configs = [Exp3Config(0.3, 0.02), Exp3Config(0.1, 0.05)]
+        pending = iter(configs)
+        got = run_replications(
+            judge, lambda: FixedSchemePolicy(judge_opt), lambda: Exp3(next(pending)), 200, [1, 2],
+            lambda tr: tr,
+        )
+        for seed, cfg, g in zip((1, 2), configs, got):
+            assert_same_trace(g, simulate(judge, FixedSchemePolicy(judge_opt), Exp3(cfg), 200, seed))
+
+    def test_subclasses_run_per_seed(self, judge, judge_opt, monkeypatch):
+        # overrides of act/feed or round_cdf must reach the generic loop
+        class DoubledExp3(Exp3):
+            def feed(self, signal, action, state, payoff, t):
+                super().feed(signal, action, state, 2.0 * payoff, t)
+
+        class FlippedPolicy(FixedSchemePolicy):
+            def round_cdf(self, t):
+                return super().round_cdf(t)[::-1].copy()
+
+        for policy_cls, receiver_cls in ((FixedSchemePolicy, DoubledExp3), (FlippedPolicy, Exp3)):
+            calls = []
+
+            def spy(*args, **kwargs):
+                calls.append(args[4])
+                return simulate(*args, **kwargs)
+
+            monkeypatch.setattr(learning, "simulate", spy)
+            got = run_replications(
+                judge, lambda: policy_cls(judge_opt), receiver_cls, 200, [1, 2], lambda tr: tr
+            )
+            monkeypatch.undo()
+            assert calls == [1, 2]
+            for seed, g in zip((1, 2), got):
+                want = simulate(judge, policy_cls(judge_opt), receiver_cls(), 200, seed, fast=False)
+                assert_same_trace(g, want)
+
+    def test_rounds_positive(self, judge, judge_opt):
+        with pytest.raises(ValidationError):
+            run_replications(
+                judge, lambda: FixedSchemePolicy(judge_opt), Exp3, 0, [0], lambda tr: tr
+            )
+
+
+class TestRuleBatches:
+    def test_rows_match_one_row_calls(self):
+        # each rule's rows do not depend on the rest of the batch
+        rng = np.random.default_rng(8)
+        utility = rng.random((11, 3))
+        counts = rng.integers(0, 40, size=(6, 3)).astype(np.float64)
+        t = rng.integers(1, 500, size=6).astype(np.float64)
+        cumulative = rng.random((6, 11)) * 30.0
+        cfg = Exp3Config(exploration=0.05, learning_rate=0.4)
+        batched = (
+            empirical_br_probs(counts, utility),
+            exp_weights_probs(counts, utility, t),
+            exp3_probs(cumulative, cfg),
+        )
+        for b in range(6):
+            one = (
+                empirical_br_probs(counts[b : b + 1], utility),
+                exp_weights_probs(counts[b : b + 1], utility, t[b : b + 1]),
+                exp3_probs(cumulative[b : b + 1], cfg),
+            )
+            for full, row in zip(batched, one):
+                assert np.array_equal(full[b], row[0])
+            assert np.array_equal(batched[2][b], exp3_probs(cumulative[b], cfg))
+
+
 class TestConfidenceRadius:
     def test_arithmetic(self, judge, judge_opt):
         # rebuilt from the formula at pi(s)=0.6, S=2, A=2, t=10^6
@@ -345,19 +515,17 @@ class TestSchedule:
         # mass on the log(n*lam)/lam empirical-best set must be >= 1 - 1/lam
         T = 20_000
         tr = simulate(judge, FixedSchemePolicy(judge_opt), ExpWeights(), T, 9)
-        st = full_state(judge)
-        for s, w in zip(tr.signals.tolist(), tr.states.tolist()):
-            st.record_full(s, w)
+        rec = fed(ExpWeights(), judge, list(zip(tr.signals.tolist(), tr.states.tolist())))
         eta = math.sqrt(math.log(2) / T)
         for s in range(2):
-            T_s = int(st.counts[s])
+            T_s = int(rec.counts[s].sum())
             lam = eta * T_s
             assert lam > 5.0
             gamma_s = math.log(2 * lam) / lam
             delta_s = 1.0 / lam
-            vhat = (judge.receiver_utility @ st.state_counts[s]) / T_s
+            vhat = (judge.receiver_utility @ rec.counts[s]) / T_s
             mask = best_response_mask(vhat[None, :], gamma_s, 1e-12)[0]
-            probs = exp_weights_probs(st, s, T)
+            probs = exp_weights_probs(rec.counts[s : s + 1], judge.receiver_utility, np.array([float(T)]))[0]
             assert probs[mask].sum() >= 1.0 - delta_s
 
 

@@ -93,6 +93,21 @@ class TestValidation:
         with pytest.raises(ValidationError):
             ReceiverStrategy(np.array([[0.9, 0.2]]))
 
+    @pytest.mark.parametrize("where", ["prior", "sender", "receiver"])
+    def test_nan_instance_entries_rejected(self, where):
+        nan = float("nan")
+        prior = [nan, 0.5] if where == "prior" else [0.5, 0.5]
+        u = [[nan, 0], [0, 1]] if where == "sender" else [[1, 0], [0, 1]]
+        v = [[1, 0], [0, nan]] if where == "receiver" else [[1, 0], [0, 1]]
+        with pytest.raises(ValidationError):
+            make_instance(prior, u, v)
+
+    def test_nan_distribution_rows_rejected(self, judge):
+        with pytest.raises(ValidationError):
+            make_scheme(judge, ("s0", "s1"), np.array([[float("nan"), 1.0], [0.5, 0.5]]))
+        with pytest.raises(ValidationError):
+            ReceiverStrategy(np.array([[float("nan"), 1.0]]))
+
     def test_arrays_are_frozen(self, judge, judge_opt):
         with pytest.raises(ValueError):
             judge.prior[0] = 0.9

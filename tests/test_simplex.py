@@ -3,7 +3,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from persuasion_lab.errors import LPInfeasibleError
+from persuasion_lab import simplex
+from persuasion_lab.errors import LPError, LPInfeasibleError
 from persuasion_lab.simplex import solve_standard_form
 
 
@@ -115,3 +116,61 @@ def test_iteration_counter_and_x_shape():
     assert res.x.shape == (3,)
     assert res.iterations >= 1
     assert res.objective == pytest.approx(4.0, abs=1e-12)
+
+
+def drifting_sweep_lp():
+    """Obedience LP of instance 16 of the Theorem 3.1 sweep at seed 20.
+
+    Its 16 x 28 tableau drifts by 8e-4 in the right-hand side over the
+    pivots; the final basis itself is optimal.
+    """
+    from persuasion_lab.classic import build_obedience_lp
+    from persuasion_lab.sampling import satisfied_instance
+
+    rng = np.random.default_rng(20)
+    for _ in range(17):  # the sweep draws an instance, then a scheme seed
+        inst = satisfied_instance(rng, min_mu_delta=0.065)
+        rng.integers(0, 2**31 - 1)
+    return build_obedience_lp(inst)
+
+
+def test_drifted_tableau_resolved_from_final_basis():
+    lp = drifting_sweep_lp()
+    assert lp.A.shape == (16, 28)
+    res = solve_standard_form(lp.A, lp.b, lp.c)
+    assert np.max(np.abs(lp.A @ res.x - lp.b)) <= 1e-12
+    assert res.x.min() >= 0.0
+    assert res.duality_gap <= 1e-12
+    assert res.objective == pytest.approx(0.61975100640451, abs=1e-12)
+
+
+def test_drifted_tableau_matches_highs():
+    optimize = pytest.importorskip("scipy.optimize")
+    lp = drifting_sweep_lp()
+    ref = optimize.linprog(-lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
+    assert ref.status == 0
+    res = solve_standard_form(lp.A, lp.b, lp.c)
+    assert res.objective == pytest.approx(-ref.fun, abs=1e-9)
+
+
+def test_drifted_suboptimal_basis_raises(monkeypatch):
+    # max x1 + 2 x2 s.t. x1 + x2 + x3 = 1: phase 1 enters x1, phase 2 would
+    # move to x2.  Skip phase 2 and drift the right-hand side, so the final
+    # basis {x1} is feasible after the re-solve but not optimal.
+    A = np.array([[1.0, 1.0, 1.0]])
+    b = np.array([1.0])
+    c = np.array([1.0, 2.0, 0.0])
+    real = simplex._bland_iterate
+    calls = []
+
+    def stop_after_phase_1(tableau, basis, allowed, max_iter):
+        calls.append(1)
+        if len(calls) == 1:
+            return real(tableau, basis, allowed, max_iter)
+        tableau[0, -1] += 1e-3
+        return 0
+
+    monkeypatch.setattr(simplex, "_bland_iterate", stop_after_phase_1)
+    with pytest.raises(LPError, match="not optimal"):
+        solve_standard_form(A, b, c)
+    assert len(calls) == 2
