@@ -58,6 +58,7 @@ from .response import (
 from .robustify import (
     choose_alpha_lower,
     choose_alpha_upper,
+    robustified_optimum,
     robustify,
     verify_robustification,
 )
@@ -76,13 +77,13 @@ def _exit_code(exc: PersuasionError) -> int:
     return _EXIT_VALIDATION
 
 
-def _threads(n_seeds: int) -> int:
+def _threads() -> int:
+    """The ``PERSUASION_LAB_THREADS`` cap on replication threads (default 1)."""
     raw = os.environ.get("PERSUASION_LAB_THREADS", "1")
     try:
-        cap = max(1, int(raw))
+        return max(1, int(raw))
     except ValueError:
         raise ValidationError(f"PERSUASION_LAB_THREADS must be an integer, got {raw!r}")
-    return min(cap, n_seeds)
 
 
 def _resolve_instance(ref: str):
@@ -309,13 +310,8 @@ def _make_policy_factory(args, inst):
             constant = float(ref.split(":", 1)[1])
         except ValueError:
             raise ValidationError(f"bad numeric parameter in sender {ref!r}")
-        alpha = min(constant / 2.0, 1.0)
-        base, _ = solve_classic(inst)
-        scheme = robustify(inst, base, alpha)
-        return lambda: FixedSchemePolicy(scheme), {
-            "sender": ref,
-            "alpha": alpha,
-        }
+        scheme, alpha, _ = robustified_optimum(inst, constant)
+        return lambda: FixedSchemePolicy(scheme), {"sender": ref, "alpha": alpha}
     raise ValidationError(
         f"sender must be fixed:<scheme.json>|robustified:<C>|alternating, got {ref!r}"
     )
@@ -325,15 +321,10 @@ def _cmd_simulate(args) -> int:
     inst = _resolve_instance(args.instance)
     policy_factory, sender_cfg = _make_policy_factory(args, inst)
     receiver_factory = lambda: make_receiver(args.receiver)
-    probe = receiver_factory()
-    feedback = args.feedback or probe.feedback_mode
-    if feedback != probe.feedback_mode:
-        raise ValidationError(
-            f"receiver {args.receiver!r} provides {probe.feedback_mode} feedback, not {feedback}"
-        )
+    feedback = receiver_factory().feedback_mode
     seeds = list(range(args.seed, args.seed + args.seeds))
     checkpoint_every = args.checkpoint_every or max(1, args.rounds // 10)
-    threads = _threads(len(seeds))
+    threads = min(_threads(), len(seeds))
     if args.receiver == "exp3":
         threads = 1  # Exp3 replications step in lockstep on one thread
 
@@ -409,8 +400,8 @@ def _cmd_reproduce(args) -> int:
             f"target {args.target!r} does not take overrides {sorted(extra)}"
         )
     if args.target in ("example-4-3", "theorem-4-1"):
-        n = overrides.get("n_seeds", 20 if args.target == "example-4-3" else 10)
-        overrides["threads"] = _threads(n)
+        # the pool starts no more threads than there are seeds
+        overrides["threads"] = _threads()
     result = reproduce(args.target, **overrides)
     path = _write_json(args.output_dir, f"reproduce-{args.target}.json", result)
     for check in result["checks"]:
@@ -486,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fixed:<scheme.json>|robustified:<C>|alternating",
     )
     p.add_argument("--receiver", required=True, help="empirical-br|exp-weights|exp3")
-    p.add_argument("--feedback", choices=("full", "partial"))
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--seeds", type=int, default=1, help="number of replications")
     p.add_argument("--checkpoint-every", type=int, help="diagnostic interval (default: rounds/10)")

@@ -23,7 +23,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .classic import solve_classic
 from .errors import (
     AssumptionViolatedError,
     RadiusPreconditionError,
@@ -38,7 +37,7 @@ from .model import (
     profile_instance,
     signal_marginals,
 )
-from .robustify import robustify
+from .robustify import robustified_optimum
 
 
 def _spawn_rngs(seed: int) -> tuple[np.random.Generator, ...]:
@@ -228,8 +227,6 @@ def make_receiver(kind: str, **kwargs):
 class FixedSchemePolicy:
     """Commit to one scheme for every round."""
 
-    adaptive = False
-
     def __init__(self, scheme: SignalingScheme):
         self.scheme = scheme
         self.signals = scheme.signals
@@ -258,7 +255,6 @@ class AlternatingSignalPolicy:
     alternating state subsequence that keeps an empirical learner guessing.
     """
 
-    adaptive = True
     signals = ("s1", "s2")
 
     def __init__(self, instance: PersuasionInstance):
@@ -527,6 +523,19 @@ def _fast_full_feedback(
     )
 
 
+# Senders whose signals do not depend on the receiver's actions.
+_BULK_SENDERS = (FixedSchemePolicy, AlternatingSignalPolicy)
+
+
+def _bulk_eligible(policy, receiver, receiver_types: tuple[type, ...]) -> bool:
+    """Whether a vectorized path may stand in for the per-round loop.
+
+    Types are tested exactly: a subclass may override ``act``, ``feed`` or
+    ``round_cdf``, none of which the vectorized paths call.
+    """
+    return type(receiver) in receiver_types and type(policy) in _BULK_SENDERS
+
+
 # Rounds of uniforms a lockstep run draws per seed at a time.
 _LOCKSTEP_CHUNK = 1024
 
@@ -622,12 +631,7 @@ def simulate(
     """
     if rounds < 1:
         raise ValidationError("rounds must be positive")
-    eligible = (
-        fast
-        and isinstance(receiver, (EmpiricalBestResponse, ExpWeights))
-        and isinstance(policy, (FixedSchemePolicy, AlternatingSignalPolicy))
-    )
-    if eligible:
+    if fast and _bulk_eligible(policy, receiver, (EmpiricalBestResponse, ExpWeights)):
         return _fast_full_feedback(instance, policy, receiver, rounds, seed, checkpoint_every)
 
     state_rng, signal_rng, recv_rng = _spawn_rngs(seed)
@@ -639,7 +643,6 @@ def simulate(
     policy.reset()
     signal_ids = tuple(policy.signals)
     receiver.reset(len(signal_ids), instance, rounds)
-    partial = receiver.feedback_mode == "partial"
 
     signals = np.empty(rounds, dtype=np.int64)
     actions = np.empty(rounds, dtype=np.int64)
@@ -663,8 +666,7 @@ def simulate(
 def _lockstep_config(instance, policies, receivers, rounds: int) -> Exp3Config | None:
     """The Exp3 tuning all seeds share if they can run in lockstep, else None."""
     eligible = (
-        all(type(r) is Exp3 for r in receivers)
-        and all(type(p) in (FixedSchemePolicy, AlternatingSignalPolicy) for p in policies)
+        all(_bulk_eligible(p, r, (Exp3,)) for p, r in zip(policies, receivers))
         and len({tuple(p.signals) for p in policies}) == 1
     )
     if not eligible:
@@ -729,48 +731,36 @@ def run_replications(
 
 @dataclass(frozen=True)
 class Schedule:
-    """Closed-form accuracy schedule (gamma_t, delta_t) with learner rate eta_t."""
-
-    gamma_fn: Callable[[int], float]
-    delta_fn: Callable[[int], float]
-    eta_fn: Callable[[int], float]
-    label: str = "custom"
-
-    def gamma(self, t: int) -> float:
-        return float(self.gamma_fn(t))
-
-    def delta(self, t: int) -> float:
-        return float(self.delta_fn(t))
-
-    def eta(self, t: int) -> float:
-        return float(self.eta_fn(t))
-
-
-def exp_weights_schedule(n_actions: int, min_signal_prob: float) -> Schedule:
-    """Accuracy schedule of the exponential-weights receiver.
+    """Accuracy (gamma_t, delta_t) and rate eta_t of exponential weights.
 
     At round t a signal of probability p has been seen about p*t times, so
     the per-signal softmax temperature is lam = eta_t * p * t and the
     receiver is a (log(n lam)/lam, 1/lam) member.
     """
-    if not 0.0 < min_signal_prob <= 1.0:
-        raise ValidationError("min_signal_prob must lie in (0, 1]")
 
-    def lam(t: int) -> float:
-        return min_signal_prob * math.sqrt(t * math.log(n_actions))
+    n_actions: int
+    min_signal_prob: float
 
-    def gamma_fn(t: int) -> float:
-        l = lam(t)
-        return max(0.0, math.log(n_actions * l) / l) if l > 0 else math.inf
+    def _lam(self, t: int) -> float:
+        return self.min_signal_prob * math.sqrt(t * math.log(self.n_actions))
 
-    def delta_fn(t: int) -> float:
-        l = lam(t)
+    def gamma(self, t: int) -> float:
+        l = self._lam(t)
+        return max(0.0, math.log(self.n_actions * l) / l) if l > 0 else math.inf
+
+    def delta(self, t: int) -> float:
+        l = self._lam(t)
         return 1.0 / l if l > 0 else math.inf
 
-    def eta_fn(t: int) -> float:
-        return math.sqrt(math.log(n_actions) / t)
+    def eta(self, t: int) -> float:
+        return math.sqrt(math.log(self.n_actions) / t)
 
-    return Schedule(gamma_fn, delta_fn, eta_fn, label="exp-weights")
+
+def exp_weights_schedule(n_actions: int, min_signal_prob: float) -> Schedule:
+    """The exponential-weights ``Schedule`` for the rarest sent signal."""
+    if not 0.0 < min_signal_prob <= 1.0:
+        raise ValidationError("min_signal_prob must lie in (0, 1]")
+    return Schedule(n_actions, min_signal_prob)
 
 
 @dataclass(frozen=True, eq=False)
@@ -843,7 +833,6 @@ def convergence_report(
     seeds: Sequence[int],
     *,
     receiver: str = "exp-weights",
-    schedule: Schedule | None = None,
     checkpoint_every: int | None = None,
     threads: int = 1,
     eps_num: float = DEFAULT_EPS,
@@ -860,13 +849,10 @@ def convergence_report(
         raise AssumptionViolatedError(
             f"instance fails the uniqueness assumption: {prof.reasons}"
         )
-    alpha = min(constant / 2.0, 1.0)
-    opt_scheme, opt = solve_classic(instance)
-    scheme = robustify(instance, opt_scheme, alpha, prof)
+    scheme, alpha, opt = robustified_optimum(instance, constant, prof)
     marginals = signal_marginals(instance, scheme)
     sent = marginals > 0.0
-    if schedule is None:
-        schedule = exp_weights_schedule(instance.n_actions, float(marginals[sent].min()))
+    schedule = exp_weights_schedule(instance.n_actions, float(marginals[sent].min()))
 
     if checkpoint_every is None:
         checkpoint_every = max(rounds // 10, 1)
@@ -965,8 +951,7 @@ def empirical_conditional_utilities(
     """
     state_rng, signal_rng, _ = _spawn_rngs(seed)
     states = _draw_states(instance, state_rng.random(t))
-    cdf = np.cumsum(scheme.conditional, axis=1)
-    signals = _sample_rows(cdf[states], signal_rng.random(t))
+    signals = FixedSchemePolicy(scheme).signals_for_states(states, signal_rng.random(t))
     S, m = scheme.n_signals, instance.n_states
     counts = np.bincount(signals * m + states, minlength=S * m).reshape(S, m)
     totals = counts.sum(axis=1)

@@ -53,6 +53,18 @@ def _check_ids(kind: str, ids: Sequence[str]) -> tuple[str, ...]:
     return ids
 
 
+def index_of(kind: str, names: tuple[str, ...], key: str | int) -> int:
+    """Position of ``key`` in ``names``: an in-range integer index or a name."""
+    if isinstance(key, (int, np.integer)):
+        if not 0 <= int(key) < len(names):
+            raise ValidationError(f"{kind} index {key} out of range")
+        return int(key)
+    try:
+        return names.index(key)
+    except ValueError:
+        raise ValidationError(f"unknown {kind} {key!r}") from None
+
+
 def _in_unit_interval(x: np.ndarray) -> bool:
     """True when every entry lies in [0, 1]; NaN fails every comparison."""
     return bool(np.all((x >= 0) & (x <= 1)))
@@ -113,8 +125,6 @@ class PersuasionInstance:
             object.__setattr__(self, name, _freeze(mat))
 
         object.__setattr__(self, "prior", _freeze(prior))
-        object.__setattr__(self, "_state_index", {s: i for i, s in enumerate(states)})
-        object.__setattr__(self, "_action_index", {a: i for i, a in enumerate(actions)})
 
     @property
     def n_states(self) -> int:
@@ -125,24 +135,10 @@ class PersuasionInstance:
         return len(self.actions)
 
     def state_index(self, state: str | int) -> int:
-        if isinstance(state, (int, np.integer)):
-            if not 0 <= int(state) < self.n_states:
-                raise ValidationError(f"state index {state} out of range")
-            return int(state)
-        try:
-            return self._state_index[state]
-        except KeyError:
-            raise ValidationError(f"unknown state {state!r}") from None
+        return index_of("state", self.states, state)
 
     def action_index(self, action: str | int) -> int:
-        if isinstance(action, (int, np.integer)):
-            if not 0 <= int(action) < self.n_actions:
-                raise ValidationError(f"action index {action} out of range")
-            return int(action)
-        try:
-            return self._action_index[action]
-        except KeyError:
-            raise ValidationError(f"unknown action {action!r}") from None
+        return index_of("action", self.actions, action)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +164,6 @@ class SignalingScheme:
             )
         _check_rows_sum_to_one("scheme conditional", cond)
         object.__setattr__(self, "conditional", _freeze(cond))
-        object.__setattr__(self, "_signal_index", {s: i for i, s in enumerate(signals)})
 
     @property
     def n_signals(self) -> int:
@@ -179,14 +174,7 @@ class SignalingScheme:
         return int(self.conditional.shape[0])
 
     def signal_index(self, signal: str | int) -> int:
-        if isinstance(signal, (int, np.integer)):
-            if not 0 <= int(signal) < self.n_signals:
-                raise ValidationError(f"signal index {signal} out of range")
-            return int(signal)
-        try:
-            return self._signal_index[signal]
-        except KeyError:
-            raise ValidationError(f"unknown signal {signal!r}") from None
+        return index_of("signal", self.signals, signal)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,11 +222,13 @@ class InstanceProfile:
         object.__setattr__(self, "optimal_regions", MappingProxyType(dict(self.optimal_regions)))
 
     def region_mass(self, instance: PersuasionInstance, action: str | int) -> float:
-        """Prior mass of the states where ``action`` is the unique optimum."""
-        a = instance.actions[instance.action_index(action)]
-        return float(
-            sum(instance.prior[instance.state_index(w)] for w in self.optimal_regions[a])
-        )
+        """Prior mass of the states where ``action`` is the unique optimum.
+
+        Summed in state order, so the value does not depend on
+        ``PYTHONHASHSEED``.
+        """
+        region = self.optimal_regions[instance.actions[instance.action_index(action)]]
+        return float(sum(p for w, p in zip(instance.states, instance.prior) if w in region))
 
 
 def profile_instance(

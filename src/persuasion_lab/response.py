@@ -30,11 +30,13 @@ from .model import (
     SignalingScheme,
     best_response_mask,
     expected_utility,
+    index_of,
     make_scheme,
     profile_instance,
     scheme_stats,
 )
 from .robustify import choose_alpha_lower, robustify
+from .sampling import random_scheme
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,21 +55,16 @@ class ApproxResponseSet:
     marginals: np.ndarray  # (S,)
 
     def actions_for(self, signal: str | int) -> tuple[str, ...]:
-        s = self._index(signal)
+        s = index_of("signal", self.signals, signal)
         if self.marginals[s] <= 0.0:
             raise ZeroProbabilitySignalError(
                 f"signal {self.signals[s]!r} has zero marginal probability"
             )
         return tuple(a for a, keep in zip(self.actions, self.member_mask[s]) if keep)
 
-    def contains(self, signal: str | int, action: str) -> bool:
-        s = self._index(signal)
-        return bool(self.member_mask[s, self.actions.index(action)])
-
-    def _index(self, signal: str | int) -> int:
-        if isinstance(signal, (int, np.integer)):
-            return int(signal)
-        return self.signals.index(signal)
+    def contains(self, signal: str | int, action: str | int) -> bool:
+        s = index_of("signal", self.signals, signal)
+        return bool(self.member_mask[s, index_of("action", self.actions, action)])
 
 
 def approx_set(
@@ -393,18 +390,6 @@ class BoundsReport:
         }
 
 
-def _random_schemes(
-    rng: np.random.Generator, instance: PersuasionInstance, count: int
-) -> list[SignalingScheme]:
-    out = []
-    for _ in range(count):
-        n_sig = int(rng.integers(1, instance.n_actions + 3))
-        cond = rng.dirichlet(np.ones(n_sig), size=instance.n_states)
-        signals = tuple(f"s{k}" for k in range(n_sig))
-        out.append(make_scheme(instance, signals, cond))
-    return out
-
-
 def bounds_report(
     instance: PersuasionInstance,
     gamma: float,
@@ -413,7 +398,6 @@ def bounds_report(
     n_schemes: int = 50,
     seed: int | None = 0,
     schemes: list[SignalingScheme] | None = None,
-    eps_alpha: float = 1e-6,
     eps_num: float = DEFAULT_EPS,
     tolerance: float = 1e-8,
 ) -> BoundsReport:
@@ -425,7 +409,7 @@ def bounds_report(
     provided) in best mode.
     """
     prof = profile_instance(instance, eps_num)
-    alpha = choose_alpha_lower(instance, gamma, eps_alpha, prof)
+    alpha = choose_alpha_lower(instance, gamma, prof)
     ratio = 0.0 if gamma == 0.0 else gamma / (prof.mu_min * prof.gap)
     slack = ratio + delta
 
@@ -437,7 +421,7 @@ def bounds_report(
     knife = 1 if lower_est.knife_edge_signals else 0
     if schemes is None:
         rng = np.random.default_rng(seed)
-        schemes = _random_schemes(rng, instance, n_schemes)
+        schemes = [random_scheme(rng, instance) for _ in range(n_schemes)]
     upper_values = []
     violations = 0
     for cand in schemes:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classic import solve_classic
 from .errors import (
     AssumptionViolatedError,
     HypothesisViolatedError,
@@ -52,17 +53,12 @@ class RobustificationReport:
     tv_distance: float
     utility_gap: float
 
-    def ok(
-        self,
-        residual_tol: float = 1e-12,
-        slack_tol: float = -1e-10,
-        mix_tol: float = 1e-12,
-    ) -> bool:
+    def ok(self) -> bool:
         return (
-            self.marginal_identity_residual <= residual_tol
-            and self.advantage_bound_slack >= slack_tol
-            and self.tv_distance <= self.alpha + mix_tol
-            and self.utility_gap <= self.alpha + mix_tol
+            self.marginal_identity_residual <= 1e-12
+            and self.advantage_bound_slack >= -1e-10
+            and self.tv_distance <= self.alpha + 1e-12
+            and self.utility_gap <= self.alpha + 1e-12
         )
 
     def to_dict(self) -> dict:
@@ -108,6 +104,21 @@ def robustify(
 
     mixed = (1.0 - alpha) * scheme.conditional + alpha * reveal
     return direct_scheme(instance, mixed)
+
+
+def robustified_optimum(
+    instance: PersuasionInstance,
+    constant: float,
+    profile: InstanceProfile | None = None,
+) -> tuple[SignalingScheme, float, float]:
+    """The classic optimum robustified to forfeit at most ``constant``.
+
+    Theorem 4.1's sender: the optimal scheme mixed with weight
+    ``alpha = min(constant / 2, 1)``.  Returns ``(scheme, alpha, opt)``.
+    """
+    alpha = min(constant / 2.0, 1.0)
+    opt_scheme, opt = solve_classic(instance)
+    return robustify(instance, opt_scheme, alpha, profile), alpha, opt
 
 
 def verify_robustification(
@@ -189,17 +200,16 @@ def _ratio(instance: PersuasionInstance, gamma: float, profile: InstanceProfile 
 def choose_alpha_lower(
     instance: PersuasionInstance,
     gamma: float,
-    eps_alpha: float = 1e-6,
     profile: InstanceProfile | None = None,
 ) -> float:
     """Smallest mixing weight that pushes every obedience margin beyond gamma.
 
-    The extra ``eps_alpha`` turns the margin inequality strict, so after
-    robustifying the classic optimum the obedient action is the only
-    gamma-best response at every sent signal.
+    An extra 1e-6 turns the margin inequality strict, so after robustifying
+    the classic optimum the obedient action is the only gamma-best response
+    at every sent signal.
     """
     ratio = _ratio(instance, gamma, profile)
-    return min(ratio + eps_alpha, 1.0)
+    return min(ratio + 1e-6, 1.0)
 
 
 def choose_alpha_upper(

@@ -39,16 +39,14 @@ def satisfied_instance(
     rng: np.random.Generator,
     max_states: int = 6,
     max_actions: int = 5,
-    min_margin: float = 0.35,
-    max_margin: float = 0.7,
     min_mu_delta: float | None = None,
     max_tries: int = 10_000,
 ) -> PersuasionInstance:
     """Instance with unique per-state optima, every action optimal somewhere.
 
     Each state gets an owner action whose receiver utility beats the rest of
-    the column by at least ``min_margin``; the first ``n`` owners are a
-    permutation so no action is left without a region.  ``min_mu_delta``
+    the column by a margin drawn from [0.35, 0.7); the first ``n`` owners are
+    a permutation so no action is left without a region.  ``min_mu_delta``
     rejects draws until ``mu_min * gap`` exceeds it (needed when a bound
     sweep must keep gamma/(mu_min*gap) < 1).
     """
@@ -61,7 +59,7 @@ def satisfied_instance(
 
         v = rng.uniform(0.0, 0.3, (n, m))
         for w in range(m):
-            margin = rng.uniform(min_margin, max_margin)
+            margin = rng.uniform(0.35, 0.7)
             v[owners[w], w] = v[:, w].max() + margin
 
         base = 0.6 / m

@@ -83,7 +83,6 @@ def solve_standard_form(
     A: np.ndarray,
     b: np.ndarray,
     c: np.ndarray,
-    max_iter: int | None = None,
 ) -> SimplexResult:
     """Maximize ``c @ x`` subject to ``A x = b``, ``x >= 0`` (``b >= 0``)."""
     A = np.asarray(A, dtype=np.float64)
@@ -92,8 +91,7 @@ def solve_standard_form(
     n_rows, n_vars = A.shape
     if np.any(b < 0):
         raise LPError("standard form requires b >= 0")
-    if max_iter is None:
-        max_iter = 200 * (n_vars + n_rows + 10)
+    max_iter = 200 * (n_vars + n_rows + 10)
 
     # ---- phase 1: minimize the sum of artificial variables
     tableau = np.zeros((n_rows + 1, n_vars + n_rows + 1))

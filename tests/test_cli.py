@@ -1,10 +1,15 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from persuasion_lab import advantage, instance_to_json
+import persuasion_lab
+from persuasion_lab import PersuasionInstance, advantage, instance_to_json
 from persuasion_lab.cli import _exit_code, _write_json, main
 from persuasion_lab.errors import (
     AssumptionViolatedError,
@@ -51,6 +56,35 @@ class TestCheckAssumptions:
     def test_unknown_instance_exit_1(self, tmp_path, capsys):
         assert run("check-assumptions", "--instance", "nope.json", "--output-dir", tmp_path) == 1
         assert "error[PARSE_ERROR]" in capsys.readouterr().err
+
+    def test_report_ignores_hash_seed(self, tmp_path):
+        # action a is the unique optimum at three states, so its region mass
+        # sums three priors, and the order of a float sum shows in its bits
+        inst = PersuasionInstance(
+            states=("w0", "w1", "w2", "w3"),
+            actions=("a", "b"),
+            prior=np.array([0.1, 0.7, 0.2, 0.0]),
+            sender_utility=np.ones((2, 4)),
+            receiver_utility=np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+        )
+        path = tmp_path / "inst.json"
+        path.write_text(instance_to_json(inst))
+        src = str(Path(persuasion_lab.__file__).resolve().parents[1])
+        reports = []
+        for hash_seed in ("0", "8"):
+            out = tmp_path / hash_seed
+            env = {
+                **os.environ,
+                "PYTHONHASHSEED": hash_seed,
+                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            }
+            subprocess.run(
+                [sys.executable, "-m", "persuasion_lab.cli", "check-assumptions",
+                 "--instance", str(path), "--output-dir", str(out)],
+                env=env, capture_output=True, check=False,
+            )
+            reports.append((out / "check-assumptions.json").read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestSolveClassic:
@@ -262,17 +296,19 @@ class TestSimulate:
         )
         assert code == 0
 
-    def test_feedback_mismatch_exit_1(self, tmp_path):
+    def test_feedback_follows_receiver(self, tmp_path):
         code = run(
             "simulate",
             "--instance", "judge",
-            "--sender", "robustified:0.2",
+            "--sender", "robustified:0",
             "--receiver", "exp3",
-            "--feedback", "full",
             "--rounds", 100,
             "--output-dir", tmp_path,
         )
-        assert code == 1
+        assert code == 0
+        config = read_json(tmp_path / "simulate.json")["config"]
+        assert config["feedback"] == "partial"
+        assert config["alpha"] == 0.0
 
     def test_unknown_receiver_exit_1(self, tmp_path):
         code = run(

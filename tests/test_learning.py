@@ -35,6 +35,20 @@ from persuasion_lab.repro import alternating_stats
 from persuasion_lab.sampling import random_instance, random_scheme
 
 
+class FirstActionExpWeights(ExpWeights):
+    """Overrides ``act``, which the vectorized paths never call."""
+
+    def act(self, signal, t, u):
+        return 0
+
+
+class FlippedPolicy(FixedSchemePolicy):
+    """Overrides ``round_cdf``, which the vectorized paths never call."""
+
+    def round_cdf(self, t):
+        return super().round_cdf(t)[::-1].copy()
+
+
 def fed(receiver, instance, pairs, n_signals=2):
     """Reset a full-feedback receiver and feed it (signal, state) rounds."""
     receiver.reset(n_signals, instance, len(pairs))
@@ -176,11 +190,16 @@ class TestSimulate:
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.signals, b.signals)
 
-    @pytest.mark.parametrize("receiver_cls", [EmpiricalBestResponse, ExpWeights])
-    @pytest.mark.parametrize("sender", ["fixed", "alternating"])
+    # the subclasses must leave the fast path, not be replaced by it
+    @pytest.mark.parametrize(
+        "receiver_cls", [EmpiricalBestResponse, ExpWeights, FirstActionExpWeights]
+    )
+    @pytest.mark.parametrize("sender", ["fixed", "flipped", "alternating"])
     def test_fast_path_matches_generic(self, judge, judge_opt, mismatch, receiver_cls, sender):
         if sender == "fixed":
             inst, make_policy = judge, lambda: FixedSchemePolicy(judge_opt)
+        elif sender == "flipped":
+            inst, make_policy = judge, lambda: FlippedPolicy(judge_opt)
         else:
             inst, make_policy = mismatch, lambda: AlternatingSignalPolicy(mismatch)
         fast = simulate(inst, make_policy(), receiver_cls(), 3000, 11, fast=True)
@@ -402,10 +421,6 @@ class TestLockstepExp3:
         class DoubledExp3(Exp3):
             def feed(self, signal, action, state, payoff, t):
                 super().feed(signal, action, state, 2.0 * payoff, t)
-
-        class FlippedPolicy(FixedSchemePolicy):
-            def round_cdf(self, t):
-                return super().round_cdf(t)[::-1].copy()
 
         for policy_cls, receiver_cls in ((FixedSchemePolicy, DoubledExp3), (FlippedPolicy, Exp3)):
             calls = []

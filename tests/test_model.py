@@ -118,8 +118,10 @@ class TestValidation:
         assert judge.state_index("innocent") == 1
         assert judge.action_index("acquit") == 1
         assert judge.state_index(0) == 0
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="unknown state 'unknown'"):
             judge.state_index("unknown")
+        with pytest.raises(ValidationError, match="action index 2 out of range"):
+            judge.action_index(2)
 
 
 class TestProfile:

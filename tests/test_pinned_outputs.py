@@ -1,0 +1,26 @@
+"""Every benchmark workload reproduces its pinned digests at workload seed 0.
+
+The benchmark's output gate only runs with the benchmark; replaying one pass
+of each workload here makes a change that moves a single output bit fail
+the test suite as well.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_matches_pins(name, tmp_path):
+    workload = workloads.WORKLOADS[name]
+    inputs = workload.setup(0, tmp_path)
+    result = workload.run(inputs, 0)
+    pins = workloads.PINNED[name]
+    assert result.ops
+    for op in result.ops:
+        assert op.ok, op.key
+        assert op.digest == pins[op.key], op.key

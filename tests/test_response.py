@@ -86,6 +86,20 @@ class TestApproxSet:
         with pytest.raises(ValidationError):
             approx_set(judge, judge_opt, -0.01)
 
+    @pytest.mark.parametrize(
+        "lookup, message",
+        [
+            (lambda aset: aset.actions_for(-1), "signal index -1 out of range"),
+            (lambda aset: aset.actions_for(5), "signal index 5 out of range"),
+            (lambda aset: aset.actions_for("nope"), "unknown signal 'nope'"),
+            (lambda aset: aset.contains(0, "nope"), "unknown action 'nope'"),
+        ],
+        ids=["negative-index", "index-past-end", "unknown-signal", "unknown-action"],
+    )
+    def test_bad_lookup_rejected(self, judge, judge_opt, lookup, message):
+        with pytest.raises(ValidationError, match=message):
+            lookup(approx_set(judge, judge_opt, 0.1))
+
 
 class TestEvaluateObjective:
     def test_judge_worst_at_zero(self, judge, judge_opt):
