@@ -832,15 +832,16 @@ def convergence_report(
     rounds: int,
     seeds: Sequence[int],
     *,
-    receiver: str = "exp-weights",
     checkpoint_every: int | None = None,
     threads: int = 1,
     eps_num: float = DEFAULT_EPS,
 ) -> ConvergenceReport:
-    """Run the fixed robustified scheme against a learning receiver.
+    """Run the fixed robustified scheme against exponential-weights receivers.
 
     The sender forfeits at most ``constant`` of the classic optimum: the
     scheme is the classic solution mixed with weight alpha = constant/2.
+    The checkpoints score the exponential-weights schedule, so the receiver
+    is always ``ExpWeights``.
     """
     if constant <= 0:
         raise ValidationError("constant must be positive")
@@ -869,7 +870,7 @@ def convergence_report(
     results = run_replications(
         instance,
         lambda: FixedSchemePolicy(scheme),
-        lambda: make_receiver(receiver),
+        ExpWeights,
         rounds,
         list(seeds),
         summarize,

@@ -441,8 +441,12 @@ def advantage(
 def best_response_mask(
     receiver_values: np.ndarray, gamma: float, eps_num: float = DEFAULT_EPS
 ) -> np.ndarray:
-    """Boolean mask of actions within ``gamma`` of the best, row per signal."""
-    best = receiver_values.max(axis=1, keepdims=True)
+    """Boolean mask of actions within ``gamma`` of the best, row per signal.
+
+    The last axis indexes actions; any leading axes (signals, a batch of
+    schemes) are kept.
+    """
+    best = receiver_values.max(axis=-1, keepdims=True)
     return receiver_values >= best - gamma - eps_num
 
 

@@ -31,7 +31,7 @@ from .model import (
     posterior,
     scheme_stats,
 )
-from .response import bounds_report, evaluate_objective
+from .response import bounds_grid, evaluate_objective
 from .robustify import choose_alpha_lower, robustify
 from .sampling import satisfied_instance
 
@@ -172,6 +172,18 @@ def _trace_to_alt_stats(trace: SimulationTrace) -> AlternatingStats:
     )
 
 
+def sweep_instances(n_instances: int, seed: int, max_gamma: float):
+    """The bound sweep's ``(instance, scheme seed)`` pairs, in sweep order.
+
+    Instances satisfy the uniqueness assumption with ``mu_min * gap`` above
+    ``1.3 * max_gamma``, so every gamma of the sweep admits a mixing weight.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(n_instances):
+        inst = satisfied_instance(rng, min_mu_delta=max_gamma * 1.3)
+        yield inst, int(rng.integers(0, 2**31 - 1))
+
+
 def reproduce_bounds_sweep(
     n_instances: int = 500,
     gammas: tuple[float, ...] = (0.01, 0.05),
@@ -181,36 +193,30 @@ def reproduce_bounds_sweep(
     tolerance: float = 1e-8,
 ) -> dict:
     """Two-sided bound check over seeded random satisfying instances."""
-    rng = np.random.default_rng(seed)
-    max_gamma = max(gammas)
     lower_viol = 0
     upper_viol = 0
     worst_lower_margin = np.inf
     worst_upper_margin = np.inf
-    for k in range(n_instances):
-        inst = satisfied_instance(rng, min_mu_delta=max_gamma * 1.3)
-        scheme_seed = int(rng.integers(0, 2**31 - 1))
-        for gamma in gammas:
-            for delta in deltas:
-                rep = bounds_report(
-                    inst,
-                    gamma,
-                    delta,
-                    n_schemes=n_schemes,
-                    seed=scheme_seed,
-                    tolerance=tolerance,
-                )
-                if not rep.lower_ok:
-                    lower_viol += 1
-                if not rep.upper_ok:
-                    upper_viol += rep.n_upper_violations
-                worst_lower_margin = min(
-                    worst_lower_margin, rep.lower_certificate - (rep.opt - rep.slack)
-                )
-                worst_upper_margin = min(
-                    worst_upper_margin,
-                    (rep.opt + rep.slack) - max(rep.upper_values),
-                )
+    for inst, scheme_seed in sweep_instances(n_instances, seed, max(gammas)):
+        for rep in bounds_grid(
+            inst,
+            gammas,
+            deltas,
+            n_schemes=n_schemes,
+            seed=scheme_seed,
+            tolerance=tolerance,
+        ):
+            if not rep.lower_ok:
+                lower_viol += 1
+            if not rep.upper_ok:
+                upper_viol += rep.n_upper_violations
+            worst_lower_margin = min(
+                worst_lower_margin, rep.lower_certificate - (rep.opt - rep.slack)
+            )
+            worst_upper_margin = min(
+                worst_upper_margin,
+                (rep.opt + rep.slack) - max(rep.upper_values),
+            )
     checks = [
         _check("lower_violations", lower_viol, lower_viol == 0, "0"),
         _check("upper_violations", upper_viol, upper_viol == 0, "0"),
@@ -247,9 +253,7 @@ def reproduce_convergence(
 ) -> dict:
     inst = builtin_instance("judge")
     seeds = list(range(base_seed, base_seed + n_seeds))
-    rep = convergence_report(
-        inst, constant, rounds, seeds, receiver="exp-weights", threads=threads
-    )
+    rep = convergence_report(inst, constant, rounds, seeds, threads=threads)
     checks = [
         _check(
             "mean_final_average",

@@ -29,7 +29,6 @@ from .model import (
     ReceiverStrategy,
     SignalingScheme,
     best_response_mask,
-    expected_utility,
     index_of,
     make_scheme,
     profile_instance,
@@ -109,6 +108,84 @@ class ObjectiveEstimate:
     knife_edge_signals: tuple[str, ...]
 
 
+def _stack_stats(
+    instance: PersuasionInstance, schemes: list[SignalingScheme]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``scheme_stats`` of several schemes along a leading batch axis.
+
+    Returns ``(marginals, receiver_values, sender_values)`` of shapes
+    ``(B, S)``, ``(B, S, n)`` and ``(B, S, n)``.  A scheme with fewer signals
+    than the widest one is padded with signals of zero marginal, which every
+    quantifier over signals skips.
+    """
+    # one scheme_stats per scheme: a product over the whole stack would let
+    # a row's last bits depend on the rest of the batch
+    stats = [scheme_stats(instance, scheme) for scheme in schemes]
+    width = max((st.marginals.size for st in stats), default=1)
+    marginals = np.zeros((len(stats), width))
+    receiver_values = np.zeros((len(stats), width, instance.n_actions))
+    sender_values = np.zeros_like(receiver_values)
+    for k, st in enumerate(stats):
+        S = st.marginals.size
+        marginals[k, :S] = st.marginals
+        receiver_values[k, :S] = st.receiver_values
+        sender_values[k, :S] = st.sender_values
+    return marginals, receiver_values, sender_values
+
+
+def _check_objective_args(gamma: float, delta: float, mode: str) -> None:
+    if mode not in ("worst", "best"):
+        raise ValidationError(f"mode must be 'worst' or 'best', got {mode!r}")
+    if not 0.0 <= delta < 1.0:
+        raise ValidationError("delta must lie in [0, 1)")
+    if gamma < 0:
+        raise ValidationError("gamma must be nonnegative")
+
+
+def _knife_edges(
+    marginals: np.ndarray, receiver_values: np.ndarray, gamma: float, eps_num: float
+) -> np.ndarray:
+    """Flags of the sent signals where some margin lies within 10 eps_num of gamma.
+
+    Near-cutoff margins make set membership arithmetic-sensitive; the
+    canonical argmax has margin 0 by construction and is never at risk.
+    """
+    margins = receiver_values.max(axis=-1, keepdims=True) - receiver_values
+    np.put_along_axis(margins, margins.argmin(axis=-1)[..., None], np.inf, axis=-1)
+    near = np.any(np.abs(margins - gamma) <= 10.0 * eps_num, axis=-1)
+    return near & (marginals > 0.0)
+
+
+def _objective_core(
+    marginals: np.ndarray,
+    sender_values: np.ndarray,
+    mask: np.ndarray,
+    delta: float,
+    mode: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Extremal values of a batch of schemes under the response sets ``mask``.
+
+    Per signal, ``inner`` is the extremal action inside the set and
+    ``outer`` the extremal action overall; ``in_set`` marks the signals
+    whose ``outer`` lies inside the set and so takes all the mass.  Returns
+    ``(values, inner, outer, in_set)``.  Values are summed signal by signal
+    in signal order, so each row is bit-identical to a batch of one.
+    """
+    su = sender_values
+    signed = su if mode == "worst" else -su
+    inner = np.argmin(np.where(mask, signed, np.inf), axis=-1)
+    outer = np.argmin(signed, axis=-1)
+    su_inner = np.take_along_axis(su, inner[..., None], axis=-1)[..., 0]
+    su_outer = np.take_along_axis(su, outer[..., None], axis=-1)[..., 0]
+    in_set = np.take_along_axis(mask, outer[..., None], axis=-1)[..., 0]
+    sig_values = np.where(in_set, su_outer, (1.0 - delta) * su_inner + delta * su_outer)
+    weighted = np.where(marginals > 0.0, marginals * sig_values, 0.0)
+    values = np.zeros(weighted.shape[0])
+    for s in range(weighted.shape[1]):
+        values += weighted[:, s]
+    return values, inner, outer, in_set
+
+
 def evaluate_objective(
     instance: PersuasionInstance,
     scheme: SignalingScheme,
@@ -124,53 +201,27 @@ def evaluate_objective(
     mode="best" is symmetric; when the global maximizer already lies in the
     response set the whole mass goes there.
     """
-    if mode not in ("worst", "best"):
-        raise ValidationError(f"mode must be 'worst' or 'best', got {mode!r}")
-    if not 0.0 <= delta < 1.0:
-        raise ValidationError("delta must lie in [0, 1)")
-    if gamma < 0:
-        raise ValidationError("gamma must be nonnegative")
+    _check_objective_args(gamma, delta, mode)
+    marginals, receiver_values, sender_values = _stack_stats(instance, [scheme])
+    mask = best_response_mask(receiver_values, gamma, eps_num)
+    values, inner, outer, in_set = _objective_core(marginals, sender_values, mask, delta, mode)
 
-    stats = scheme_stats(instance, scheme)
-    mask = best_response_mask(stats.receiver_values, gamma, eps_num)
-    S, n = stats.sender_values.shape
-    rho = np.full((S, n), 1.0 / n)
-    value = 0.0
-    knife: list[str] = []
-
-    sign = 1.0 if mode == "worst" else -1.0
-    for s in range(S):
-        if stats.marginals[s] <= 0.0:
-            continue
-        su = stats.sender_values[s]
-        masked = np.where(mask[s], sign * su, np.inf)
-        inner = int(np.argmin(masked))
-        outer = int(np.argmin(sign * su))
-        sig_value = (1.0 - delta) * su[inner] + delta * su[outer]
-        row = np.zeros(n)
-        if mask[s, outer]:
-            row[outer] = 1.0
-            sig_value = su[outer]
-        else:
-            row[inner] += 1.0 - delta
-            row[outer] += delta
-        rho[s] = row
-        value += stats.marginals[s] * sig_value
-
-        # near-cutoff margins make set membership arithmetic-sensitive; the
-        # canonical argmax has margin 0 by construction and is never at risk
-        margins = stats.receiver_values[s].max() - stats.receiver_values[s]
-        margins[int(np.argmin(margins))] = np.inf
-        if np.any(np.abs(margins - gamma) <= 10.0 * eps_num):
-            knife.append(scheme.signals[s])
+    n = instance.n_actions
+    rho = np.full((scheme.n_signals, n), 1.0 / n)
+    sent = np.flatnonzero(marginals[0] > 0.0)
+    keep = in_set[0, sent]
+    rho[sent] = 0.0
+    rho[sent, inner[0, sent]] = np.where(keep, 0.0, 1.0 - delta)
+    rho[sent, outer[0, sent]] += np.where(keep, 1.0, delta)
+    knife = _knife_edges(marginals, receiver_values, gamma, eps_num)[0]
 
     return ObjectiveEstimate(
-        value=float(value),
+        value=float(values[0]),
         mode=mode,
         gamma=float(gamma),
         delta=float(delta),
         witness_strategy=ReceiverStrategy(rho),
-        knife_edge_signals=tuple(knife),
+        knife_edge_signals=tuple(scheme.signals[s] for s in np.flatnonzero(knife)),
     )
 
 
@@ -408,43 +459,76 @@ def bounds_report(
     upper side is checked on ``n_schemes`` sampled schemes (or the ones
     provided) in best mode.
     """
+    return bounds_grid(
+        instance,
+        (gamma,),
+        (delta,),
+        n_schemes=n_schemes,
+        seed=seed,
+        schemes=schemes,
+        eps_num=eps_num,
+        tolerance=tolerance,
+    )[0]
+
+
+def bounds_grid(
+    instance: PersuasionInstance,
+    gammas: tuple[float, ...],
+    deltas: tuple[float, ...],
+    *,
+    n_schemes: int = 50,
+    seed: int | None = 0,
+    schemes: list[SignalingScheme] | None = None,
+    eps_num: float = DEFAULT_EPS,
+    tolerance: float = 1e-8,
+) -> list[BoundsReport]:
+    """``bounds_report`` for every (gamma, delta) cell, in gamma-major order.
+
+    The cells share the work that does not depend on them: the instance
+    profile, the classic LP, and the candidate schemes with their
+    statistics (every cell scores the same candidates).  The mixing weight
+    and the robustified certificate are made once per gamma.
+    """
     prof = profile_instance(instance, eps_num)
-    alpha = choose_alpha_lower(instance, gamma, prof)
-    ratio = 0.0 if gamma == 0.0 else gamma / (prof.mu_min * prof.gap)
-    slack = ratio + delta
-
+    alphas = [choose_alpha_lower(instance, gamma, prof) for gamma in gammas]
     opt_scheme, opt = solve_classic(instance)
-    certificate = robustify(instance, opt_scheme, alpha, prof)
-    lower_est = evaluate_objective(instance, certificate, gamma, delta, "worst", eps_num)
-    lower_ok = lower_est.value >= opt - slack - tolerance
-
-    knife = 1 if lower_est.knife_edge_signals else 0
     if schemes is None:
         rng = np.random.default_rng(seed)
         schemes = [random_scheme(rng, instance) for _ in range(n_schemes)]
-    upper_values = []
-    violations = 0
-    for cand in schemes:
-        est = evaluate_objective(instance, cand, gamma, delta, "best", eps_num)
-        upper_values.append(est.value)
-        if est.knife_edge_signals:
-            knife += 1
-        if est.value > opt + slack + tolerance:
-            violations += 1
+    cand_marginals, cand_rv, cand_sv = _stack_stats(instance, schemes)
 
-    return BoundsReport(
-        opt=float(opt),
-        gamma=float(gamma),
-        delta=float(delta),
-        ratio=float(ratio),
-        slack=float(slack),
-        alpha=float(alpha),
-        tolerance=float(tolerance),
-        lower_certificate=float(lower_est.value),
-        lower_ok=bool(lower_ok),
-        upper_values=tuple(float(x) for x in upper_values),
-        upper_ok=violations == 0,
-        n_upper_violations=violations,
-        knife_edge_schemes=knife,
-        seed=seed,
-    )
+    reports = []
+    for gamma, alpha in zip(gammas, alphas):
+        ratio = 0.0 if gamma == 0.0 else gamma / (prof.mu_min * prof.gap)
+        certificate = robustify(instance, opt_scheme, alpha, prof)
+        cert_marginals, cert_rv, cert_sv = _stack_stats(instance, [certificate])
+        cert_mask = best_response_mask(cert_rv, gamma, eps_num)
+        cand_mask = best_response_mask(cand_rv, gamma, eps_num)
+        knife = int(_knife_edges(cert_marginals, cert_rv, gamma, eps_num).any()) + int(
+            np.count_nonzero(_knife_edges(cand_marginals, cand_rv, gamma, eps_num).any(axis=1))
+        )
+        for delta in deltas:
+            _check_objective_args(gamma, delta, "worst")
+            slack = ratio + delta
+            lower = float(_objective_core(cert_marginals, cert_sv, cert_mask, delta, "worst")[0][0])
+            upper = _objective_core(cand_marginals, cand_sv, cand_mask, delta, "best")[0]
+            violations = int(np.count_nonzero(upper > opt + slack + tolerance))
+            reports.append(
+                BoundsReport(
+                    opt=float(opt),
+                    gamma=float(gamma),
+                    delta=float(delta),
+                    ratio=float(ratio),
+                    slack=float(slack),
+                    alpha=float(alpha),
+                    tolerance=float(tolerance),
+                    lower_certificate=lower,
+                    lower_ok=lower >= opt - slack - tolerance,
+                    upper_values=tuple(upper.tolist()),
+                    upper_ok=violations == 0,
+                    n_upper_violations=violations,
+                    knife_edge_schemes=knife,
+                    seed=seed,
+                )
+            )
+    return reports

@@ -362,6 +362,22 @@ class TestBoundsReport:
         assert len(rep.upper_values) == 1
         assert rep.upper_values[0] <= rep.opt + rep.slack + 1e-8
 
+    def test_knife_edge_schemes_counted_once(self, judge, judge_opt):
+        # split the convict signal of a robustified scheme in two: both halves
+        # sit on the gamma cutoff, and the scheme counts once
+        mixed = robustify(judge, judge_opt, 0.1)
+        gamma = advantage(judge, mixed, "convict")
+        convict = mixed.conditional[:, :1] / 2.0
+        split = make_scheme(
+            judge, ("c1", "c2", "acquit"), np.hstack([convict, convict, mixed.conditional[:, 1:]])
+        )
+        single = evaluate_objective(judge, split, gamma, 0.0, "best")
+        assert single.knife_edge_signals == ("c1", "c2")
+        assert evaluate_objective(judge, judge_opt, gamma, 0.0, "best").knife_edge_signals == ()
+        rep = bounds_report(judge, gamma, 0.0, schemes=[split, judge_opt, split])
+        # the certificate is robustified past gamma, so only the splits count
+        assert rep.knife_edge_schemes == 2
+
     def test_hypothesis_violation(self, judge):
         with pytest.raises(HypothesisViolatedError):
             bounds_report(judge, 0.4, 0.0)

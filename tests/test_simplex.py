@@ -125,12 +125,9 @@ def drifting_sweep_lp():
     pivots; the final basis itself is optimal.
     """
     from persuasion_lab.classic import build_obedience_lp
-    from persuasion_lab.sampling import satisfied_instance
+    from persuasion_lab.repro import sweep_instances
 
-    rng = np.random.default_rng(20)
-    for _ in range(17):  # the sweep draws an instance, then a scheme seed
-        inst = satisfied_instance(rng, min_mu_delta=0.065)
-        rng.integers(0, 2**31 - 1)
+    inst, _ = list(sweep_instances(17, 20, 0.05))[16]
     return build_obedience_lp(inst)
 
 
@@ -174,3 +171,20 @@ def test_drifted_suboptimal_basis_raises(monkeypatch):
     with pytest.raises(LPError, match="not optimal"):
         solve_standard_form(A, b, c)
     assert len(calls) == 2
+
+
+def test_sweep_optima_match_highs():
+    # the bound sweep solves one classic LP per instance and reuses it in
+    # every (gamma, delta) cell; check those optima against HiGHS
+    optimize = pytest.importorskip("scipy.optimize")
+    from persuasion_lab.classic import build_obedience_lp, solve_classic
+    from persuasion_lab.repro import sweep_instances
+
+    for inst, _ in sweep_instances(25, 0, 0.05):
+        lp = build_obedience_lp(inst)
+        ref = optimize.linprog(
+            -lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs"
+        )
+        assert ref.status == 0
+        _, opt = solve_classic(inst)
+        assert opt == pytest.approx(-ref.fun, abs=1e-9)
