@@ -325,8 +325,6 @@ def _cmd_simulate(args) -> int:
     seeds = list(range(args.seed, args.seed + args.seeds))
     checkpoint_every = args.checkpoint_every or max(1, args.rounds // 10)
     threads = min(_threads(), len(seeds))
-    if args.receiver == "exp3":
-        threads = 1  # Exp3 replications step in lockstep on one thread
 
     traces = run_replications(
         inst,

@@ -10,8 +10,7 @@ Determinism contract: a run is driven by three independent substreams
 (states, signals, receiver randomization) spawned from one seed, each
 consumed as one uniform per round through inverse-CDF sampling.  Identical
 (instance, policy, receiver, rounds, seed) give bit-identical traces; the
-vectorized fast paths and the lockstep Exp3 loop reproduce the generic loop
-exactly.
+fast paths reproduce the generic loop exactly.
 """
 
 from __future__ import annotations
@@ -63,10 +62,12 @@ def _sample_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # receiver decision rules
 #
-# Each rule maps per-signal statistics with a leading batch axis to action
-# probabilities, one row per batch entry.  The scalar receiver objects pass a
-# batch of one (``exp3_probs`` a 1-D row); the vectorized paths pass every visit of a signal, or every
-# seed of a lockstep run.  One function per rule keeps the paths bit-identical.
+# The full-information rules map per-signal statistics with a leading batch
+# axis to action probabilities, one row per batch entry: the receiver objects
+# pass a batch of one, the vectorized path every visit of a signal.  Exp3's
+# estimates change every round, so its rule takes one plain-float row and
+# draws the action too.  Each receiver object and its fast path call the same
+# rule function, which keeps the paths bit-identical.
 
 
 def _scores(counts: np.ndarray, utility: np.ndarray) -> np.ndarray:
@@ -120,29 +121,43 @@ class Exp3Config:
     exploration: float
     learning_rate: float
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.exploration <= 1.0:
+            raise ValidationError(f"exploration must lie in [0, 1], got {self.exploration!r}")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValidationError(
+                f"learning_rate must be finite and nonnegative, got {self.learning_rate!r}"
+            )
+
     @staticmethod
     def for_horizon(n_actions: int, horizon: int) -> "Exp3Config":
         g = min(1.0, math.sqrt(n_actions * math.log(n_actions) / ((math.e - 1.0) * max(horizon, 1))))
         return Exp3Config(exploration=g, learning_rate=g / n_actions)
 
 
-def exp3_probs(cumulative: np.ndarray, config: Exp3Config) -> np.ndarray:
-    """EXP3 (Auer et al. 2002): softmax of the ``(B, n_actions)`` cumulative
-    importance-weighted reward estimates, mixed with uniform exploration.
+def exp3_act(cumulative: list[float], config: Exp3Config, u: float) -> tuple[int, float]:
+    """EXP3 (Auer et al. 2002): draw an action and return it with its probability.
 
-    A 1-D ``(n_actions,)`` array is one row; the scalar receiver passes one,
-    since a 1-D reduction costs less per round and sums a row the same way.
-    It runs once per round, so it calls the ufunc reductions directly and
-    works in place; the arithmetic is that of ``max``/``sum`` and new arrays.
+    The probabilities are a softmax of one signal's cumulative
+    importance-weighted reward estimates, mixed with uniform exploration.
+    The draw is ``_sample_row``'s: the first action whose running sum of
+    probabilities exceeds ``u``, else the last.  A row has a few entries and
+    this runs once per round, so it works on plain floats; ``lr * max`` is
+    the max of the scaled estimates because ``Exp3Config`` keeps ``lr >= 0``.
     """
-    w = config.learning_rate * cumulative
-    w -= np.maximum.reduce(w, axis=-1, keepdims=True)
-    np.exp(w, out=w)
-    total = np.add.reduce(w, axis=-1, keepdims=True)
-    w *= 1.0 - config.exploration
-    w /= total
-    w += config.exploration / cumulative.shape[-1]
-    return w
+    lr = config.learning_rate
+    top = lr * max(cumulative)
+    e = [math.exp(lr * c - top) for c in cumulative]
+    total = math.fsum(e)
+    keep = 1.0 - config.exploration
+    floor = config.exploration / len(e)
+    running = 0.0
+    for a, x in enumerate(e):
+        p = x * keep / total + floor
+        running += p
+        if running > u:
+            break
+    return a, p
 
 
 # ---------------------------------------------------------------------------
@@ -197,16 +212,15 @@ class Exp3:
 
     def reset(self, n_signals: int, instance: PersuasionInstance, horizon: int) -> None:
         self.tuned = self.config or Exp3Config.for_horizon(instance.n_actions, horizon)
-        self.cumulative = np.zeros((n_signals, instance.n_actions))
-        self._last_probs: np.ndarray | None = None
+        self.cumulative = [[0.0] * instance.n_actions for _ in range(n_signals)]
+        self._last_prob: float | None = None
 
     def act(self, signal: int, t: int, u: float) -> int:
-        p = exp3_probs(self.cumulative[signal], self.tuned)
-        self._last_probs = p
-        return _sample_row(np.add.accumulate(p), u)
+        a, self._last_prob = exp3_act(self.cumulative[signal], self.tuned, u)
+        return a
 
     def feed(self, signal: int, action: int, state: int, payoff: float, t: int) -> None:
-        self.cumulative[signal, action] += payoff / self._last_probs[action]
+        self.cumulative[signal][action] += payoff / self._last_prob
 
 
 def make_receiver(kind: str, **kwargs):
@@ -450,6 +464,17 @@ def _draw_states(instance: PersuasionInstance, u_states: np.ndarray) -> np.ndarr
     return np.minimum(idx, instance.n_states - 1)
 
 
+def _draw_streams(
+    instance: PersuasionInstance, rounds: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A run's states and its signal and receiver uniforms, one per round."""
+    state_rng, signal_rng, recv_rng = _spawn_rngs(seed)
+    u_states = state_rng.random(rounds)
+    u_signals = signal_rng.random(rounds)
+    u_actions = recv_rng.random(rounds)
+    return _draw_states(instance, u_states), u_signals, u_actions
+
+
 def _finish(
     instance: PersuasionInstance,
     policy,
@@ -494,12 +519,7 @@ def _fast_full_feedback(
     count prefixes (and hence every action distribution) can be computed in
     bulk.  Matches the generic loop bit for bit.
     """
-    state_rng, signal_rng, recv_rng = _spawn_rngs(seed)
-    u_states = state_rng.random(rounds)
-    u_signals = signal_rng.random(rounds)
-    u_actions = recv_rng.random(rounds)
-
-    states = _draw_states(instance, u_states)
+    states, u_signals, u_actions = _draw_streams(instance, rounds, seed)
     policy.reset()
     signals = policy.signals_for_states(states, u_signals)
 
@@ -536,80 +556,42 @@ def _bulk_eligible(policy, receiver, receiver_types: tuple[type, ...]) -> bool:
     return type(receiver) in receiver_types and type(policy) in _BULK_SENDERS
 
 
-# Rounds of uniforms a lockstep run draws per seed at a time.
-_LOCKSTEP_CHUNK = 1024
-
-
-def _lockstep_exp3(
+def _fast_exp3(
     instance: PersuasionInstance,
-    policies: list,
-    config: Exp3Config,
+    policy,
+    receiver,
     rounds: int,
-    seeds: list[int],
-    summarize: Callable[[SimulationTrace], object],
+    seed: int,
     checkpoint_every: int | None,
-) -> list:
-    """Exp3 against action-independent senders, all seeds stepped together.
+) -> SimulationTrace:
+    """Exp3 against an action-independent sender.
 
-    EXP3 is sequential within a seed but seeds are independent, so each
-    round is one batched ``exp3_probs``, one inverse-CDF pick and one
-    scatter-add over the ``(B, S, n)`` estimates of all B seeds.  Each seed
-    draws its own three substreams in chunks of rounds; sequential draws
-    equal one whole-horizon draw, so every seed's trace is the one the
-    generic loop gives, whichever seeds share its batch.  Indices are kept
-    in the smallest integer type until each trace is finished and
-    summarized, one seed at a time.
-
-    The per-round indexing goes through flat offsets and ``take``, which
-    cost less than multi-array fancy indexing on arrays this small.
+    The state/signal stream is drawn in bulk; the estimates change every
+    round, so each round is one ``exp3_act`` and one importance-weighted
+    update on plain floats, the arithmetic of ``Exp3.act`` and
+    ``Exp3.feed``.  Matches the generic loop bit for bit.
     """
-    B, n, S = len(seeds), instance.n_actions, len(policies[0].signals)
-    compact = np.min_scalar_type(max(instance.n_states, S, n))
-    states = np.empty((B, rounds), dtype=compact)
-    signals = np.empty((B, rounds), dtype=compact)
-    actions = np.empty((B, rounds), dtype=compact)
-    estimates = np.zeros((B * S, n))  # row b * S + s: seed b, signal s
-    flat_estimates = estimates.reshape(-1)
-    payoffs = instance.receiver_utility.T.reshape(-1)  # [w * n + a] = v[a, w]
-    rngs = [_spawn_rngs(seed) for seed in seeds]
-    for policy in policies:
-        policy.reset()
-    seed_rows = np.arange(B) * S
-    prob_offsets = np.arange(B) * n
-    for lo in range(0, rounds, _LOCKSTEP_CHUNK):
-        c = min(_LOCKSTEP_CHUNK, rounds - lo)
-        u_actions = np.empty((c, B))
-        for b, (state_rng, signal_rng, recv_rng) in enumerate(rngs):
-            w = _draw_states(instance, state_rng.random(c))
-            states[b, lo : lo + c] = w
-            signals[b, lo : lo + c] = policies[b].signals_for_states(w, signal_rng.random(c))
-            u_actions[:, b] = recv_rng.random(c)
-        rows = signals[:, lo : lo + c].T + seed_rows
-        entries = rows * n
-        payoff_rows = states[:, lo : lo + c].T.astype(np.intp) * n
-        chunk_actions = np.empty((c, B), dtype=np.intp)
-        for j in range(c):
-            p = exp3_probs(estimates.take(rows[j], axis=0), config)
-            a = _sample_rows(np.add.accumulate(p, axis=1), u_actions[j])
-            idx = entries[j] + a
-            flat_estimates[idx] += payoffs.take(payoff_rows[j] + a) / p.take(prob_offsets + a)
-            chunk_actions[j] = a
-        actions[:, lo : lo + c] = chunk_actions.T
-
-    out = []
-    for b, seed in enumerate(seeds):
-        trace = _finish(
-            instance,
-            policies[b],
-            tuple(policies[b].signals),
-            states[b].astype(np.int64),
-            signals[b].astype(np.int64),
-            actions[b].astype(np.int64),
-            seed,
-            checkpoint_every,
-        )
-        out.append(summarize(trace))
-    return out
+    states, u_signals, u_actions = _draw_streams(instance, rounds, seed)
+    policy.reset()
+    signals = policy.signals_for_states(states, u_signals)
+    receiver.reset(len(policy.signals), instance, rounds)
+    cumulative, config = receiver.cumulative, receiver.tuned
+    v = instance.receiver_utility.tolist()
+    actions = []
+    for s, w, u in zip(signals.tolist(), states.tolist(), u_actions.tolist()):
+        a, p = exp3_act(cumulative[s], config, u)
+        cumulative[s][a] += v[a][w] / p
+        actions.append(a)
+    return _finish(
+        instance,
+        policy,
+        policy.signals,
+        states,
+        signals,
+        np.array(actions, dtype=np.int64),
+        seed,
+        checkpoint_every,
+    )
 
 
 def simulate(
@@ -633,13 +615,10 @@ def simulate(
         raise ValidationError("rounds must be positive")
     if fast and _bulk_eligible(policy, receiver, (EmpiricalBestResponse, ExpWeights)):
         return _fast_full_feedback(instance, policy, receiver, rounds, seed, checkpoint_every)
+    if fast and _bulk_eligible(policy, receiver, (Exp3,)):
+        return _fast_exp3(instance, policy, receiver, rounds, seed, checkpoint_every)
 
-    state_rng, signal_rng, recv_rng = _spawn_rngs(seed)
-    u_states = state_rng.random(rounds)
-    u_signals = signal_rng.random(rounds)
-    u_actions = recv_rng.random(rounds)
-
-    states = _draw_states(instance, u_states)
+    states, u_signals, u_actions = _draw_streams(instance, rounds, seed)
     policy.reset()
     signal_ids = tuple(policy.signals)
     receiver.reset(len(signal_ids), instance, rounds)
@@ -663,20 +642,6 @@ def simulate(
     return _finish(instance, policy, signal_ids, states, signals, actions, seed, checkpoint_every)
 
 
-def _lockstep_config(instance, policies, receivers, rounds: int) -> Exp3Config | None:
-    """The Exp3 tuning all seeds share if they can run in lockstep, else None."""
-    eligible = (
-        all(_bulk_eligible(p, r, (Exp3,)) for p, r in zip(policies, receivers))
-        and len({tuple(p.signals) for p in policies}) == 1
-    )
-    if not eligible:
-        return None
-    for policy, receiver in zip(policies, receivers):
-        receiver.reset(len(policy.signals), instance, rounds)
-    configs = {r.tuned for r in receivers}
-    return configs.pop() if len(configs) == 1 else None
-
-
 def run_replications(
     instance: PersuasionInstance,
     policy_factory: Callable[[], object],
@@ -688,25 +653,16 @@ def run_replications(
     checkpoint_every: int | None = None,
     threads: int = 1,
 ) -> list:
-    """Independent seeded runs; summaries returned in seed order.
+    """Independent seeded runs of ``simulate``; summaries returned in seed order.
 
-    Two or more seeds of the built-in ``Exp3`` against a fixed or
-    alternating sender step in lockstep in this thread, whatever ``threads``
-    says; every other configuration runs ``simulate`` per seed, on
-    ``threads`` threads.  A lockstep batch of one costs about what the
-    scalar loop does per round, so a single seed takes ``simulate``.  The
-    results are the same either way.
+    The seeds run on ``threads`` threads; the results do not depend on how
+    many.  The factories are called in seed order in the calling thread.
     """
     if rounds < 1:
         raise ValidationError("rounds must be positive")
     seeds = list(seeds)
     policies = [policy_factory() for _ in seeds]
     receivers = [receiver_factory() for _ in seeds]
-    config = _lockstep_config(instance, policies, receivers, rounds) if len(seeds) > 1 else None
-    if config is not None:
-        return _lockstep_exp3(
-            instance, policies, config, rounds, seeds, summarize, checkpoint_every
-        )
 
     def one(k: int):
         trace = simulate(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classic import solve_classic
-from .errors import UnknownTargetError
+from .errors import UnknownTargetError, ValidationError
 from .fixtures import builtin_instance
 from .learning import (
     AlternatingSignalPolicy,
@@ -193,6 +193,8 @@ def reproduce_bounds_sweep(
     tolerance: float = 1e-8,
 ) -> dict:
     """Two-sided bound check over seeded random satisfying instances."""
+    if n_instances < 1 or n_schemes < 1:
+        raise ValidationError("n_instances and n_schemes must be positive")
     lower_viol = 0
     upper_viol = 0
     worst_lower_margin = np.inf

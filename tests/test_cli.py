@@ -333,34 +333,21 @@ class TestSimulate:
             )
             assert code == 1
 
-    def test_thread_cap_from_env(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("receiver", ["empirical-br", "exp-weights", "exp3"])
+    def test_thread_cap_from_env(self, tmp_path, monkeypatch, receiver):
+        # every receiver records min(cap, seeds) threads
         monkeypatch.setenv("PERSUASION_LAB_THREADS", "8")
         code = run(
             "simulate",
             "--instance", "judge",
             "--sender", "robustified:0.2",
-            "--receiver", "exp-weights",
+            "--receiver", receiver,
             "--rounds", 200,
             "--seeds", 3,
             "--output-dir", tmp_path,
         )
         assert code == 0
         assert read_json(tmp_path / "simulate.json")["config"]["threads"] == 3
-
-    def test_exp3_records_one_thread(self, tmp_path, monkeypatch):
-        # lockstep Exp3 runs on one thread whatever the cap says
-        monkeypatch.setenv("PERSUASION_LAB_THREADS", "8")
-        code = run(
-            "simulate",
-            "--instance", "judge",
-            "--sender", "robustified:0.2",
-            "--receiver", "exp3",
-            "--rounds", 200,
-            "--seeds", 3,
-            "--output-dir", tmp_path,
-        )
-        assert code == 0
-        assert read_json(tmp_path / "simulate.json")["config"]["threads"] == 1
 
     def test_bad_thread_env_exit_1(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PERSUASION_LAB_THREADS", "lots")

@@ -19,7 +19,7 @@ from persuasion_lab import (
     convergence_report,
     empirical_br_probs,
     empirical_conditional_utilities,
-    exp3_probs,
+    exp3_act,
     exp_weights_probs,
     exp_weights_schedule,
     make_receiver,
@@ -42,11 +42,35 @@ class FirstActionExpWeights(ExpWeights):
         return 0
 
 
+class MirroredExp3(Exp3):
+    """Overrides ``act``, which the Exp3 fast path never calls."""
+
+    def act(self, signal, t, u):
+        return super().act(signal, t, 1.0 - u)
+
+
 class FlippedPolicy(FixedSchemePolicy):
     """Overrides ``round_cdf``, which the vectorized paths never call."""
 
     def round_cdf(self, t):
         return super().round_cdf(t)[::-1].copy()
+
+
+def exp3_row(cumulative, config):
+    """Every action's probability, read off ``exp3_act`` one CDF step at a time."""
+    probs, running = [], 0.0
+    for expect in range(len(cumulative)):
+        a, p = exp3_act(cumulative, config, running)
+        assert a == expect
+        probs.append(p)
+        running += p
+    return np.array(probs)
+
+
+def exp3_reference(cumulative, config):
+    """EXP3's probabilities written directly in numpy."""
+    w = np.exp(config.learning_rate * (cumulative - cumulative.max()))
+    return (1.0 - config.exploration) * w / w.sum() + config.exploration / cumulative.size
 
 
 def fed(receiver, instance, pairs, n_signals=2):
@@ -75,8 +99,8 @@ class TestReceiverState:
         for t, payoff in ((1, 1.5), (2, 1.0 / 6.0)):
             assert rec.act(1, t, 0.9) == 2  # uniform play: u = 0.9 picks the last action
             rec.feed(1, 2, 0, payoff, t)
-        assert rec.cumulative[1].tolist() == [0.0, 0.0, 5.0]
-        assert rec.cumulative[0].tolist() == [0.0, 0.0, 0.0]
+        assert rec.cumulative[1] == [0.0, 0.0, 5.0]
+        assert rec.cumulative[0] == [0.0, 0.0, 0.0]
 
 
 class TestEmpiricalBr:
@@ -119,13 +143,24 @@ class TestExp3:
         assert cfg.learning_rate == pytest.approx(g / 4, abs=1e-15)
 
     def test_cold_start_uniform(self):
-        assert np.allclose(exp3_probs(np.zeros((1, 4)), Exp3Config.for_horizon(4, 1000)), 0.25)
+        assert np.allclose(exp3_row([0.0] * 4, Exp3Config.for_horizon(4, 1000)), 0.25)
 
     def test_exploration_floor(self):
         cfg = Exp3Config(exploration=0.2, learning_rate=0.05)
-        p = exp3_probs(np.array([[50.0, 0.0]]), cfg)[0]
+        p = exp3_row([50.0, 0.0], cfg)
         assert p.min() >= 0.1 - 1e-15
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "exploration, learning_rate",
+        [(0.1, -0.01), (0.1, math.nan), (math.nan, 0.1), (1.5, 0.1), (-0.1, 0.1), (0.1, math.inf)],
+    )
+    def test_config_validation(self, exploration, learning_rate):
+        with pytest.raises(ValidationError):
+            Exp3Config(exploration, learning_rate)
+
+    def test_one_action_tuning_is_valid(self):
+        assert Exp3Config.for_horizon(1, 1000) == Exp3Config(0.0, 0.0)
 
     def test_make_receiver(self):
         assert isinstance(make_receiver("exp3"), Exp3)
@@ -192,7 +227,8 @@ class TestSimulate:
 
     # the subclasses must leave the fast path, not be replaced by it
     @pytest.mark.parametrize(
-        "receiver_cls", [EmpiricalBestResponse, ExpWeights, FirstActionExpWeights]
+        "receiver_cls",
+        [EmpiricalBestResponse, ExpWeights, FirstActionExpWeights, Exp3, MirroredExp3],
     )
     @pytest.mark.parametrize("sender", ["fixed", "flipped", "alternating"])
     def test_fast_path_matches_generic(self, judge, judge_opt, mismatch, receiver_cls, sender):
@@ -202,26 +238,34 @@ class TestSimulate:
             inst, make_policy = judge, lambda: FlippedPolicy(judge_opt)
         else:
             inst, make_policy = mismatch, lambda: AlternatingSignalPolicy(mismatch)
-        fast = simulate(inst, make_policy(), receiver_cls(), 3000, 11, fast=True)
-        slow = simulate(inst, make_policy(), receiver_cls(), 3000, 11, fast=False)
+        fast_receiver, slow_receiver = receiver_cls(), receiver_cls()
+        fast = simulate(inst, make_policy(), fast_receiver, 3000, 11, fast=True)
+        slow = simulate(inst, make_policy(), slow_receiver, 3000, 11, fast=False)
         assert np.array_equal(fast.states, slow.states)
         assert np.array_equal(fast.signals, slow.signals)
         assert np.array_equal(fast.actions, slow.actions)
         assert np.array_equal(fast.running_avg, slow.running_avg)
+        if isinstance(slow_receiver, Exp3):
+            # the estimates themselves, not only the actions drawn from them
+            assert fast_receiver.cumulative == slow_receiver.cumulative
 
-    @pytest.mark.parametrize("receiver_cls", [EmpiricalBestResponse, ExpWeights])
+    @pytest.mark.parametrize("receiver_cls", [EmpiricalBestResponse, ExpWeights, Exp3])
     def test_fast_path_matches_generic_many_states(self, receiver_cls):
         # scores mix several states and non-dyadic utilities, so their
-        # rounding must not depend on how many rows are computed at once
+        # rounding must not depend on how many rows are computed at once;
+        # nine or more actions make numpy unroll a sum into partial sums
         rng = np.random.default_rng(21)
         inst = random_instance(rng, max_states=6, max_actions=12)
         while inst.n_states < 4 or inst.n_actions < 9:
             inst = random_instance(rng, max_states=6, max_actions=12)
         scheme = random_scheme(rng, inst, n_signals=3)
-        fast = simulate(inst, FixedSchemePolicy(scheme), receiver_cls(), 1500, 2, fast=True)
-        slow = simulate(inst, FixedSchemePolicy(scheme), receiver_cls(), 1500, 2, fast=False)
+        fast_receiver, slow_receiver = receiver_cls(), receiver_cls()
+        fast = simulate(inst, FixedSchemePolicy(scheme), fast_receiver, 1500, 2, fast=True)
+        slow = simulate(inst, FixedSchemePolicy(scheme), slow_receiver, 1500, 2, fast=False)
         assert np.array_equal(fast.actions, slow.actions)
         assert np.array_equal(fast.running_avg, slow.running_avg)
+        if receiver_cls is Exp3:
+            assert fast_receiver.cumulative == slow_receiver.cumulative
 
     def test_running_average_identity(self, judge, judge_opt):
         tr = simulate(judge, FixedSchemePolicy(judge_opt), ExpWeights(), 300, 5)
@@ -328,7 +372,7 @@ def assert_same_trace(got, want):
         assert getattr(got, field).dtype == getattr(want, field).dtype, field
 
 
-LOCKSTEP_ROUNDS = 1500  # more than one chunk of uniforms
+EXP3_ROUNDS = 1500
 
 
 @pytest.fixture(scope="module")
@@ -337,7 +381,7 @@ def oracle_traces():
     return {}
 
 
-class TestLockstepExp3:
+class TestExp3FastPath:
     @pytest.mark.parametrize("checkpoint_every", [None, 500])
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("seeds", [[0], [3, 1, 2], list(range(10))])
@@ -350,61 +394,20 @@ class TestLockstepExp3:
         else:
             inst, make_policy = mismatch, lambda: AlternatingSignalPolicy(mismatch)
         traces = run_replications(
-            inst, make_policy, Exp3, LOCKSTEP_ROUNDS, seeds, lambda tr: tr,
+            inst, make_policy, Exp3, EXP3_ROUNDS, seeds, lambda tr: tr,
             checkpoint_every=checkpoint_every, threads=threads,
         )
         assert [tr.seed for tr in traces] == seeds
         for tr in traces:
             if (sender, tr.seed) not in oracle_traces:
                 oracle_traces[sender, tr.seed] = simulate(
-                    inst, make_policy(), Exp3(), LOCKSTEP_ROUNDS, tr.seed,
+                    inst, make_policy(), Exp3(), EXP3_ROUNDS, tr.seed,
                     checkpoint_every=500, fast=False,
                 )
             want = oracle_traces[sender, tr.seed]
             assert_same_trace(tr, want)
             expect_cps = checkpoint_fields(want) if checkpoint_every else []
             assert checkpoint_fields(tr) == expect_cps
-
-    @pytest.mark.parametrize("chunk", [None, 7])
-    def test_many_actions_and_chunk_boundaries(self, monkeypatch, chunk):
-        # ten actions: numpy unrolls sums of eight or more entries into
-        # partial sums, so a batched and a one-row sum could differ
-        rng = np.random.default_rng(4)
-        inst = random_instance(rng, max_states=5, max_actions=12)
-        while inst.n_actions < 9:
-            inst = random_instance(rng, max_states=5, max_actions=12)
-        scheme = random_scheme(rng, inst, n_signals=4)
-        if chunk is not None:
-            monkeypatch.setattr(learning, "_LOCKSTEP_CHUNK", chunk)
-        seeds = list(range(10))
-        traces = run_replications(
-            inst, lambda: FixedSchemePolicy(scheme), Exp3, 600, seeds, lambda tr: tr,
-            checkpoint_every=250,
-        )
-        for seed, tr in zip(seeds, traces):
-            want = simulate(
-                inst, FixedSchemePolicy(scheme), Exp3(), 600, seed, checkpoint_every=250, fast=False
-            )
-            assert_same_trace(tr, want)
-            assert checkpoint_fields(tr) == checkpoint_fields(want)
-
-    def test_bypasses_simulate_and_keeps_explicit_config(self, judge, judge_opt, monkeypatch):
-        cfg = Exp3Config(exploration=0.3, learning_rate=0.02)
-        want = [
-            simulate(judge, FixedSchemePolicy(judge_opt), Exp3(cfg), 300, s, fast=False)
-            for s in (5, 6)
-        ]
-
-        def no_simulate(*args, **kwargs):
-            raise AssertionError("the lockstep path should not call simulate")
-
-        monkeypatch.setattr(learning, "simulate", no_simulate)
-        got = run_replications(
-            judge, lambda: FixedSchemePolicy(judge_opt), lambda: Exp3(cfg), 300, [5, 6],
-            lambda tr: tr,
-        )
-        for g, w in zip(got, want):
-            assert_same_trace(g, w)
 
     def test_mixed_configs_run_per_seed(self, judge, judge_opt):
         configs = [Exp3Config(0.3, 0.02), Exp3Config(0.1, 0.05)]
@@ -453,22 +456,29 @@ class TestRuleBatches:
         utility = rng.random((11, 3))
         counts = rng.integers(0, 40, size=(6, 3)).astype(np.float64)
         t = rng.integers(1, 500, size=6).astype(np.float64)
-        cumulative = rng.random((6, 11)) * 30.0
-        cfg = Exp3Config(exploration=0.05, learning_rate=0.4)
         batched = (
             empirical_br_probs(counts, utility),
             exp_weights_probs(counts, utility, t),
-            exp3_probs(cumulative, cfg),
         )
         for b in range(6):
             one = (
                 empirical_br_probs(counts[b : b + 1], utility),
                 exp_weights_probs(counts[b : b + 1], utility, t[b : b + 1]),
-                exp3_probs(cumulative[b : b + 1], cfg),
             )
             for full, row in zip(batched, one):
                 assert np.array_equal(full[b], row[0])
-            assert np.array_equal(batched[2][b], exp3_probs(cumulative[b], cfg))
+
+    def test_exp3_matches_numpy_reference(self):
+        rng = np.random.default_rng(8)
+        cfg = Exp3Config(exploration=0.05, learning_rate=0.4)
+        for row in rng.random((6, 11)) * 30.0:
+            p_ref = exp3_reference(row, cfg)
+            cumulative = row.tolist()
+            assert exp3_row(cumulative, cfg) == pytest.approx(p_ref, rel=1e-14)
+            for u in rng.random(200):
+                a, p = exp3_act(cumulative, cfg, u)
+                assert a == learning._sample_row(np.cumsum(p_ref), u)
+                assert p == pytest.approx(p_ref[a], rel=1e-14)
 
 
 class TestConfidenceRadius:

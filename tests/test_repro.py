@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from persuasion_lab import UnknownTargetError, reproduce
+from persuasion_lab import UnknownTargetError, ValidationError, reproduce
 from persuasion_lab.repro import TARGETS, reproduce_bounds_sweep
 
 
@@ -45,3 +45,9 @@ def test_bounds_sweep_small_structure():
     names = [c["name"] for c in result["checks"]]
     assert "lower_violations" in names and "upper_violations" in names
     assert result["config"]["n_instances"] == 10
+
+
+@pytest.mark.parametrize("n_instances, n_schemes", [(2, 0), (0, 5), (2, -3)])
+def test_bounds_sweep_counts_below_one(n_instances, n_schemes):
+    with pytest.raises(ValidationError):
+        reproduce("theorem-3-1-sweep", n_instances=n_instances, n_schemes=n_schemes)
