@@ -38,10 +38,6 @@ class ObedienceLP:
     n_obedience_rows: int
     n_simplex_rows: int
 
-    @property
-    def n_decision_vars(self) -> int:
-        return self.instance.n_states * self.instance.n_actions
-
     def assignment_to_conditional(self, x: np.ndarray) -> np.ndarray:
         m, n = self.instance.n_states, self.instance.n_actions
         return np.asarray(x[: m * n], dtype=np.float64).reshape(m, n)

@@ -9,6 +9,7 @@ call, writes deterministic JSON (and CSV traces for simulations) under
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -45,7 +46,7 @@ from .model import (
     scheme_stats,
     scheme_to_json,
 )
-from .repro import TARGETS, reproduce
+from .repro import DRIVERS, TARGETS, reproduce
 from .response import (
     approx_membership_mass,
     bounds_report,
@@ -374,15 +375,6 @@ def _cmd_simulate(args) -> int:
     return _EXIT_OK
 
 
-_REPRO_OVERRIDES = {
-    "example-1": frozenset(),
-    "judge": frozenset(),
-    "example-4-3": frozenset({"rounds", "n_seeds"}),
-    "theorem-3-1-sweep": frozenset({"n_instances"}),
-    "theorem-4-1": frozenset({"rounds", "n_seeds"}),
-}
-
-
 def _cmd_reproduce(args) -> int:
     overrides = {}
     if args.rounds is not None:
@@ -391,13 +383,16 @@ def _cmd_reproduce(args) -> int:
         overrides["n_seeds"] = args.seeds
     if args.instances is not None:
         overrides["n_instances"] = args.instances
-    allowed = _REPRO_OVERRIDES.get(args.target, frozenset())
-    extra = set(overrides) - allowed
+    # a driver takes the overrides its signature names; an unknown target
+    # takes none, and ``reproduce`` names it
+    driver = DRIVERS.get(args.target)
+    params = inspect.signature(driver).parameters if driver else {}
+    extra = set(overrides) - set(params)
     if extra:
         raise ValidationError(
             f"target {args.target!r} does not take overrides {sorted(extra)}"
         )
-    if args.target in ("example-4-3", "theorem-4-1"):
+    if "threads" in params:
         # the pool starts no more threads than there are seeds
         overrides["threads"] = _threads()
     result = reproduce(args.target, **overrides)

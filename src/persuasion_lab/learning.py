@@ -10,7 +10,7 @@ Determinism contract: a run is driven by three independent substreams
 (states, signals, receiver randomization) spawned from one seed, each
 consumed as one uniform per round through inverse-CDF sampling.  Identical
 (instance, policy, receiver, rounds, seed) give bit-identical traces; the
-fast paths reproduce the generic loop exactly.
+bulk path reproduces the per-round loop exactly.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from .model import (
     profile_instance,
     signal_marginals,
 )
-from .robustify import robustified_optimum
+from .response import softmax_certificate
+from .robustify import margin_lift, robustified_optimum
 
 
 def _spawn_rngs(seed: int) -> tuple[np.random.Generator, ...]:
@@ -63,11 +64,11 @@ def _sample_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 # receiver decision rules
 #
 # The full-information rules map per-signal statistics with a leading batch
-# axis to action probabilities, one row per batch entry: the receiver objects
-# pass a batch of one, the vectorized path every visit of a signal.  Exp3's
-# estimates change every round, so its rule takes one plain-float row and
-# draws the action too.  Each receiver object and its fast path call the same
-# rule function, which keeps the paths bit-identical.
+# axis to action probabilities, one row per batch entry: ``act`` passes a
+# batch of one, ``bulk_actions`` every visit of a signal.  Exp3's estimates
+# change every round, so its rule takes one plain-float row and draws the
+# action too.  A receiver's ``act`` and ``bulk_actions`` call the same rule
+# function, which keeps the two paths bit-identical.
 
 
 def _scores(counts: np.ndarray, utility: np.ndarray) -> np.ndarray:
@@ -165,7 +166,11 @@ def exp3_act(cumulative: list[float], config: Exp3Config, u: float) -> tuple[int
 
 
 class _FullFeedbackReceiver:
-    """Keeps per-signal state counts; the state is revealed after each round."""
+    """Keeps per-signal state counts; the state is revealed after each round.
+
+    A subclass defines ``_probs(counts, t)``: its action probabilities, one
+    row per row of per-signal ``counts``, for rows acting at rounds ``t``.
+    """
 
     feedback_mode = "full"
 
@@ -173,8 +178,35 @@ class _FullFeedbackReceiver:
         self.utility = instance.receiver_utility
         self.counts = np.zeros((n_signals, instance.n_states))
 
+    def act(self, signal: int, t: int, u: float) -> int:
+        p = self._probs(self.counts[signal : signal + 1], np.array([float(t)]))[0]
+        return _sample_row(np.add.accumulate(p), u)
+
     def feed(self, signal: int, action: int, state: int, payoff: float, t: int) -> None:
         self.counts[signal, state] += 1.0
+
+    def bulk_actions(
+        self, states: np.ndarray, signals: np.ndarray, u_actions: np.ndarray
+    ) -> np.ndarray:
+        """Rounds 1..T from a fresh ``reset``, as ``act`` then ``feed`` would play them.
+
+        The states do not depend on the actions, so every visit's counts are
+        a prefix sum over that signal's earlier visits.  ``counts`` ends as
+        the per-round loop leaves it.
+        """
+        actions = np.empty(states.size, dtype=np.int64)
+        for s in range(self.counts.shape[0]):
+            idx = np.flatnonzero(signals == s)
+            if idx.size == 0:
+                continue
+            onehot = np.zeros((idx.size, self.counts.shape[1]))
+            onehot[np.arange(idx.size), states[idx]] = 1.0
+            counts = np.cumsum(onehot, axis=0)
+            self.counts[s] = counts[-1]
+            counts -= onehot  # counts before each visit
+            probs = self._probs(counts, idx + 1.0)
+            actions[idx] = _sample_rows(np.cumsum(probs, axis=1), u_actions[idx])
+        return actions
 
 
 class EmpiricalBestResponse(_FullFeedbackReceiver):
@@ -182,9 +214,8 @@ class EmpiricalBestResponse(_FullFeedbackReceiver):
 
     kind = "empirical-br"
 
-    def act(self, signal: int, t: int, u: float) -> int:
-        p = empirical_br_probs(self.counts[signal : signal + 1], self.utility)[0]
-        return _sample_row(np.add.accumulate(p), u)
+    def _probs(self, counts: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return empirical_br_probs(counts, self.utility)
 
 
 class ExpWeights(_FullFeedbackReceiver):
@@ -192,9 +223,8 @@ class ExpWeights(_FullFeedbackReceiver):
 
     kind = "exp-weights"
 
-    def act(self, signal: int, t: int, u: float) -> int:
-        p = exp_weights_probs(self.counts[signal : signal + 1], self.utility, np.array([float(t)]))[0]
-        return _sample_row(np.add.accumulate(p), u)
+    def _probs(self, counts: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return exp_weights_probs(counts, self.utility, t)
 
 
 class Exp3:
@@ -212,6 +242,7 @@ class Exp3:
 
     def reset(self, n_signals: int, instance: PersuasionInstance, horizon: int) -> None:
         self.tuned = self.config or Exp3Config.for_horizon(instance.n_actions, horizon)
+        self.utility = instance.receiver_utility
         self.cumulative = [[0.0] * instance.n_actions for _ in range(n_signals)]
         self._last_prob: float | None = None
 
@@ -222,16 +253,33 @@ class Exp3:
     def feed(self, signal: int, action: int, state: int, payoff: float, t: int) -> None:
         self.cumulative[signal][action] += payoff / self._last_prob
 
+    def bulk_actions(
+        self, states: np.ndarray, signals: np.ndarray, u_actions: np.ndarray
+    ) -> np.ndarray:
+        """The rounds as ``act`` then ``feed`` would play them, on plain floats.
+
+        The estimates change every round, so each round is one ``exp3_act``
+        and one importance-weighted update.
+        """
+        cumulative, config = self.cumulative, self.tuned
+        v = self.utility.tolist()
+        actions = []
+        p = self._last_prob
+        for s, w, u in zip(signals.tolist(), states.tolist(), u_actions.tolist()):
+            a, p = exp3_act(cumulative[s], config, u)
+            cumulative[s][a] += v[a][w] / p
+            actions.append(a)
+        self._last_prob = p
+        return np.array(actions, dtype=np.int64)
+
+
+_RECEIVERS = {cls.kind: cls for cls in (EmpiricalBestResponse, ExpWeights, Exp3)}
+
 
 def make_receiver(kind: str, **kwargs):
-    table = {
-        "empirical-br": EmpiricalBestResponse,
-        "exp-weights": ExpWeights,
-        "exp3": Exp3,
-    }
-    if kind not in table:
-        raise ValidationError(f"unknown receiver kind {kind!r}; choose from {sorted(table)}")
-    return table[kind](**kwargs)
+    if kind not in _RECEIVERS:
+        raise ValidationError(f"unknown receiver kind {kind!r}; choose from {sorted(_RECEIVERS)}")
+    return _RECEIVERS[kind](**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -293,18 +341,13 @@ class AlternatingSignalPolicy:
             self.target = 1 - self.target
 
     def signals_for_states(self, states: np.ndarray, u_signals: np.ndarray) -> np.ndarray:
-        # the per-round scheme is deterministic, so the signal uniforms are
-        # unused here exactly as they are ignored by the inverse CDF; the
-        # target carries over, so consecutive chunks equal one whole call
-        out = np.empty(states.size, dtype=np.int64)
-        target = self.target
-        for i, w in enumerate(states.tolist()):
-            if w == target:
-                out[i] = 0
-                target = 1 - target
-            else:
-                out[i] = 1
-        self.target = target
+        # each round leaves target = 1 - state, so s1 falls exactly on the
+        # rounds whose state differs from the round before; the per-round
+        # scheme is deterministic, so the signal uniforms go unused as the
+        # inverse CDF ignores them, and consecutive calls equal one whole call
+        out = (np.diff(states, prepend=1 - self.target) == 0).astype(np.int64)
+        if states.size:
+            self.target = 1 - int(states[-1])
         return out
 
 
@@ -505,93 +548,8 @@ def _finish(
     )
 
 
-def _fast_full_feedback(
-    instance: PersuasionInstance,
-    policy,
-    receiver,
-    rounds: int,
-    seed: int,
-    checkpoint_every: int | None,
-) -> SimulationTrace:
-    """Vectorized path for action-independent senders with full feedback.
-
-    The state/signal stream does not depend on the receiver, so per-signal
-    count prefixes (and hence every action distribution) can be computed in
-    bulk.  Matches the generic loop bit for bit.
-    """
-    states, u_signals, u_actions = _draw_streams(instance, rounds, seed)
-    policy.reset()
-    signals = policy.signals_for_states(states, u_signals)
-
-    v = instance.receiver_utility
-    actions = np.empty(rounds, dtype=np.int64)
-    for s in range(len(policy.signals)):
-        idx = np.flatnonzero(signals == s)
-        if idx.size == 0:
-            continue
-        onehot = np.zeros((idx.size, instance.n_states))
-        onehot[np.arange(idx.size), states[idx]] = 1.0
-        counts = np.cumsum(onehot, axis=0) - onehot  # counts before each visit
-        if isinstance(receiver, ExpWeights):
-            probs = exp_weights_probs(counts, v, idx + 1.0)
-        else:
-            probs = empirical_br_probs(counts, v)
-        actions[idx] = _sample_rows(np.cumsum(probs, axis=1), u_actions[idx])
-
-    return _finish(
-        instance, policy, policy.signals, states, signals, actions, seed, checkpoint_every
-    )
-
-
 # Senders whose signals do not depend on the receiver's actions.
 _BULK_SENDERS = (FixedSchemePolicy, AlternatingSignalPolicy)
-
-
-def _bulk_eligible(policy, receiver, receiver_types: tuple[type, ...]) -> bool:
-    """Whether a vectorized path may stand in for the per-round loop.
-
-    Types are tested exactly: a subclass may override ``act``, ``feed`` or
-    ``round_cdf``, none of which the vectorized paths call.
-    """
-    return type(receiver) in receiver_types and type(policy) in _BULK_SENDERS
-
-
-def _fast_exp3(
-    instance: PersuasionInstance,
-    policy,
-    receiver,
-    rounds: int,
-    seed: int,
-    checkpoint_every: int | None,
-) -> SimulationTrace:
-    """Exp3 against an action-independent sender.
-
-    The state/signal stream is drawn in bulk; the estimates change every
-    round, so each round is one ``exp3_act`` and one importance-weighted
-    update on plain floats, the arithmetic of ``Exp3.act`` and
-    ``Exp3.feed``.  Matches the generic loop bit for bit.
-    """
-    states, u_signals, u_actions = _draw_streams(instance, rounds, seed)
-    policy.reset()
-    signals = policy.signals_for_states(states, u_signals)
-    receiver.reset(len(policy.signals), instance, rounds)
-    cumulative, config = receiver.cumulative, receiver.tuned
-    v = instance.receiver_utility.tolist()
-    actions = []
-    for s, w, u in zip(signals.tolist(), states.tolist(), u_actions.tolist()):
-        a, p = exp3_act(cumulative[s], config, u)
-        cumulative[s][a] += v[a][w] / p
-        actions.append(a)
-    return _finish(
-        instance,
-        policy,
-        policy.signals,
-        states,
-        signals,
-        np.array(actions, dtype=np.int64),
-        seed,
-        checkpoint_every,
-    )
 
 
 def simulate(
@@ -608,36 +566,38 @@ def simulate(
 
     The receiver only ever sees (signal, round index, its own uniform draw)
     before acting; states and payoffs reach it through feedback after the
-    action is fixed.  ``fast=True`` dispatches to the vectorized path when
-    the configuration admits one (the result is identical either way).
+    action is fixed.  With ``fast=True`` a built-in sender and receiver play
+    in bulk, through ``signals_for_states`` and ``bulk_actions``; the result
+    and the receiver's final state are identical either way.  Types are
+    tested exactly: a subclass may override ``act``, ``feed`` or
+    ``round_cdf``, none of which the bulk path calls.
     """
     if rounds < 1:
         raise ValidationError("rounds must be positive")
-    if fast and _bulk_eligible(policy, receiver, (EmpiricalBestResponse, ExpWeights)):
-        return _fast_full_feedback(instance, policy, receiver, rounds, seed, checkpoint_every)
-    if fast and _bulk_eligible(policy, receiver, (Exp3,)):
-        return _fast_exp3(instance, policy, receiver, rounds, seed, checkpoint_every)
-
     states, u_signals, u_actions = _draw_streams(instance, rounds, seed)
     policy.reset()
     signal_ids = tuple(policy.signals)
     receiver.reset(len(signal_ids), instance, rounds)
 
-    signals = np.empty(rounds, dtype=np.int64)
-    actions = np.empty(rounds, dtype=np.int64)
-    v = instance.receiver_utility
-    states_list = states.tolist()
-    for i in range(rounds):
-        t = i + 1
-        w = states_list[i]
-        cdf = policy.round_cdf(t)
-        s = _sample_row(cdf[w], u_signals[i])
-        a = receiver.act(s, t, u_actions[i])
-        signals[i] = s
-        actions[i] = a
-        payoff = v[a, w]
-        receiver.feed(s, a, w, payoff, t)
-        policy.observe(t, w, s, a)
+    if fast and type(policy) in _BULK_SENDERS and type(receiver) in _RECEIVERS.values():
+        signals = policy.signals_for_states(states, u_signals)
+        actions = receiver.bulk_actions(states, signals, u_actions)
+    else:
+        signals = np.empty(rounds, dtype=np.int64)
+        actions = np.empty(rounds, dtype=np.int64)
+        v = instance.receiver_utility
+        states_list = states.tolist()
+        for i in range(rounds):
+            t = i + 1
+            w = states_list[i]
+            cdf = policy.round_cdf(t)
+            s = _sample_row(cdf[w], u_signals[i])
+            a = receiver.act(s, t, u_actions[i])
+            signals[i] = s
+            actions[i] = a
+            payoff = v[a, w]
+            receiver.feed(s, a, w, payoff, t)
+            policy.observe(t, w, s, a)
 
     return _finish(instance, policy, signal_ids, states, signals, actions, seed, checkpoint_every)
 
@@ -687,7 +647,7 @@ def run_replications(
 
 @dataclass(frozen=True)
 class Schedule:
-    """Accuracy (gamma_t, delta_t) and rate eta_t of exponential weights.
+    """Accuracy (gamma_t, delta_t) of exponential weights with rate eta_t.
 
     At round t a signal of probability p has been seen about p*t times, so
     the per-signal softmax temperature is lam = eta_t * p * t and the
@@ -700,16 +660,15 @@ class Schedule:
     def _lam(self, t: int) -> float:
         return self.min_signal_prob * math.sqrt(t * math.log(self.n_actions))
 
-    def gamma(self, t: int) -> float:
+    def _certificate(self, t: int) -> tuple[float, float]:
         l = self._lam(t)
-        return max(0.0, math.log(self.n_actions * l) / l) if l > 0 else math.inf
+        return softmax_certificate(self.n_actions, l) if l > 0 else (math.inf, math.inf)
+
+    def gamma(self, t: int) -> float:
+        return self._certificate(t)[0]
 
     def delta(self, t: int) -> float:
-        l = self._lam(t)
-        return 1.0 / l if l > 0 else math.inf
-
-    def eta(self, t: int) -> float:
-        return math.sqrt(math.log(self.n_actions) / t)
+        return self._certificate(t)[1]
 
 
 def exp_weights_schedule(n_actions: int, min_signal_prob: float) -> Schedule:
@@ -814,7 +773,7 @@ def convergence_report(
     if checkpoint_every is None:
         checkpoint_every = max(rounds // 10, 1)
 
-    region_mass = np.array([prof.region_mass(instance, a) for a in instance.actions])
+    lift = margin_lift(instance, prof, alpha, marginals)
 
     def summarize(trace: SimulationTrace):
         per_cp = [
@@ -847,14 +806,13 @@ def convergence_report(
         margin = math.inf
         ok = True
         for s in np.flatnonzero(sent):
-            lhs = alpha * region_mass[s] * prof.gap / marginals[s]
             try:
                 c_rad = confidence_radius(instance, scheme, max(t - 1, 1), int(s))
             except RadiusPreconditionError:
                 ok = False
                 margin = None
                 break
-            margin = min(margin, lhs - (g_t + 2.0 * c_rad))
+            margin = min(margin, lift[s] - (g_t + 2.0 * c_rad))
         if margin is not None:
             margin = float(margin)
             ok = margin > 0.0

@@ -35,8 +35,6 @@ from .response import bounds_grid, evaluate_objective
 from .robustify import choose_alpha_lower, robustify
 from .sampling import satisfied_instance
 
-TARGETS = ("example-1", "judge", "example-4-3", "theorem-3-1-sweep", "theorem-4-1")
-
 
 def _check(name: str, value, ok: bool, expect: str) -> dict:
     return {"name": name, "value": value, "expect": expect, "ok": bool(ok)}
@@ -310,14 +308,17 @@ def concentration_coverage(
     return hits / n_runs
 
 
+DRIVERS = {
+    "example-1": reproduce_example_1,
+    "judge": reproduce_judge,
+    "example-4-3": reproduce_example_4_3,
+    "theorem-3-1-sweep": reproduce_bounds_sweep,
+    "theorem-4-1": reproduce_convergence,
+}
+TARGETS = tuple(DRIVERS)
+
+
 def reproduce(name: str, **overrides) -> dict:
-    drivers = {
-        "example-1": reproduce_example_1,
-        "judge": reproduce_judge,
-        "example-4-3": reproduce_example_4_3,
-        "theorem-3-1-sweep": reproduce_bounds_sweep,
-        "theorem-4-1": reproduce_convergence,
-    }
-    if name not in drivers:
+    if name not in DRIVERS:
         raise UnknownTargetError(f"unknown target {name!r}; available: {TARGETS}")
-    return drivers[name](**overrides)
+    return DRIVERS[name](**overrides)

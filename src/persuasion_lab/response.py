@@ -288,9 +288,13 @@ def quantal_certificate(instance: PersuasionInstance, lam: float) -> tuple[float
     """
     if lam <= 0:
         raise ValidationError("certificate requires lam > 0")
-    n = instance.n_actions
-    gamma = max(0.0, math.log(n * lam) / lam)
-    return gamma, 1.0 / lam
+    return softmax_certificate(instance.n_actions, lam)
+
+
+def softmax_certificate(n_actions: int, lam: float) -> tuple[float, float]:
+    """(max(0, log(n lam)/lam), 1/lam): the (gamma, delta) of a softmax
+    receiver with temperature ``lam > 0`` over ``n_actions`` actions."""
+    return max(0.0, math.log(n_actions * lam) / lam), 1.0 / lam
 
 
 def _tv_step(mu: np.ndarray, epsilon: float, rng: np.random.Generator) -> np.ndarray:

@@ -121,6 +121,29 @@ def robustified_optimum(
     return robustify(instance, opt_scheme, alpha, profile), alpha, opt
 
 
+def _region_masses(instance: PersuasionInstance, profile: InstanceProfile) -> np.ndarray:
+    """mu(R_a) for each action a, in action order."""
+    return np.array([profile.region_mass(instance, a) for a in instance.actions])
+
+
+def margin_lift(
+    instance: PersuasionInstance,
+    profile: InstanceProfile,
+    alpha: float,
+    marginals: np.ndarray,
+) -> np.ndarray:
+    """alpha * mu(R_s) * gap / pi'(s) for each direct signal s.
+
+    Mixing with weight ``alpha`` raises the obedience margin of a sent
+    signal s by at least this; ``marginals`` are the robustified scheme's
+    pi'.  Entries for unsent signals (pi'(s) = 0) are 0.
+    """
+    sent = marginals > 0.0
+    lift = np.zeros(marginals.size)
+    lift[sent] = alpha * _region_masses(instance, profile)[sent] * profile.gap / marginals[sent]
+    return lift
+
+
 def verify_robustification(
     instance: PersuasionInstance,
     scheme: SignalingScheme,
@@ -138,22 +161,18 @@ def verify_robustification(
 
     marg_before = signal_marginals(instance, scheme)
     marg_after = signal_marginals(instance, robust)
-    region_mass = np.array(
-        [prof.region_mass(instance, a) for a in instance.actions]
-    )
 
-    residual = float(
-        np.max(np.abs(marg_after - ((1.0 - alpha) * marg_before + alpha * region_mass)))
-    )
+    mixed = alpha * _region_masses(instance, prof)
+    residual = float(np.max(np.abs(marg_after - ((1.0 - alpha) * marg_before + mixed))))
 
-    gap = prof.gap
     slack = math.inf
     if instance.n_actions > 1:
+        lift = margin_lift(instance, prof, alpha, marg_after)
         for s in range(instance.n_actions):
             if marg_after[s] <= 0.0:
                 continue
             adv_after = advantage(instance, robust, s)
-            bound = alpha * region_mass[s] * gap / marg_after[s]
+            bound = lift[s]
             if marg_before[s] > 0.0:
                 adv_before = advantage(instance, scheme, s)
                 bound += (1.0 - alpha) * (marg_before[s] / marg_after[s]) * adv_before

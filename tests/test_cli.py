@@ -378,8 +378,11 @@ class TestReproduce:
         assert run("reproduce", "example-99", "--output-dir", tmp_path) == 1
         assert "error[UNKNOWN_TARGET]" in capsys.readouterr().err
 
-    def test_override_rejected_exit_1(self, tmp_path):
-        assert run("reproduce", "judge", "--rounds", 10, "--output-dir", tmp_path) == 1
+    @pytest.mark.parametrize(
+        "argv", [("judge", "--rounds", 10), ("theorem-3-1-sweep", "--rounds", 5)]
+    )
+    def test_override_rejected_exit_1(self, tmp_path, argv):
+        assert run("reproduce", *argv, "--output-dir", tmp_path) == 1
 
     def test_sweep_with_small_override(self, tmp_path):
         code = run(
