@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -32,6 +33,7 @@ from .fixtures import BUILTIN_INSTANCES, builtin_instance
 from .learning import (
     AlternatingSignalPolicy,
     FixedSchemePolicy,
+    checkpoint_marks,
     make_receiver,
     run_replications,
 )
@@ -204,15 +206,23 @@ def _cmd_robustify(args) -> int:
     return _EXIT_OK if report.ok() else _EXIT_NUMERICAL
 
 
+def _kind_param(ref: str, option: str) -> float:
+    """The finite number after ``kind:`` in a ``--mode`` or ``--sender`` value."""
+    try:
+        value = float(ref.split(":", 1)[1])
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValidationError(f"bad numeric parameter in {option} {ref!r}")
+    return value
+
+
 def _parse_mode(mode: str) -> tuple[str, float | None]:
     if mode in ("worst", "best", "obedient"):
         return mode, None
     for prefix in ("quantal", "perturbed"):
         if mode.startswith(prefix + ":"):
-            try:
-                return prefix, float(mode.split(":", 1)[1])
-            except ValueError:
-                raise ValidationError(f"bad numeric parameter in mode {mode!r}")
+            return prefix, _kind_param(mode, "mode")
     raise ValidationError(
         f"mode must be worst|best|obedient|quantal:LAM|perturbed:EPS, got {mode!r}"
     )
@@ -243,25 +253,18 @@ def _cmd_evaluate(args) -> int:
     elif kind == "obedient":
         value = expected_utility(inst, scheme, obedient_strategy(inst))
         report.update(value=value)
-    elif kind == "quantal":
-        strat = quantal_strategy(inst, scheme, param)
-        value = expected_utility(inst, scheme, strat)
-        cert = quantal_certificate(inst, param)
-        report.update(
-            value=value,
-            lam=param,
-            certificate={"gamma": cert[0], "delta": cert[1]},
-            membership_mass=approx_membership_mass(inst, scheme, strat, cert[0], args.eps_num),
-            strategy=strat.action_distribution.tolist(),
-        )
     else:
-        rng = np.random.default_rng(args.seed)
-        strat = perturbed_posterior_strategy(inst, scheme, param, rng)
+        if kind == "quantal":
+            strat = quantal_strategy(inst, scheme, param)
+            name, cert = "lam", quantal_certificate(inst, param)
+        else:
+            rng = np.random.default_rng(args.seed)
+            strat = perturbed_posterior_strategy(inst, scheme, param, rng)
+            name, cert = "epsilon", perturbed_posterior_certificate(param)
         value = expected_utility(inst, scheme, strat)
-        cert = perturbed_posterior_certificate(param)
         report.update(
+            {name: param},
             value=value,
-            epsilon=param,
             certificate={"gamma": cert[0], "delta": cert[1]},
             membership_mass=approx_membership_mass(inst, scheme, strat, cert[0], args.eps_num),
             strategy=strat.action_distribution.tolist(),
@@ -307,11 +310,7 @@ def _make_policy_factory(args, inst):
         scheme = load_scheme(Path(ref.split(":", 1)[1]), inst)
         return lambda: FixedSchemePolicy(scheme), {"sender": ref}
     if ref.startswith("robustified:"):
-        try:
-            constant = float(ref.split(":", 1)[1])
-        except ValueError:
-            raise ValidationError(f"bad numeric parameter in sender {ref!r}")
-        scheme, alpha, _ = robustified_optimum(inst, constant)
+        scheme, alpha, _ = robustified_optimum(inst, _kind_param(ref, "sender"))
         return lambda: FixedSchemePolicy(scheme), {"sender": ref, "alpha": alpha}
     raise ValidationError(
         f"sender must be fixed:<scheme.json>|robustified:<C>|alternating, got {ref!r}"
@@ -324,7 +323,8 @@ def _cmd_simulate(args) -> int:
     receiver_factory = lambda: make_receiver(args.receiver)
     feedback = receiver_factory().feedback_mode
     seeds = list(range(args.seed, args.seed + args.seeds))
-    checkpoint_every = args.checkpoint_every or max(1, args.rounds // 10)
+    # the default interval is the first default mark
+    checkpoint_every = args.checkpoint_every or checkpoint_marks(args.rounds)[0]
     threads = min(_threads(), len(seeds))
 
     traces = run_replications(
@@ -334,14 +334,15 @@ def _cmd_simulate(args) -> int:
         args.rounds,
         seeds,
         lambda tr: tr,
-        checkpoint_every=checkpoint_every,
         threads=threads,
     )
     args.output_dir.mkdir(parents=True, exist_ok=True)
     per_seed = []
     for trace in traces:
         trace.to_csv(args.output_dir / f"trace-seed{trace.seed}.csv")
-        trace.checkpoints_to_csv(args.output_dir / f"diagnostics-seed{trace.seed}.csv")
+        trace.checkpoints_to_csv(
+            args.output_dir / f"diagnostics-seed{trace.seed}.csv", checkpoint_every
+        )
         per_seed.append(
             {
                 "seed": trace.seed,
@@ -487,21 +488,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Count options; each must be at least 1 where the command takes it.
 _POSITIVE_OPTIONS = ("rounds", "seeds", "samples", "checkpoint_every", "instances")
+# Real options; each must be finite where the command takes it.
+_FINITE_OPTIONS = ("gamma", "delta", "alpha", "eps_num")
 
 
-def _check_positive(args: argparse.Namespace) -> None:
-    for name in _POSITIVE_OPTIONS:
+def _check_options(args: argparse.Namespace) -> None:
+    for name in _POSITIVE_OPTIONS + _FINITE_OPTIONS:
         value = getattr(args, name, None)
-        if value is not None and value < 1:
-            flag = "--" + name.replace("_", "-")
+        if value is None:
+            continue
+        flag = "--" + name.replace("_", "-")
+        if name in _POSITIVE_OPTIONS and value < 1:
             raise ValidationError(f"{flag} must be at least 1, got {value}")
+        if name in _FINITE_OPTIONS and not math.isfinite(value):
+            raise ValidationError(f"{flag} must be finite, got {value}")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_positive(args)
+        _check_options(args)
         return args.func(args)
     except PersuasionError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)

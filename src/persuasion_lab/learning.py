@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -364,9 +364,30 @@ class Checkpoint:
     max_radius: float | None
 
 
+def checkpoint_marks(rounds: int, every: int | None = None) -> list[int]:
+    """The rounds a trace reports diagnostics at: every ``every``-th, then ``rounds``.
+
+    ``every`` defaults to a tenth of the horizon.  When it exceeds the
+    horizon there are no marks.
+    """
+    if every is None:
+        every = max(rounds // 10, 1)
+    if every < 1:
+        raise ValidationError(f"checkpoint interval must be at least 1, got {every}")
+    marks = list(range(every, rounds + 1, every))
+    if marks and marks[-1] != rounds:
+        marks.append(rounds)
+    return marks
+
+
 @dataclass(frozen=True, eq=False)
 class SimulationTrace:
-    """Full per-round record of one run plus checkpoint diagnostics."""
+    """Full per-round record of one run.
+
+    ``scheme`` is the fixed sender's committed scheme, ``None`` for any
+    other sender; checkpoint diagnostics are computed from the record on
+    demand.
+    """
 
     instance: PersuasionInstance
     signal_ids: tuple[str, ...]
@@ -377,7 +398,7 @@ class SimulationTrace:
     receiver_utils: np.ndarray
     running_avg: np.ndarray
     seed: int
-    checkpoints: tuple[Checkpoint, ...]
+    scheme: SignalingScheme | None
 
     @property
     def rounds(self) -> int:
@@ -393,6 +414,33 @@ class SimulationTrace:
             return None
         sl = slice(start, stop)
         return float(np.mean(self.actions[sl] == self.signals[sl]))
+
+    def checkpoints(self, every: int | None = None) -> tuple[Checkpoint, ...]:
+        """Diagnostics at ``checkpoint_marks(rounds, every)``.
+
+        Window obedience covers the rounds since the previous mark.
+        ``max_radius`` is the largest defined radius of the committed
+        scheme's signals, ``None`` when none is defined or there is no
+        committed scheme.
+        """
+        out = []
+        prev = 0
+        for t in checkpoint_marks(self.rounds, every):
+            radius = None
+            if self.scheme is not None:
+                radii = confidence_radii(self.instance, self.scheme, t)
+                radius = max((r for r in radii if r is not None), default=None)
+            out.append(
+                Checkpoint(
+                    t=t,
+                    running_avg=float(self.running_avg[t - 1]),
+                    obedience_frequency=self.obedience_frequency(0, t),
+                    window_obedience=self.obedience_frequency(prev, t),
+                    max_radius=radius,
+                )
+            )
+            prev = t
+        return tuple(out)
 
     def to_csv(self, path) -> None:
         import csv
@@ -415,13 +463,13 @@ class SimulationTrace:
                     ]
                 )
 
-    def checkpoints_to_csv(self, path) -> None:
+    def checkpoints_to_csv(self, path, every: int | None = None) -> None:
         import csv
 
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "running_avg", "obedience_frequency", "window_obedience", "max_radius"])
-            for c in self.checkpoints:
+            for c in self.checkpoints(every):
                 w.writerow([c.t, repr(c.running_avg), c.obedience_frequency, c.window_obedience, c.max_radius])
 
 
@@ -456,48 +504,19 @@ def confidence_radius(
     return 2.0 * chern + (2.0 / p) * math.sqrt(math.log(2.0 * S * n * t) / (2.0 * t))
 
 
-def _build_checkpoints(
-    instance: PersuasionInstance,
-    policy,
-    signal_ids: tuple[str, ...],
-    signals: np.ndarray,
-    actions: np.ndarray,
-    running_avg: np.ndarray,
-    checkpoint_every: int | None,
-) -> tuple[Checkpoint, ...]:
-    if not checkpoint_every:
-        return ()
-    T = signals.size
-    direct = signal_ids == instance.actions
-    scheme = policy.scheme if isinstance(policy, FixedSchemePolicy) else None
-    marks = list(range(checkpoint_every, T + 1, checkpoint_every))
-    if marks and marks[-1] != T:
-        marks.append(T)
+def confidence_radii(
+    instance: PersuasionInstance, scheme: SignalingScheme, t: int
+) -> tuple[float | None, ...]:
+    """``confidence_radius`` of every signal at ``t``, ``None`` where undefined.
+
+    A signal that is never sent or is still undersampled has no radius.
+    """
     out = []
-    prev = 0
-    obeyed = signals == actions
-    for t in marks:
-        obe = float(obeyed[:t].mean()) if direct else None
-        win = float(obeyed[prev:t].mean()) if direct else None
-        radius = None
-        if scheme is not None:
-            radii = []
-            for s in range(scheme.n_signals):
-                try:
-                    radii.append(confidence_radius(instance, scheme, t, s))
-                except (RadiusPreconditionError, ZeroProbabilitySignalError):
-                    continue
-            radius = max(radii) if radii else None
-        out.append(
-            Checkpoint(
-                t=t,
-                running_avg=float(running_avg[t - 1]),
-                obedience_frequency=obe,
-                window_obedience=win,
-                max_radius=radius,
-            )
-        )
-        prev = t
+    for s in range(scheme.n_signals):
+        try:
+            out.append(confidence_radius(instance, scheme, t, s))
+        except (RadiusPreconditionError, ZeroProbabilitySignalError):
+            out.append(None)
     return tuple(out)
 
 
@@ -518,36 +537,6 @@ def _draw_streams(
     return _draw_states(instance, u_states), u_signals, u_actions
 
 
-def _finish(
-    instance: PersuasionInstance,
-    policy,
-    signal_ids,
-    states,
-    signals,
-    actions,
-    seed,
-    checkpoint_every,
-) -> SimulationTrace:
-    su = instance.sender_utility[actions, states]
-    rv = instance.receiver_utility[actions, states]
-    running = np.cumsum(su) / np.arange(1, su.size + 1)
-    checkpoints = _build_checkpoints(
-        instance, policy, signal_ids, signals, actions, running, checkpoint_every
-    )
-    return SimulationTrace(
-        instance=instance,
-        signal_ids=signal_ids,
-        states=states,
-        signals=signals,
-        actions=actions,
-        sender_utils=su,
-        receiver_utils=rv,
-        running_avg=running,
-        seed=seed,
-        checkpoints=checkpoints,
-    )
-
-
 # Senders whose signals do not depend on the receiver's actions.
 _BULK_SENDERS = (FixedSchemePolicy, AlternatingSignalPolicy)
 
@@ -559,7 +548,6 @@ def simulate(
     rounds: int,
     seed: int,
     *,
-    checkpoint_every: int | None = None,
     fast: bool = True,
 ) -> SimulationTrace:
     """Run the repeated interaction for ``rounds`` rounds.
@@ -599,7 +587,19 @@ def simulate(
             receiver.feed(s, a, w, payoff, t)
             policy.observe(t, w, s, a)
 
-    return _finish(instance, policy, signal_ids, states, signals, actions, seed, checkpoint_every)
+    su = instance.sender_utility[actions, states]
+    return SimulationTrace(
+        instance=instance,
+        signal_ids=signal_ids,
+        states=states,
+        signals=signals,
+        actions=actions,
+        sender_utils=su,
+        receiver_utils=instance.receiver_utility[actions, states],
+        running_avg=np.cumsum(su) / np.arange(1, rounds + 1),
+        seed=seed,
+        scheme=policy.scheme if isinstance(policy, FixedSchemePolicy) else None,
+    )
 
 
 def run_replications(
@@ -610,7 +610,6 @@ def run_replications(
     seeds: Sequence[int],
     summarize: Callable[[SimulationTrace], object],
     *,
-    checkpoint_every: int | None = None,
     threads: int = 1,
 ) -> list:
     """Independent seeded runs of ``simulate``; summaries returned in seed order.
@@ -621,19 +620,13 @@ def run_replications(
     if rounds < 1:
         raise ValidationError("rounds must be positive")
     seeds = list(seeds)
+    if not seeds:
+        raise ValidationError("seeds must not be empty")
     policies = [policy_factory() for _ in seeds]
     receivers = [receiver_factory() for _ in seeds]
 
     def one(k: int):
-        trace = simulate(
-            instance,
-            policies[k],
-            receivers[k],
-            rounds,
-            seeds[k],
-            checkpoint_every=checkpoint_every,
-        )
-        return summarize(trace)
+        return summarize(simulate(instance, policies[k], receivers[k], rounds, seeds[k]))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -705,7 +698,6 @@ class ConvergenceReport:
     alpha: float
     rounds: int
     seeds: tuple[int, ...]
-    scheme: SignalingScheme
     final_averages: tuple[float, ...]
     mean_final_average: float
     target: float
@@ -714,31 +706,7 @@ class ConvergenceReport:
     checkpoints: tuple[ConvergenceCheckpoint, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "opt": self.opt,
-            "constant": self.constant,
-            "alpha": self.alpha,
-            "rounds": self.rounds,
-            "seeds": list(self.seeds),
-            "final_averages": list(self.final_averages),
-            "mean_final_average": self.mean_final_average,
-            "target": self.target,
-            "meets_target": self.meets_target,
-            "last_decile_obedience": self.last_decile_obedience,
-            "checkpoints": [
-                {
-                    "t": c.t,
-                    "mean_running_avg": c.mean_running_avg,
-                    "mean_obedience": c.mean_obedience,
-                    "schedule_gamma": c.schedule_gamma,
-                    "schedule_delta": c.schedule_delta,
-                    "threshold_margin": c.threshold_margin,
-                    "threshold_ok": c.threshold_ok,
-                    "budget_ok": c.budget_ok,
-                }
-                for c in self.checkpoints
-            ],
-        }
+        return asdict(self)
 
 
 def convergence_report(
@@ -767,20 +735,13 @@ def convergence_report(
         )
     scheme, alpha, opt = robustified_optimum(instance, constant, prof)
     marginals = signal_marginals(instance, scheme)
-    sent = marginals > 0.0
+    sent = np.flatnonzero(marginals > 0.0)
     schedule = exp_weights_schedule(instance.n_actions, float(marginals[sent].min()))
-
-    if checkpoint_every is None:
-        checkpoint_every = max(rounds // 10, 1)
-
     lift = margin_lift(instance, prof, alpha, marginals)
 
     def summarize(trace: SimulationTrace):
-        per_cp = [
-            (c.t, c.running_avg, c.obedience_frequency) for c in trace.checkpoints
-        ]
         tail = trace.obedience_frequency(start=int(0.9 * trace.rounds))
-        return trace.final_average, tail, per_cp
+        return trace.final_average, tail, trace.checkpoints(checkpoint_every)
 
     results = run_replications(
         instance,
@@ -789,32 +750,23 @@ def convergence_report(
         rounds,
         list(seeds),
         summarize,
-        checkpoint_every=checkpoint_every,
         threads=threads,
     )
 
     finals = tuple(r[0] for r in results)
     tail_obedience = float(np.mean([r[1] for r in results]))
-    cp_times = [cp[0] for cp in results[0][2]]
 
     checkpoints = []
-    for k, t in enumerate(cp_times):
-        mean_avg = float(np.mean([r[2][k][1] for r in results]))
-        mean_obe = float(np.mean([r[2][k][2] for r in results]))
+    for k, t in enumerate(c.t for c in results[0][2]):
+        mean_avg = float(np.mean([r[2][k].running_avg for r in results]))
+        mean_obe = float(np.mean([r[2][k].obedience_frequency for r in results]))
         g_t = schedule.gamma(max(t - 1, 1))
         d_t = schedule.delta(max(t - 1, 1))
-        margin = math.inf
-        ok = True
-        for s in np.flatnonzero(sent):
-            try:
-                c_rad = confidence_radius(instance, scheme, max(t - 1, 1), int(s))
-            except RadiusPreconditionError:
-                ok = False
-                margin = None
-                break
-            margin = min(margin, lift[s] - (g_t + 2.0 * c_rad))
-        if margin is not None:
-            margin = float(margin)
+        radii = confidence_radii(instance, scheme, max(t - 1, 1))
+        if any(radii[s] is None for s in sent):
+            margin, ok = None, False
+        else:
+            margin = float(min(lift[s] - (g_t + 2.0 * radii[s]) for s in sent))
             ok = margin > 0.0
         budget_ok = t > 1 and alpha + d_t + 2.0 / (t - 1) < constant
         checkpoints.append(
@@ -825,7 +777,7 @@ def convergence_report(
                 schedule_gamma=g_t,
                 schedule_delta=d_t,
                 threshold_margin=margin,
-                threshold_ok=bool(ok),
+                threshold_ok=ok,
                 budget_ok=bool(budget_ok),
             )
         )
@@ -838,7 +790,6 @@ def convergence_report(
         alpha=float(alpha),
         rounds=rounds,
         seeds=tuple(seeds),
-        scheme=scheme,
         final_averages=finals,
         mean_final_average=mean_final,
         target=float(target),

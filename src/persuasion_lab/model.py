@@ -70,6 +70,12 @@ def _in_unit_interval(x: np.ndarray) -> bool:
     return bool(np.all((x >= 0) & (x <= 1)))
 
 
+def check_gamma(gamma: float) -> None:
+    """Reject a negative response-set width; written so that NaN fails too."""
+    if not gamma >= 0:
+        raise ValidationError(f"gamma must be nonnegative, got {gamma!r}")
+
+
 def _check_rows_sum_to_one(name: str, mat: np.ndarray) -> None:
     if not np.all(mat >= 0):  # written so that NaN fails too
         raise ValidationError(f"{name} has negative or NaN entries")
@@ -463,8 +469,7 @@ def project_strategy(
     NoMassOnApproxSetError when a positive-marginal signal has no mass to
     renormalize.
     """
-    if gamma < 0:
-        raise ValidationError("gamma must be nonnegative")
+    check_gamma(gamma)
     _check_scheme(instance, scheme)
     if strategy.n_signals != scheme.n_signals or strategy.n_actions != instance.n_actions:
         raise DimensionMismatchError("strategy shape does not match scheme/instance")

@@ -29,6 +29,7 @@ from .model import (
     ReceiverStrategy,
     SignalingScheme,
     best_response_mask,
+    check_gamma,
     index_of,
     make_scheme,
     profile_instance,
@@ -72,8 +73,7 @@ def approx_set(
     gamma: float,
     eps_num: float = DEFAULT_EPS,
 ) -> ApproxResponseSet:
-    if gamma < 0:
-        raise ValidationError("gamma must be nonnegative")
+    check_gamma(gamma)
     stats = scheme_stats(instance, scheme)
     mask = best_response_mask(stats.receiver_values, gamma, eps_num)
     best = stats.receiver_values.max(axis=1)
@@ -138,8 +138,7 @@ def _check_objective_args(gamma: float, delta: float, mode: str) -> None:
         raise ValidationError(f"mode must be 'worst' or 'best', got {mode!r}")
     if not 0.0 <= delta < 1.0:
         raise ValidationError("delta must lie in [0, 1)")
-    if gamma < 0:
-        raise ValidationError("gamma must be nonnegative")
+    check_gamma(gamma)
 
 
 def _knife_edges(
@@ -270,7 +269,7 @@ def quantal_strategy(
     Rows for unsent signals are uniform.  ``lam=0`` is uniformly random play;
     large ``lam`` approaches exact best response.
     """
-    if lam < 0:
+    if not lam >= 0:  # NaN fails too
         raise ValidationError("lam must be nonnegative")
     stats = scheme_stats(instance, scheme)
     logits = lam * stats.receiver_values
@@ -286,7 +285,7 @@ def quantal_certificate(instance: PersuasionInstance, lam: float) -> tuple[float
 
     Meaningful once ``lam > 1/n_actions``; below that delta is vacuous.
     """
-    if lam <= 0:
+    if not lam > 0:  # NaN fails too
         raise ValidationError("certificate requires lam > 0")
     return softmax_certificate(instance.n_actions, lam)
 
@@ -330,7 +329,7 @@ def perturbed_posterior_strategy(
     posterior, so the resulting deterministic strategy is a (2 epsilon, 0)
     member.  Unsent signals best-respond to the prior.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:  # NaN fails too
         raise ValidationError("epsilon must be nonnegative")
     stats = scheme_stats(instance, scheme)
     v = instance.receiver_utility

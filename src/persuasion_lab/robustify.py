@@ -9,7 +9,7 @@ utility cost of at most ``alpha``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .model import (
     PersuasionInstance,
     SignalingScheme,
     advantage,
+    check_gamma,
     direct_scheme,
     expected_utility,
     obedient_strategy,
@@ -62,14 +63,7 @@ class RobustificationReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "marginal_identity_residual": self.marginal_identity_residual,
-            "advantage_bound_slack": self.advantage_bound_slack,
-            "tv_distance": self.tv_distance,
-            "utility_gap": self.utility_gap,
-            "ok": self.ok(),
-        }
+        return {**asdict(self), "ok": self.ok()}
 
 
 def _require_unique_optima(
@@ -198,8 +192,7 @@ def verify_robustification(
 
 
 def _ratio(instance: PersuasionInstance, gamma: float, profile: InstanceProfile | None) -> float:
-    if gamma < 0:
-        raise ValidationError("gamma must be nonnegative")
+    check_gamma(gamma)
     prof = profile if profile is not None else profile_instance(instance)
     if not prof.assumption_satisfied:
         raise AssumptionViolatedError(

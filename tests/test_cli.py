@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import persuasion_lab
-from persuasion_lab import PersuasionInstance, advantage, instance_to_json
+from persuasion_lab import PersuasionInstance, advantage, instance_to_json, scheme_to_json
 from persuasion_lab.cli import _exit_code, _write_json, main
 from persuasion_lab.errors import (
     AssumptionViolatedError,
@@ -420,6 +420,34 @@ def test_counts_below_one_exit_1(tmp_path, capsys, argv):
     assert run(*argv, "--output-dir", tmp_path) == 1
     assert "must be at least 1" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+EVALUATE = ("evaluate", "--instance", "judge", "--scheme", "SCHEME")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ((*EVALUATE, "--mode", "worst", "--gamma", "nan"), "--gamma must be finite"),
+        ((*EVALUATE, "--mode", "worst", "--gamma", "inf"), "--gamma must be finite"),
+        ((*EVALUATE, "--mode", "best", "--delta=-inf"), "--delta must be finite"),
+        ((*EVALUATE, "--mode", "perturbed:inf"), "bad numeric parameter in mode"),
+        ((*EVALUATE, "--mode", "quantal:nan"), "bad numeric parameter in mode"),
+        (("check-assumptions", "--instance", "judge", "--eps-num", "nan"), "--eps-num must be finite"),
+        (("robustify", "--instance", "judge", "--alpha", "inf"), "--alpha must be finite"),
+        (("robustify", "--instance", "judge", "--gamma", "nan"), "--gamma must be finite"),
+        (("bounds", "--instance", "judge", "--gamma", "inf"), "--gamma must be finite"),
+        ((*SIMULATE[:4], "robustified:nan", *SIMULATE[5:], "--rounds", 10), "bad numeric parameter in sender"),
+    ],
+)
+def test_non_finite_numbers_exit_1(tmp_path, capsys, judge_opt, argv, message):
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(scheme_to_json(judge_opt))
+    argv = [scheme if a == "SCHEME" else a for a in argv]
+    assert run(*argv, "--output-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert "error[" in err and message in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_nan_instance_file_exit_1(tmp_path, judge):

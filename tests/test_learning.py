@@ -15,6 +15,7 @@ from persuasion_lab import (
     ValidationError,
     WrongInstanceError,
     advantage,
+    builtin_instance,
     confidence_radius,
     convergence_report,
     empirical_br_probs,
@@ -22,7 +23,9 @@ from persuasion_lab import (
     exp3_act,
     exp_weights_probs,
     exp_weights_schedule,
+    judge_optimal_scheme,
     make_receiver,
+    robustified_optimum,
     robustify,
     run_replications,
     scheme_stats,
@@ -306,19 +309,102 @@ class TestSimulate:
         assert tr2.obedience_frequency() is None
 
     def test_trace_csv_round_trip(self, judge, judge_opt, tmp_path):
-        tr = simulate(
-            judge, FixedSchemePolicy(judge_opt), ExpWeights(), 40, 2, checkpoint_every=10
-        )
+        tr = simulate(judge, FixedSchemePolicy(judge_opt), ExpWeights(), 40, 2)
         p = tmp_path / "trace.csv"
         tr.to_csv(p)
         lines = p.read_text().strip().splitlines()
         assert lines[0] == "t,state,signal,action,u,v,running_avg"
         assert len(lines) == 41
         q = tmp_path / "cp.csv"
-        tr.checkpoints_to_csv(q)
+        tr.checkpoints_to_csv(q, 10)
         assert len(q.read_text().strip().splitlines()) == 5
-        assert tr.checkpoints[-1].t == 40
-        assert tr.checkpoints[0].window_obedience is not None
+        assert tr.checkpoints(10)[-1].t == 40
+        assert tr.checkpoints(10)[0].window_obedience is not None
+
+
+CHECKPOINT_ROUNDS = 400
+
+
+def oracle_checkpoints(trace, marks):
+    """Checkpoint fields at ``marks``, counted round by round from the record.
+
+    The radius is the concentration bound's closed form, maximised over the
+    committed scheme's sent signals that are no longer undersampled.
+    """
+    direct = trace.signal_ids == trace.instance.actions
+    marginals = [] if trace.scheme is None else scheme_stats(trace.instance, trace.scheme).marginals
+    S, n = len(marginals), trace.instance.n_actions
+    obeyed = [int(a == s) for a, s in zip(trace.actions.tolist(), trace.signals.tolist())]
+    out, prev = [], 0
+    for t in marks:
+        radii = []
+        for p in marginals:
+            chern = math.sqrt(3.0 * math.log(2.0 * S * t) / (p * t)) if p > 0 else math.inf
+            if chern < 0.5:
+                radii.append(2.0 * chern + (2.0 / p) * math.sqrt(math.log(2.0 * S * n * t) / (2.0 * t)))
+        out.append(
+            (
+                t,
+                math.fsum(trace.sender_utils[:t].tolist()) / t,
+                sum(obeyed[:t]) / t if direct else None,
+                sum(obeyed[prev:t]) / (t - prev) if direct else None,
+                max(radii) if radii else None,
+            )
+        )
+        prev = t
+    return out
+
+
+class TestCheckpoints:
+    T = CHECKPOINT_ROUNDS
+
+    @pytest.fixture(scope="class")
+    def traces(self):
+        judge = builtin_instance("judge")
+        mismatch = builtin_instance("example-4-3")
+        return {
+            "fixed": simulate(
+                judge, FixedSchemePolicy(judge_optimal_scheme()), ExpWeights(), self.T, 3
+            ),
+            "alternating": simulate(
+                mismatch, AlternatingSignalPolicy(mismatch), EmpiricalBestResponse(), self.T, 3
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "every, marks",
+        [
+            (None, list(range(40, 401, 40))),
+            (1, list(range(1, 401))),
+            (7, [*range(7, 400, 7), 400]),
+            (CHECKPOINT_ROUNDS, [400]),
+            (CHECKPOINT_ROUNDS + 5, []),
+        ],
+    )
+    @pytest.mark.parametrize("sender", ["fixed", "alternating"])
+    def test_match_oracle(self, traces, sender, every, marks):
+        trace = traces[sender]
+        got = trace.checkpoints(every)
+        want = oracle_checkpoints(trace, marks)
+        assert [c.t for c in got] == marks
+        for c, (t, avg, obe, win, radius) in zip(got, want):
+            assert c.running_avg == trace.running_avg[t - 1]
+            assert c.running_avg == pytest.approx(avg, abs=1e-12)
+            assert c.obedience_frequency == obe
+            assert c.window_obedience == win
+            assert c.max_radius == (None if radius is None else pytest.approx(radius, rel=1e-12))
+        if sender == "alternating":
+            # no committed scheme, and the signals are not action labels
+            assert trace.scheme is None
+            assert all(c.obedience_frequency is None and c.max_radius is None for c in got)
+        elif len(marks) > 1:
+            # undersampled at the first mark, certified by the last
+            assert got[0].max_radius is None and got[-1].max_radius is not None
+
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_interval_below_one_rejected(self, traces, every):
+        with pytest.raises(ValidationError):
+            traces["fixed"].checkpoints(every)
 
 
 class ProtocolProbe:
@@ -369,10 +455,10 @@ class TestReplications:
         assert [s for s, _ in serial] == [3, 1, 2]
 
 
-def checkpoint_fields(trace):
+def checkpoint_fields(trace, every):
     return [
         (c.t, c.running_avg, c.obedience_frequency, c.window_obedience, c.max_radius)
-        for c in trace.checkpoints
+        for c in trace.checkpoints(every)
     ]
 
 
@@ -394,32 +480,28 @@ def oracle_traces():
 
 
 class TestExp3FastPath:
-    @pytest.mark.parametrize("checkpoint_every", [None, 500])
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("seeds", [[0], [3, 1, 2], list(range(10))])
     @pytest.mark.parametrize("sender", ["fixed", "alternating"])
     def test_matches_generic_loop(
-        self, judge, judge_opt, mismatch, oracle_traces, sender, seeds, threads, checkpoint_every
+        self, judge, judge_opt, mismatch, oracle_traces, sender, seeds, threads
     ):
         if sender == "fixed":
             inst, make_policy = judge, lambda: FixedSchemePolicy(judge_opt)
         else:
             inst, make_policy = mismatch, lambda: AlternatingSignalPolicy(mismatch)
         traces = run_replications(
-            inst, make_policy, Exp3, EXP3_ROUNDS, seeds, lambda tr: tr,
-            checkpoint_every=checkpoint_every, threads=threads,
+            inst, make_policy, Exp3, EXP3_ROUNDS, seeds, lambda tr: tr, threads=threads
         )
         assert [tr.seed for tr in traces] == seeds
         for tr in traces:
             if (sender, tr.seed) not in oracle_traces:
                 oracle_traces[sender, tr.seed] = simulate(
-                    inst, make_policy(), Exp3(), EXP3_ROUNDS, tr.seed,
-                    checkpoint_every=500, fast=False,
+                    inst, make_policy(), Exp3(), EXP3_ROUNDS, tr.seed, fast=False
                 )
             want = oracle_traces[sender, tr.seed]
             assert_same_trace(tr, want)
-            expect_cps = checkpoint_fields(want) if checkpoint_every else []
-            assert checkpoint_fields(tr) == expect_cps
+            assert checkpoint_fields(tr, 500) == checkpoint_fields(want, 500)
 
     def test_mixed_configs_run_per_seed(self, judge, judge_opt):
         configs = [Exp3Config(0.3, 0.02), Exp3Config(0.1, 0.05)]
@@ -592,8 +674,9 @@ class TestConvergencePipeline:
         assert rep.meets_target
         assert rep.mean_final_average >= 0.4
         assert rep.last_decile_obedience >= 0.95
-        assert advantage(judge, rep.scheme) > 0
+        assert advantage(judge, robustified_optimum(judge, 0.2)[0]) > 0
         blob = rep.to_dict()
+        assert "scheme" not in blob
         assert len(blob["checkpoints"]) == 10
         import json
 

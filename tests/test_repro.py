@@ -51,3 +51,9 @@ def test_bounds_sweep_small_structure():
 def test_bounds_sweep_counts_below_one(n_instances, n_schemes):
     with pytest.raises(ValidationError):
         reproduce("theorem-3-1-sweep", n_instances=n_instances, n_schemes=n_schemes)
+
+
+@pytest.mark.parametrize("target", ["theorem-4-1", "example-4-3"])
+def test_learning_targets_need_a_seed(target):
+    with pytest.raises(ValidationError):
+        reproduce(target, rounds=100, n_seeds=0)

@@ -24,6 +24,7 @@ from persuasion_lab import (
     obedient_strategy,
     perturbed_posterior_certificate,
     perturbed_posterior_strategy,
+    project_strategy,
     quantal_certificate,
     quantal_strategy,
     robustify,
@@ -390,3 +391,30 @@ class TestBoundsReport:
         rep = bounds_report(judge, 0.02, 0.01, n_schemes=5, seed=1)
         blob = json.dumps(rep.to_dict(), sort_keys=True)
         assert "lower_certificate" in blob
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda inst, scheme: approx_set(inst, scheme, NAN),
+        lambda inst, scheme: evaluate_objective(inst, scheme, NAN, 0.0, "worst"),
+        lambda inst, scheme: evaluate_objective(inst, scheme, 0.0, NAN, "best"),
+        lambda inst, scheme: project_strategy(inst, scheme, obedient_strategy(inst), NAN),
+        lambda inst, scheme: choose_alpha_lower(inst, NAN),
+        lambda inst, scheme: quantal_strategy(inst, scheme, NAN),
+        lambda inst, scheme: quantal_certificate(inst, NAN),
+        lambda inst, scheme: perturbed_posterior_strategy(
+            inst, scheme, NAN, np.random.default_rng(0)
+        ),
+    ],
+    ids=[
+        "approx_set", "objective-gamma", "objective-delta", "project_strategy",
+        "choose_alpha", "quantal", "quantal-certificate", "perturbed",
+    ],
+)
+def test_nan_parameters_rejected(judge, judge_opt, call):
+    with pytest.raises(ValidationError):
+        call(judge, judge_opt)
