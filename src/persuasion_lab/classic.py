@@ -20,7 +20,7 @@ from .model import (
     expected_utility,
     obedient_strategy,
 )
-from .simplex import SimplexResult, solve_standard_form
+from .simplex import solve_standard_form
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,10 +37,6 @@ class ObedienceLP:
     c: np.ndarray
     n_obedience_rows: int
     n_simplex_rows: int
-
-    def assignment_to_conditional(self, x: np.ndarray) -> np.ndarray:
-        m, n = self.instance.n_states, self.instance.n_actions
-        return np.asarray(x[: m * n], dtype=np.float64).reshape(m, n)
 
     def residuals(self, conditional: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(obedience row values, simplex row residuals) for a candidate."""
@@ -100,13 +96,6 @@ def constant_recommendation(instance: PersuasionInstance) -> np.ndarray:
     return cond
 
 
-def lp_solve(lp: ObedienceLP) -> tuple[np.ndarray, float]:
-    """Solve the obedience program; returns (assignment x(a|w), optimal value)."""
-    result: SimplexResult = solve_standard_form(lp.A, lp.b, lp.c)
-    cond = lp.assignment_to_conditional(result.x)
-    return cond, float(result.objective)
-
-
 _GHOST_TOL = 1e-9
 
 
@@ -119,8 +108,11 @@ def solve_classic(instance: PersuasionInstance) -> tuple[SignalingScheme, float]
     meaningless noise, so the column is zeroed before renormalizing (the
     value changes by strictly less than the marginal removed).
     """
+    m, n = instance.n_states, instance.n_actions
     lp = build_obedience_lp(instance)
-    cond, opt = lp_solve(lp)
+    result = solve_standard_form(lp.A, lp.b, lp.c)
+    cond = np.asarray(result.x[: m * n], dtype=np.float64).reshape(m, n)
+    opt = float(result.objective)
     if float(cond.min()) < -1e-9:
         raise LPError(f"solver produced negative probability {float(cond.min()):g}")
     cond = np.clip(cond, 0.0, None)

@@ -114,9 +114,10 @@ def _write_text(outdir: Path, name: str, text: str) -> Path:
     return path
 
 
-def _config(args: argparse.Namespace, **extra) -> dict:
-    cfg = {"command": args.command, "seed": args.seed, "eps_num": args.eps_num}
-    cfg.update(extra)
+def _config(args: argparse.Namespace, **resolved) -> dict:
+    """The command's parsed options, updated with the values it resolved."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "output_dir")}
+    cfg.update(resolved)
     return cfg
 
 
@@ -128,7 +129,7 @@ def _cmd_check_assumptions(args) -> int:
     inst = _resolve_instance(args.instance)
     prof = profile_instance(inst, args.eps_num)
     report = {
-        "config": _config(args, instance=args.instance),
+        "config": _config(args),
         "satisfied": prof.assumption_satisfied,
         "reasons": list(prof.reasons),
         "gap": None if prof.gap == float("inf") else prof.gap,
@@ -151,7 +152,7 @@ def _cmd_solve_classic(args) -> int:
     scheme_path = _write_text(args.output_dir, "optimal-scheme.json", scheme_to_json(scheme))
     stats = scheme_stats(inst, scheme)
     report = {
-        "config": _config(args, instance=args.instance),
+        "config": _config(args),
         "opt": opt,
         "scheme_file": scheme_path.name,
         "signal_marginals": dict(zip(scheme.signals, stats.marginals.tolist())),
@@ -172,27 +173,21 @@ def _cmd_robustify(args) -> int:
         scheme = load_scheme(Path(args.scheme), inst)
     else:
         scheme, _ = solve_classic(inst)
+    prof = profile_instance(inst, args.eps_num)
     if args.alpha is not None:
         alpha = args.alpha
     elif args.gamma is not None:
         pick = choose_alpha_lower if args.rule == "lower" else choose_alpha_upper
-        alpha = pick(inst, args.gamma)
+        alpha = pick(inst, args.gamma, prof)
     else:
         raise ValidationError("robustify needs either --alpha or --gamma")
-    robust = robustify(inst, scheme, alpha)
-    report = verify_robustification(inst, scheme, alpha)
+    robust = robustify(inst, scheme, alpha, prof)
+    report = verify_robustification(inst, scheme, alpha, prof)
     scheme_path = _write_text(
         args.output_dir, "robustified-scheme.json", scheme_to_json(robust)
     )
     payload = {
-        "config": _config(
-            args,
-            instance=args.instance,
-            scheme=args.scheme,
-            alpha=alpha,
-            gamma=args.gamma,
-            rule=args.rule,
-        ),
+        "config": _config(args, alpha=alpha),
         "report": report.to_dict(),
         "ok": report.ok(),
         "scheme_file": scheme_path.name,
@@ -232,16 +227,7 @@ def _cmd_evaluate(args) -> int:
     inst = _resolve_instance(args.instance)
     scheme = load_scheme(Path(args.scheme), inst)
     kind, param = _parse_mode(args.mode)
-    report = {
-        "config": _config(
-            args,
-            instance=args.instance,
-            scheme=args.scheme,
-            gamma=args.gamma,
-            delta=args.delta,
-            mode=args.mode,
-        )
-    }
+    report = {"config": _config(args)}
     if kind in ("worst", "best"):
         est = evaluate_objective(inst, scheme, args.gamma, args.delta, kind, args.eps_num)
         report.update(
@@ -284,16 +270,7 @@ def _cmd_bounds(args) -> int:
         seed=args.seed,
         eps_num=args.eps_num,
     )
-    payload = {
-        "config": _config(
-            args,
-            instance=args.instance,
-            gamma=args.gamma,
-            delta=args.delta,
-            samples=args.samples,
-        ),
-        "report": rep.to_dict(),
-    }
+    payload = {"config": _config(args), "report": rep.to_dict()}
     path = _write_json(args.output_dir, "bounds.json", payload)
     print(
         f"opt = {rep.opt:.9f}; window = [{rep.lower_bound:.9f}, {rep.upper_bound:.9f}]; "
@@ -303,15 +280,17 @@ def _cmd_bounds(args) -> int:
 
 
 def _make_policy_factory(args, inst):
+    """The sender's policy factory and the config fields it resolved."""
     ref = args.sender
     if ref == "alternating":
-        return lambda: AlternatingSignalPolicy(inst), {"sender": "alternating"}
+        return lambda: AlternatingSignalPolicy(inst), {}
     if ref.startswith("fixed:"):
         scheme = load_scheme(Path(ref.split(":", 1)[1]), inst)
-        return lambda: FixedSchemePolicy(scheme), {"sender": ref}
+        return lambda: FixedSchemePolicy(scheme), {}
     if ref.startswith("robustified:"):
-        scheme, alpha, _ = robustified_optimum(inst, _kind_param(ref, "sender"))
-        return lambda: FixedSchemePolicy(scheme), {"sender": ref, "alpha": alpha}
+        prof = profile_instance(inst, args.eps_num)
+        scheme, alpha, _ = robustified_optimum(inst, _kind_param(ref, "sender"), prof)
+        return lambda: FixedSchemePolicy(scheme), {"alpha": alpha}
     raise ValidationError(
         f"sender must be fixed:<scheme.json>|robustified:<C>|alternating, got {ref!r}"
     )
@@ -347,21 +326,16 @@ def _cmd_simulate(args) -> int:
             {
                 "seed": trace.seed,
                 "final_average": trace.final_average,
-                "obedience_last_decile": trace.obedience_frequency(
-                    (9 * trace.rounds) // 10
-                ),
+                "obedience_last_decile": trace.last_decile_obedience,
             }
         )
     finals = [p["final_average"] for p in per_seed]
     payload = {
         "config": _config(
             args,
-            instance=args.instance,
-            receiver=args.receiver,
-            feedback=feedback,
-            rounds=args.rounds,
             seeds=seeds,
             checkpoint_every=checkpoint_every,
+            feedback=feedback,
             threads=threads,
             **sender_cfg,
         ),
@@ -419,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--eps-num",
         type=float,
         default=DEFAULT_EPS,
-        help="numeric comparison tolerance (default: 1e-9)",
+        help="tie tolerance of the instance profile and slack of the response sets; "
+        "at least 0 (default: 1e-9)",
     )
 
     parser = argparse.ArgumentParser(
@@ -490,6 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
 _POSITIVE_OPTIONS = ("rounds", "seeds", "samples", "checkpoint_every", "instances")
 # Real options; each must be finite where the command takes it.
 _FINITE_OPTIONS = ("gamma", "delta", "alpha", "eps_num")
+# Real options that must also be at least 0.
+_NONNEGATIVE_OPTIONS = ("eps_num",)
 
 
 def _check_options(args: argparse.Namespace) -> None:
@@ -502,6 +479,8 @@ def _check_options(args: argparse.Namespace) -> None:
             raise ValidationError(f"{flag} must be at least 1, got {value}")
         if name in _FINITE_OPTIONS and not math.isfinite(value):
             raise ValidationError(f"{flag} must be finite, got {value}")
+        if name in _NONNEGATIVE_OPTIONS and value < 0:
+            raise ValidationError(f"{flag} must be at least 0, got {value}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -415,6 +415,11 @@ class SimulationTrace:
         sl = slice(start, stop)
         return float(np.mean(self.actions[sl] == self.signals[sl]))
 
+    @property
+    def last_decile_obedience(self) -> float | None:
+        """``obedience_frequency`` over the rounds after the first nine tenths."""
+        return self.obedience_frequency((9 * self.rounds) // 10)
+
     def checkpoints(self, every: int | None = None) -> tuple[Checkpoint, ...]:
         """Diagnostics at ``checkpoint_marks(rounds, every)``.
 
@@ -425,10 +430,11 @@ class SimulationTrace:
         """
         out = []
         prev = 0
+        marginals = None if self.scheme is None else signal_marginals(self.instance, self.scheme)
         for t in checkpoint_marks(self.rounds, every):
             radius = None
-            if self.scheme is not None:
-                radii = confidence_radii(self.instance, self.scheme, t)
+            if marginals is not None:
+                radii = _radii(self.instance, self.scheme, marginals, t)
                 radius = max((r for r in radii if r is not None), default=None)
             out.append(
                 Checkpoint(
@@ -484,10 +490,16 @@ def confidence_radius(
     Valid once sqrt(3 log(2 S t) / (pi(s) t)) < 1/2; below that the
     empirical conditional distribution is too undersampled to certify.
     """
+    s = scheme.signal_index(signal)
+    return _radius(instance, scheme, t, s, float(signal_marginals(instance, scheme)[s]))
+
+
+def _radius(
+    instance: PersuasionInstance, scheme: SignalingScheme, t: int, s: int, p: float
+) -> float:
+    """``confidence_radius`` of the signal at index ``s``, whose marginal is ``p``."""
     if t < 1:
         raise ValidationError("t must be at least 1")
-    s = scheme.signal_index(signal)
-    p = float(signal_marginals(instance, scheme)[s])
     if p <= 0.0:
         raise ZeroProbabilitySignalError(
             f"signal {scheme.signals[s]!r} has zero marginal probability"
@@ -511,10 +523,17 @@ def confidence_radii(
 
     A signal that is never sent or is still undersampled has no radius.
     """
+    return _radii(instance, scheme, signal_marginals(instance, scheme), t)
+
+
+def _radii(
+    instance: PersuasionInstance, scheme: SignalingScheme, marginals: np.ndarray, t: int
+) -> tuple[float | None, ...]:
+    """``confidence_radii`` given the scheme's ``signal_marginals``."""
     out = []
     for s in range(scheme.n_signals):
         try:
-            out.append(confidence_radius(instance, scheme, t, s))
+            out.append(_radius(instance, scheme, t, s, float(marginals[s])))
         except (RadiusPreconditionError, ZeroProbabilitySignalError):
             out.append(None)
     return tuple(out)
@@ -715,7 +734,6 @@ def convergence_report(
     rounds: int,
     seeds: Sequence[int],
     *,
-    checkpoint_every: int | None = None,
     threads: int = 1,
     eps_num: float = DEFAULT_EPS,
 ) -> ConvergenceReport:
@@ -740,8 +758,7 @@ def convergence_report(
     lift = margin_lift(instance, prof, alpha, marginals)
 
     def summarize(trace: SimulationTrace):
-        tail = trace.obedience_frequency(start=int(0.9 * trace.rounds))
-        return trace.final_average, tail, trace.checkpoints(checkpoint_every)
+        return trace.final_average, trace.last_decile_obedience, trace.checkpoints()
 
     results = run_replications(
         instance,
@@ -762,7 +779,7 @@ def convergence_report(
         mean_obe = float(np.mean([r[2][k].obedience_frequency for r in results]))
         g_t = schedule.gamma(max(t - 1, 1))
         d_t = schedule.delta(max(t - 1, 1))
-        radii = confidence_radii(instance, scheme, max(t - 1, 1))
+        radii = _radii(instance, scheme, marginals, max(t - 1, 1))
         if any(radii[s] is None for s in sent):
             margin, ok = None, False
         else:

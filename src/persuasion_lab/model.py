@@ -362,8 +362,7 @@ def scheme_stats(instance: PersuasionInstance, scheme: SignalingScheme) -> Schem
 
 
 def signal_marginals(instance: PersuasionInstance, scheme: SignalingScheme) -> np.ndarray:
-    _check_scheme(instance, scheme)
-    return instance.prior @ scheme.conditional
+    return scheme_stats(instance, scheme).marginals
 
 
 def posterior(
@@ -373,16 +372,14 @@ def posterior(
 
     Raises ZeroProbabilitySignalError when the signal is never sent.
     """
-    _check_scheme(instance, scheme)
+    stats = scheme_stats(instance, scheme)
     s = scheme.signal_index(signal)
-    mass = instance.prior * scheme.conditional[:, s]
-    marginal = float(mass.sum())
-    if marginal <= 0.0:
+    if stats.marginals[s] <= 0.0:
         raise ZeroProbabilitySignalError(
             f"signal {scheme.signals[s]!r} has zero marginal probability",
             signal=scheme.signals[s],
         )
-    return mass / marginal
+    return stats.posteriors[s]
 
 
 def expected_utility(

@@ -31,9 +31,17 @@ from .model import (
     posterior,
     scheme_stats,
 )
-from .response import bounds_grid, evaluate_objective
+from .response import BOUNDS_TOLERANCE, bounds_grid, evaluate_objective
 from .robustify import choose_alpha_lower, robustify
 from .sampling import satisfied_instance
+
+# The response-set width the judge target robustifies against.
+JUDGE_GAMMA = 0.03
+# The bound sweep's response-set widths and deviation masses.
+SWEEP_GAMMAS = (0.01, 0.05)
+SWEEP_DELTAS = (0.0, 0.02)
+# What Theorem 4.1's sender may forfeit of the classic optimum.
+CONVERGENCE_CONSTANT = 0.2
 
 
 def _check(name: str, value, ok: bool, expect: str) -> dict:
@@ -49,14 +57,14 @@ def _finish(name: str, config: dict, checks: list[dict]) -> dict:
     }
 
 
-def reproduce_judge(gamma: float = 0.03) -> dict:
+def reproduce_judge() -> dict:
     inst = builtin_instance("judge")
     scheme, opt = solve_classic(inst)
     post = posterior(inst, scheme, "convict")
     worst0 = evaluate_objective(inst, scheme, 0.0, 0.0, "worst").value
-    alpha = choose_alpha_lower(inst, gamma)
+    alpha = choose_alpha_lower(inst, JUDGE_GAMMA)
     robust = robustify(inst, scheme, alpha)
-    worst_r = evaluate_objective(inst, robust, gamma, 0.0, "worst").value
+    worst_r = evaluate_objective(inst, robust, JUDGE_GAMMA, 0.0, "worst").value
     checks = [
         _check("opt", opt, abs(opt - 0.6) <= 1e-8, "0.6 +/- 1e-8"),
         _check(
@@ -73,7 +81,7 @@ def reproduce_judge(gamma: float = 0.03) -> dict:
             ">= 0.5 after mixing against gamma",
         ),
     ]
-    return _finish("judge", {"instance": "judge", "gamma": gamma, "alpha": alpha}, checks)
+    return _finish("judge", {"instance": "judge", "gamma": JUDGE_GAMMA, "alpha": alpha}, checks)
 
 
 def reproduce_example_1() -> dict:
@@ -184,11 +192,8 @@ def sweep_instances(n_instances: int, seed: int, max_gamma: float):
 
 def reproduce_bounds_sweep(
     n_instances: int = 500,
-    gammas: tuple[float, ...] = (0.01, 0.05),
-    deltas: tuple[float, ...] = (0.0, 0.02),
     n_schemes: int = 50,
     seed: int = 2024,
-    tolerance: float = 1e-8,
 ) -> dict:
     """Two-sided bound check over seeded random satisfying instances."""
     if n_instances < 1 or n_schemes < 1:
@@ -197,14 +202,13 @@ def reproduce_bounds_sweep(
     upper_viol = 0
     worst_lower_margin = np.inf
     worst_upper_margin = np.inf
-    for inst, scheme_seed in sweep_instances(n_instances, seed, max(gammas)):
+    for inst, scheme_seed in sweep_instances(n_instances, seed, max(SWEEP_GAMMAS)):
         for rep in bounds_grid(
             inst,
-            gammas,
-            deltas,
+            SWEEP_GAMMAS,
+            SWEEP_DELTAS,
             n_schemes=n_schemes,
             seed=scheme_seed,
-            tolerance=tolerance,
         ):
             if not rep.lower_ok:
                 lower_viol += 1
@@ -223,23 +227,23 @@ def reproduce_bounds_sweep(
         _check(
             "worst_lower_margin",
             float(worst_lower_margin),
-            worst_lower_margin >= -tolerance,
-            f">= -{tolerance:g}",
+            worst_lower_margin >= -BOUNDS_TOLERANCE,
+            f">= -{BOUNDS_TOLERANCE:g}",
         ),
         _check(
             "worst_upper_margin",
             float(worst_upper_margin),
-            worst_upper_margin >= -tolerance,
-            f">= -{tolerance:g}",
+            worst_upper_margin >= -BOUNDS_TOLERANCE,
+            f">= -{BOUNDS_TOLERANCE:g}",
         ),
     ]
     config = {
         "n_instances": n_instances,
-        "gammas": list(gammas),
-        "deltas": list(deltas),
+        "gammas": list(SWEEP_GAMMAS),
+        "deltas": list(SWEEP_DELTAS),
         "n_schemes": n_schemes,
         "seed": seed,
-        "tolerance": tolerance,
+        "tolerance": BOUNDS_TOLERANCE,
     }
     return _finish("theorem-3-1-sweep", config, checks)
 
@@ -247,13 +251,12 @@ def reproduce_bounds_sweep(
 def reproduce_convergence(
     rounds: int = 500_000,
     n_seeds: int = 10,
-    constant: float = 0.2,
     base_seed: int = 0,
     threads: int = 1,
 ) -> dict:
     inst = builtin_instance("judge")
     seeds = list(range(base_seed, base_seed + n_seeds))
-    rep = convergence_report(inst, constant, rounds, seeds, threads=threads)
+    rep = convergence_report(inst, CONVERGENCE_CONSTANT, rounds, seeds, threads=threads)
     checks = [
         _check(
             "mean_final_average",
@@ -270,7 +273,7 @@ def reproduce_convergence(
     ]
     config = {
         "instance": "judge",
-        "constant": constant,
+        "constant": CONVERGENCE_CONSTANT,
         "alpha": rep.alpha,
         "rounds": rounds,
         "seeds": seeds,
@@ -286,16 +289,16 @@ def concentration_coverage(
     scheme,
     t: int,
     n_runs: int,
-    base_seed: int = 0,
 ) -> float:
-    """Fraction of runs where every sent signal's empirical values are in-radius."""
+    """Fraction of runs, seeded 0 to ``n_runs - 1``, where every sent
+    signal's empirical values are in-radius."""
     stats = scheme_stats(instance, scheme)
     sent = np.flatnonzero(stats.marginals > 0.0)
     radii = {int(s): confidence_radius(instance, scheme, t, int(s)) for s in sent}
     true_vals = stats.receiver_values
     hits = 0
     for k in range(n_runs):
-        visited, vhat = empirical_conditional_utilities(instance, scheme, t, base_seed + k)
+        visited, vhat = empirical_conditional_utilities(instance, scheme, t, k)
         ok = True
         for s in sent:
             if not visited[s]:

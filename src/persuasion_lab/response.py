@@ -12,7 +12,7 @@ value bound around the classic optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .model import (
     profile_instance,
     scheme_stats,
 )
-from .robustify import choose_alpha_lower, robustify
+from .robustify import choose_alpha_lower, choose_alpha_upper, robustify
 from .sampling import random_scheme
 
 
@@ -43,15 +43,14 @@ from .sampling import random_scheme
 class ApproxResponseSet:
     """Per-signal gamma-best action sets for one (instance, scheme) pair.
 
-    Signals that are never sent have an all-False mask row and a NaN best
-    value; quantifiers over signals skip them.
+    Signals that are never sent have an all-False mask row; quantifiers
+    over signals skip them.
     """
 
     gamma: float
     signals: tuple[str, ...]
     actions: tuple[str, ...]
     member_mask: np.ndarray  # (S, n) bool
-    best_values: np.ndarray  # (S,)
     marginals: np.ndarray  # (S,)
 
     def actions_for(self, signal: str | int) -> tuple[str, ...]:
@@ -76,16 +75,12 @@ def approx_set(
     check_gamma(gamma)
     stats = scheme_stats(instance, scheme)
     mask = best_response_mask(stats.receiver_values, gamma, eps_num)
-    best = stats.receiver_values.max(axis=1)
-    unsent = stats.marginals <= 0.0
-    mask[unsent] = False
-    best = np.where(unsent, np.nan, best)
+    mask[stats.marginals <= 0.0] = False
     return ApproxResponseSet(
         gamma=float(gamma),
         signals=scheme.signals,
         actions=instance.actions,
         member_mask=mask,
-        best_values=best,
         marginals=stats.marginals,
     )
 
@@ -383,6 +378,9 @@ def to_direct_revelation(
 # ---------------------------------------------------------------------------
 # two-sided value bounds around the classic optimum
 
+# Float slack allowed on either side of the sandwich.
+BOUNDS_TOLERANCE = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class BoundsReport:
@@ -422,24 +420,15 @@ class BoundsReport:
         return self.lower_ok and self.upper_ok
 
     def to_dict(self) -> dict:
+        """The fields with the candidate values summarized by count and maximum."""
+        out = asdict(self)
+        upper = out.pop("upper_values")
         return {
-            "opt": self.opt,
-            "gamma": self.gamma,
-            "delta": self.delta,
-            "ratio": self.ratio,
-            "slack": self.slack,
-            "alpha": self.alpha,
-            "tolerance": self.tolerance,
+            **out,
             "lower_bound": self.lower_bound,
-            "lower_certificate": self.lower_certificate,
-            "lower_ok": self.lower_ok,
             "upper_bound": self.upper_bound,
-            "n_upper_schemes": len(self.upper_values),
-            "max_upper_value": max(self.upper_values) if self.upper_values else None,
-            "upper_ok": self.upper_ok,
-            "n_upper_violations": self.n_upper_violations,
-            "knife_edge_schemes": self.knife_edge_schemes,
-            "seed": self.seed,
+            "n_upper_schemes": len(upper),
+            "max_upper_value": max(upper) if upper else None,
             "ok": self.ok,
         }
 
@@ -453,14 +442,13 @@ def bounds_report(
     seed: int | None = 0,
     schemes: list[SignalingScheme] | None = None,
     eps_num: float = DEFAULT_EPS,
-    tolerance: float = 1e-8,
 ) -> BoundsReport:
     """Certify ``opt - slack <= worst <= best <= opt + slack`` numerically.
 
     The lower side is witnessed by robustifying the classic optimum with the
     smallest sufficient mixing weight and evaluating its worst mode.  The
     upper side is checked on ``n_schemes`` sampled schemes (or the ones
-    provided) in best mode.
+    provided) in best mode.  Both sides allow ``BOUNDS_TOLERANCE``.
     """
     return bounds_grid(
         instance,
@@ -470,7 +458,6 @@ def bounds_report(
         seed=seed,
         schemes=schemes,
         eps_num=eps_num,
-        tolerance=tolerance,
     )[0]
 
 
@@ -483,16 +470,17 @@ def bounds_grid(
     seed: int | None = 0,
     schemes: list[SignalingScheme] | None = None,
     eps_num: float = DEFAULT_EPS,
-    tolerance: float = 1e-8,
 ) -> list[BoundsReport]:
     """``bounds_report`` for every (gamma, delta) cell, in gamma-major order.
 
     The cells share the work that does not depend on them: the instance
     profile, the classic LP, and the candidate schemes with their
-    statistics (every cell scores the same candidates).  The mixing weight
-    and the robustified certificate are made once per gamma.
+    statistics (every cell scores the same candidates).  The ratio
+    gamma/(mu_min*gap), the mixing weight and the robustified certificate
+    are made once per gamma.
     """
     prof = profile_instance(instance, eps_num)
+    ratios = [choose_alpha_upper(instance, gamma, prof) for gamma in gammas]
     alphas = [choose_alpha_lower(instance, gamma, prof) for gamma in gammas]
     opt_scheme, opt = solve_classic(instance)
     if schemes is None:
@@ -501,8 +489,7 @@ def bounds_grid(
     cand_marginals, cand_rv, cand_sv = _stack_stats(instance, schemes)
 
     reports = []
-    for gamma, alpha in zip(gammas, alphas):
-        ratio = 0.0 if gamma == 0.0 else gamma / (prof.mu_min * prof.gap)
+    for gamma, ratio, alpha in zip(gammas, ratios, alphas):
         certificate = robustify(instance, opt_scheme, alpha, prof)
         cert_marginals, cert_rv, cert_sv = _stack_stats(instance, [certificate])
         cert_mask = best_response_mask(cert_rv, gamma, eps_num)
@@ -515,7 +502,7 @@ def bounds_grid(
             slack = ratio + delta
             lower = float(_objective_core(cert_marginals, cert_sv, cert_mask, delta, "worst")[0][0])
             upper = _objective_core(cand_marginals, cand_sv, cand_mask, delta, "best")[0]
-            violations = int(np.count_nonzero(upper > opt + slack + tolerance))
+            violations = int(np.count_nonzero(upper > opt + slack + BOUNDS_TOLERANCE))
             reports.append(
                 BoundsReport(
                     opt=float(opt),
@@ -524,9 +511,9 @@ def bounds_grid(
                     ratio=float(ratio),
                     slack=float(slack),
                     alpha=float(alpha),
-                    tolerance=float(tolerance),
+                    tolerance=BOUNDS_TOLERANCE,
                     lower_certificate=lower,
-                    lower_ok=lower >= opt - slack - tolerance,
+                    lower_ok=lower >= opt - slack - BOUNDS_TOLERANCE,
                     upper_values=tuple(upper.tolist()),
                     upper_ok=violations == 0,
                     n_upper_violations=violations,

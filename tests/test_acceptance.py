@@ -89,14 +89,7 @@ def test_03_robustification_audit_sweep():
 
 def test_04_two_sided_bound_sweep():
     with Budget(300.0):
-        result = reproduce_bounds_sweep(
-            n_instances=500,
-            gammas=(0.01, 0.05),
-            deltas=(0.0, 0.02),
-            n_schemes=50,
-            seed=2024,
-            tolerance=1e-8,
-        )
+        result = reproduce_bounds_sweep(n_instances=500, n_schemes=50, seed=2024)
     failures = [c for c in result["checks"] if not c["ok"]]
     assert result["ok"], failures
 
@@ -168,9 +161,7 @@ def test_08_alternating_sender_beats_commitment(mismatch):
 
 def test_09_learning_converges_to_robust_value():
     with Budget(180.0):
-        result = reproduce_convergence(
-            rounds=500_000, n_seeds=10, constant=0.2, threads=2
-        )
+        result = reproduce_convergence(rounds=500_000, n_seeds=10, threads=2)
     failures = [c for c in result["checks"] if not c["ok"]]
     assert result["ok"], failures
     report = result["report"]

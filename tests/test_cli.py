@@ -438,6 +438,9 @@ EVALUATE = ("evaluate", "--instance", "judge", "--scheme", "SCHEME")
         (("robustify", "--instance", "judge", "--gamma", "nan"), "--gamma must be finite"),
         (("bounds", "--instance", "judge", "--gamma", "inf"), "--gamma must be finite"),
         ((*SIMULATE[:4], "robustified:nan", *SIMULATE[5:], "--rounds", 10), "bad numeric parameter in sender"),
+        # a negative tolerance empties every response set and drops ties
+        ((*EVALUATE, "--mode", "worst", "--eps-num", "-1"), "--eps-num must be at least 0"),
+        (("check-assumptions", "--instance", "example-1", "--eps-num", "-1"), "--eps-num must be at least 0"),
     ],
 )
 def test_non_finite_numbers_exit_1(tmp_path, capsys, judge_opt, argv, message):
@@ -447,6 +450,23 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys, judge_opt, argv, message):
     assert run(*argv, "--output-dir", tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert "error[" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("robustify", "--instance", "judge", "--gamma", 0.01),
+        ("robustify", "--instance", "judge", "--alpha", 0.1),
+        (*SIMULATE, "--rounds", 10),
+    ],
+)
+def test_eps_num_reaches_the_profile(tmp_path, argv):
+    # judge's gap is 1, so a tie tolerance of 1.5 leaves no state a unique
+    # optimum, as check-assumptions reports
+    tie = ("--eps-num", 1.5)
+    assert run("check-assumptions", "--instance", "judge", *tie, "--output-dir", tmp_path) == 2
+    assert run(*argv, *tie, "--output-dir", tmp_path / "out") == 2
     assert not (tmp_path / "out").exists()
 
 

@@ -696,7 +696,7 @@ class TestConvergencePipeline:
         assert rep.meets_target
 
     def test_window_obedience_trends_up(self, judge):
-        rep = convergence_report(judge, 0.2, 100_000, seeds=[0], checkpoint_every=10_000)
+        rep = convergence_report(judge, 0.2, 100_000, seeds=[0])
         obe = [c.mean_obedience for c in rep.checkpoints]
         assert obe[-1] >= 0.97
         assert obe[-1] >= obe[0]

@@ -184,6 +184,17 @@ class TestPosteriorsAndValues:
         marg = signal_marginals(judge, judge_opt)
         assert marg == pytest.approx([0.6, 0.4], abs=1e-15)
 
+    def test_marginals_and_posteriors_are_scheme_stats(self):
+        # the single-signal readers return scheme_stats' bits, not a second formula
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            inst = random_instance(rng, max_states=12)
+            scheme = random_scheme(rng, inst)
+            stats = scheme_stats(inst, scheme)
+            assert np.array_equal(signal_marginals(inst, scheme), stats.marginals)
+            for s in np.flatnonzero(stats.marginals > 0.0):
+                assert np.array_equal(posterior(inst, scheme, int(s)), stats.posteriors[s])
+
     def test_posterior_of_unsent_signal_raises(self, judge):
         never = make_scheme(
             judge, ("s0", "s1"), np.array([[1.0, 0.0], [1.0, 0.0]])
