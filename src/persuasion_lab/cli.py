@@ -358,10 +358,13 @@ def _cmd_reproduce(args) -> int:
         overrides["n_seeds"] = args.seeds
     if args.instances is not None:
         overrides["n_instances"] = args.instances
-    # a driver takes the overrides its signature names; an unknown target
-    # takes none, and ``reproduce`` names it
     driver = DRIVERS.get(args.target)
     params = inspect.signature(driver).parameters if driver else {}
+    if args.seed is not None:
+        # the first replication seed, or the sweep's instance seed
+        overrides["seed" if "seed" in params else "base_seed"] = args.seed
+    # a driver takes the overrides its signature names; an unknown target
+    # takes none, and ``reproduce`` names it
     extra = set(overrides) - set(params)
     if extra:
         raise ValidationError(
@@ -383,12 +386,13 @@ def _cmd_reproduce(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common_options(seed: int | None, seed_help: str) -> argparse.ArgumentParser:
+    """The options every command takes; ``--seed`` defaults to ``seed``."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--output-dir", type=Path, default=Path("out"), help="artifact directory (default: ./out)"
     )
-    common.add_argument("--seed", type=int, default=0, help="base RNG seed (default: 0)")
+    common.add_argument("--seed", type=int, default=seed, help=seed_help)
     common.add_argument(
         "--eps-num",
         type=float,
@@ -396,7 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="tie tolerance of the instance profile and slack of the response sets; "
         "at least 0 (default: 1e-9)",
     )
+    return common
 
+
+def build_parser() -> argparse.ArgumentParser:
+    common = _common_options(0, "base RNG seed (default: 0)")
     parser = argparse.ArgumentParser(
         prog="persuasion-lab",
         description="Optimal persuasion schemes, robustification, bound checks, and learning simulations.",
@@ -451,7 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-every", type=int, help="diagnostic interval (default: rounds/10)")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("reproduce", parents=[common], help="run a pinned end-to-end bundle")
+    # without --seed each target keeps its own pinned seed
+    seed_help = "first replication seed, or the sweep's instance seed (default: the target's own)"
+    p = sub.add_parser(
+        "reproduce", parents=[_common_options(None, seed_help)], help="run a pinned end-to-end bundle"
+    )
     p.add_argument("target", help="|".join(TARGETS))
     p.add_argument("--rounds", type=int, help="override the bundled horizon")
     p.add_argument("--seeds", type=int, help="override the bundled seed count")

@@ -15,6 +15,8 @@ bulk path reproduces the per-round loop exactly.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -380,6 +382,26 @@ def checkpoint_marks(rounds: int, every: int | None = None) -> list[int]:
     return marks
 
 
+# Rows per write of ``SimulationTrace.to_csv``; a larger chunk buys little
+# speed and raises peak memory.
+TRACE_CHUNK = 4096
+
+
+def _csv_cells(rows) -> list[str]:
+    """Each row as ``csv.writer`` writes its fields, each field followed by a comma."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    out = []
+    for row in rows:
+        buf.seek(0)
+        buf.truncate()
+        # the empty last field leaves the trailing comma; the default line
+        # terminator stays, as its characters decide what gets quoted
+        w.writerow([*row, ""])
+        out.append(buf.getvalue()[:-2])
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class SimulationTrace:
     """Full per-round record of one run.
@@ -428,10 +450,17 @@ class SimulationTrace:
         scheme's signals, ``None`` when none is defined or there is no
         committed scheme.
         """
+        marks = checkpoint_marks(self.rounds, every)
+        marginals = None if self.scheme is None else signal_marginals(self.instance, self.scheme)
+        obeyed = None
+        if self.signal_ids == self.instance.actions:
+            # rounds obeyed up to each mark, from one running count; a count
+            # over a length is the float np.mean gives for that slice
+            counts = np.cumsum(self.actions == self.signals)
+            obeyed = [0, *counts[np.asarray(marks, dtype=np.int64) - 1].tolist()]
         out = []
         prev = 0
-        marginals = None if self.scheme is None else signal_marginals(self.instance, self.scheme)
-        for t in checkpoint_marks(self.rounds, every):
+        for k, t in enumerate(marks, 1):
             radius = None
             if marginals is not None:
                 radii = _radii(self.instance, self.scheme, marginals, t)
@@ -440,8 +469,10 @@ class SimulationTrace:
                 Checkpoint(
                     t=t,
                     running_avg=float(self.running_avg[t - 1]),
-                    obedience_frequency=self.obedience_frequency(0, t),
-                    window_obedience=self.obedience_frequency(prev, t),
+                    obedience_frequency=None if obeyed is None else obeyed[k] / t,
+                    window_obedience=(
+                        None if obeyed is None else (obeyed[k] - obeyed[k - 1]) / (t - prev)
+                    ),
                     max_radius=radius,
                 )
             )
@@ -449,29 +480,39 @@ class SimulationTrace:
         return tuple(out)
 
     def to_csv(self, path) -> None:
-        import csv
+        """Write one CSV row per round: ``t,state,signal,action,u,v,running_avg``.
 
+        The bytes are those of ``csv.writer`` with its defaults, one row per
+        round: ``\\r\\n`` line ends, names quoted only when they need it, and
+        floats as ``repr``.  ``u`` and ``v`` are the instance's utilities at
+        (action, state), so each name and each (action, state) cell is
+        formatted once per trace; only ``running_avg`` is formatted per row.
+        Rows are written ``TRACE_CHUNK`` at a time.
+        """
+        inst = self.instance
+        W, S = inst.n_states, len(self.signal_ids)
+        su, rv = inst.sender_utility, inst.receiver_utility
+        state_signal = _csv_cells((w, s) for w in inst.states for s in self.signal_ids)
+        action_uv = _csv_cells(
+            (a, repr(float(su[i, w])), repr(float(rv[i, w])))
+            for i, a in enumerate(inst.actions)
+            for w in range(W)
+        )
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "state", "signal", "action", "u", "v", "running_avg"])
-            states = self.instance.states
-            actions = self.instance.actions
-            for i in range(self.rounds):
-                w.writerow(
-                    [
-                        i + 1,
-                        states[self.states[i]],
-                        self.signal_ids[self.signals[i]],
-                        actions[self.actions[i]],
-                        repr(float(self.sender_utils[i])),
-                        repr(float(self.receiver_utils[i])),
-                        repr(float(self.running_avg[i])),
-                    ]
+            fh.write("t,state,signal,action,u,v,running_avg\r\n")
+            for lo in range(0, self.rounds, TRACE_CHUNK):
+                hi = min(lo + TRACE_CHUNK, self.rounds)
+                states = self.states[lo:hi]
+                rows = zip(
+                    range(lo + 1, hi + 1),
+                    (states * S + self.signals[lo:hi]).tolist(),
+                    (self.actions[lo:hi] * W + states).tolist(),
+                    self.running_avg[lo:hi].tolist(),
                 )
+                lines = [f"{t},{state_signal[i]}{action_uv[j]}{r!r}\r\n" for t, i, j, r in rows]
+                fh.write("".join(lines))
 
     def checkpoints_to_csv(self, path, every: int | None = None) -> None:
-        import csv
-
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "running_avg", "obedience_frequency", "window_obedience", "max_radius"])

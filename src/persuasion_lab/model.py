@@ -76,6 +76,12 @@ def check_gamma(gamma: float) -> None:
         raise ValidationError(f"gamma must be nonnegative, got {gamma!r}")
 
 
+def check_eps_num(eps_num: float) -> None:
+    """Reject a negative or non-finite tolerance; written so that NaN fails too."""
+    if not 0 <= eps_num < math.inf:
+        raise ValidationError(f"eps_num must be finite and at least 0, got {eps_num!r}")
+
+
 def _check_rows_sum_to_one(name: str, mat: np.ndarray) -> None:
     if not np.all(mat >= 0):  # written so that NaN fails too
         raise ValidationError(f"{name} has negative or NaN entries")
@@ -244,6 +250,7 @@ def profile_instance(
 
     A margin of at most ``eps_num`` counts as a tie.
     """
+    check_eps_num(eps_num)
     v = instance.receiver_utility
     m, n = instance.n_states, instance.n_actions
     per_state: dict[str, str] = {}
@@ -449,6 +456,7 @@ def best_response_mask(
     The last axis indexes actions; any leading axes (signals, a batch of
     schemes) are kept.
     """
+    check_eps_num(eps_num)
     best = receiver_values.max(axis=-1, keepdims=True)
     return receiver_values >= best - gamma - eps_num
 

@@ -29,6 +29,7 @@ from .model import (
     ReceiverStrategy,
     SignalingScheme,
     best_response_mask,
+    check_eps_num,
     check_gamma,
     index_of,
     make_scheme,
@@ -361,6 +362,7 @@ def to_direct_revelation(
     """
     if strategy.n_signals != scheme.n_signals:
         raise DimensionMismatchError("strategy and scheme disagree on signal count")
+    check_eps_num(eps_num)
     rho = strategy.action_distribution
     top = rho.max(axis=1)
     if np.any(top < 1.0 - eps_num):

@@ -392,6 +392,29 @@ class TestReproduce:
         out = read_json(tmp_path / "reproduce-theorem-3-1-sweep.json")
         assert out["config"]["n_instances"] == 20
 
+    def test_seed_sets_the_first_replication(self, tmp_path):
+        name = "reproduce-example-4-3.json"
+        argv = ("reproduce", "example-4-3", "--rounds", 300, "--seeds", 2)
+        for label, seed in [("default", ()), ("zero", ("--seed", 0)), ("seven", ("--seed", 7))]:
+            run(*argv, *seed, "--output-dir", tmp_path / label)
+        assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "zero" / name).read_bytes()
+        assert read_json(tmp_path / "zero" / name)["config"]["seeds"] == [0, 1]
+        assert read_json(tmp_path / "seven" / name)["config"]["seeds"] == [7, 8]
+
+    def test_seed_sets_the_sweep_seed(self, tmp_path):
+        name = "reproduce-theorem-3-1-sweep.json"
+        argv = ("reproduce", "theorem-3-1-sweep", "--instances", 3)
+        assert run(*argv, "--output-dir", tmp_path / "default") == 0
+        assert run(*argv, "--seed", 5, "--output-dir", tmp_path / "five") == 0
+        assert read_json(tmp_path / "default" / name)["config"]["seed"] == 2024
+        assert read_json(tmp_path / "five" / name)["config"]["seed"] == 5
+
+    @pytest.mark.parametrize("target", ["judge", "example-1"])
+    def test_seed_rejected_where_not_taken(self, tmp_path, capsys, target):
+        assert run("reproduce", target, "--seed", 3, "--output-dir", tmp_path) == 1
+        assert "does not take overrides" in capsys.readouterr().err
+        assert not (tmp_path / f"reproduce-{target}.json").exists()
+
 
 def test_eps_num_recorded(tmp_path):
     run(

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from persuasion_lab import (
     exp_weights_schedule,
     judge_optimal_scheme,
     make_receiver,
+    make_scheme,
     robustified_optimum,
     robustify,
     run_replications,
@@ -322,6 +324,81 @@ class TestSimulate:
         assert tr.checkpoints(10)[0].window_obedience is not None
 
 
+def oracle_csv(trace, path):
+    """The trace as ``csv.writer`` writes it, one row per round."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "state", "signal", "action", "u", "v", "running_avg"])
+        states = trace.instance.states
+        actions = trace.instance.actions
+        for i in range(trace.rounds):
+            w.writerow(
+                [
+                    i + 1,
+                    states[trace.states[i]],
+                    trace.signal_ids[trace.signals[i]],
+                    actions[trace.actions[i]],
+                    repr(float(trace.sender_utils[i])),
+                    repr(float(trace.receiver_utils[i])),
+                    repr(float(trace.running_avg[i])),
+                ]
+            )
+
+
+def awkward_instance():
+    """Names that need quoting or are empty, a -0.0 and a non-terminating float."""
+    return PersuasionInstance(
+        states=("w,0", 'say "w1"', "\u00e9tat\nnouveau"),
+        actions=("", "a\r\nb", "\u884c\u52d5 c"),
+        prior=[0.3, 0.3, 0.4],
+        sender_utility=[[-0.0, 0.1 + 0.2, 1.0], [0.7, 1 / 3, 0.0], [0.2, 0.5, 2 / 3]],
+        receiver_utility=[[0.1 + 0.2, -0.0, 0.9], [0.8, 0.6, 1e-7], [0.0, 1 / 7, 0.45]],
+    )
+
+
+CHUNK = learning.TRACE_CHUNK
+
+
+class TestTraceCsv:
+    """``to_csv`` writes the bytes of the per-row ``oracle_csv``."""
+
+    def assert_oracle_bytes(self, trace, tmp_path):
+        trace.to_csv(tmp_path / "got.csv")
+        oracle_csv(trace, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("rounds", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_chunk_edges(self, judge, judge_opt, tmp_path, rounds):
+        self.assert_oracle_bytes(
+            simulate(judge, FixedSchemePolicy(judge_opt), ExpWeights(), rounds, 4), tmp_path
+        )
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_awkward_names_and_floats(self, tmp_path, fast):
+        inst = awkward_instance()
+        cond = np.array([[0.5, 0.3, 0.2], [0.2, 0.2, 0.6], [0.1, 0.8, 0.1]])
+        scheme = make_scheme(inst, ("s,1", '"s2"', ""), cond)
+        trace = simulate(inst, FixedSchemePolicy(scheme), Exp3(), 3000, 1, fast=fast)
+        # exploration visits every (action, state) cell, so every name and
+        # utility is written
+        assert np.unique(trace.actions * 3 + trace.states).size == 9
+        self.assert_oracle_bytes(trace, tmp_path)
+        data = (tmp_path / "got.csv").read_bytes()
+        assert data.startswith(b"t,state,signal,action,u,v,running_avg\r\n")
+        for field in (b'"w,0"', b'"say ""w1"""', b'"a\r\nb"', b",-0.0,", b",0.30000000000000004,"):
+            assert field in data
+
+    def test_generic_loop(self, judge, judge_opt, tmp_path):
+        trace = simulate(judge, FlippedPolicy(judge_opt), Exp3(), 5000, 2, fast=False)
+        self.assert_oracle_bytes(trace, tmp_path)
+
+    def test_alternating_sender(self, mismatch, tmp_path):
+        trace = simulate(
+            mismatch, AlternatingSignalPolicy(mismatch), EmpiricalBestResponse(), 7001, 5
+        )
+        self.assert_oracle_bytes(trace, tmp_path)
+
+
 CHECKPOINT_ROUNDS = 400
 
 
@@ -400,6 +477,15 @@ class TestCheckpoints:
         elif len(marks) > 1:
             # undersampled at the first mark, certified by the last
             assert got[0].max_radius is None and got[-1].max_radius is not None
+
+    def test_running_counts_equal_slice_means(self, judge, judge_opt):
+        # a count over a length is the float np.mean gives for the slice
+        trace = simulate(judge, FixedSchemePolicy(judge_opt), ExpWeights(), 60_000, 8)
+        prev = 0
+        for c in trace.checkpoints(997):
+            assert c.obedience_frequency == trace.obedience_frequency(0, c.t)
+            assert c.window_obedience == trace.obedience_frequency(prev, c.t)
+            prev = c.t
 
     @pytest.mark.parametrize("every", [0, -3])
     def test_interval_below_one_rejected(self, traces, every):

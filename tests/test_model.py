@@ -168,6 +168,12 @@ class TestProfile:
         assert profile_instance(inst).assumption_satisfied
         assert not profile_instance(inst, 1e-5).assumption_satisfied
 
+    @pytest.mark.parametrize("eps_num", [-1.0, float("nan"), math.inf])
+    def test_bad_eps_num_rejected(self, example1, eps_num):
+        # a negative tolerance would drop example 1's tie at w1
+        with pytest.raises(ValidationError, match="eps_num"):
+            profile_instance(example1, eps_num)
+
 
 class TestPosteriorsAndValues:
     def test_judge_posterior_at_convict_is_exactly_half(self, judge, judge_opt):

@@ -418,3 +418,28 @@ NAN = float("nan")
 def test_nan_parameters_rejected(judge, judge_opt, call):
     with pytest.raises(ValidationError):
         call(judge, judge_opt)
+
+
+@pytest.mark.parametrize("eps_num", [-1.0, NAN, math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda inst, scheme, eps: approx_set(inst, scheme, 0.0, eps),
+        lambda inst, scheme, eps: evaluate_objective(inst, scheme, 0.0, 0.0, "worst", eps),
+        lambda inst, scheme, eps: approx_membership_mass(
+            inst, scheme, obedient_strategy(inst), 0.0, eps
+        ),
+        lambda inst, scheme, eps: project_strategy(inst, scheme, obedient_strategy(inst), 0.0, eps),
+        lambda inst, scheme, eps: to_direct_revelation(inst, scheme, obedient_strategy(inst), eps),
+        lambda inst, scheme, eps: bounds_report(inst, 0.05, 0.0, eps_num=eps),
+    ],
+    ids=["approx_set", "objective", "membership", "project_strategy", "direct", "bounds"],
+)
+def test_bad_eps_num_rejected(judge, judge_opt, call, eps_num):
+    # an empty response set would otherwise read as a worst case above OPT
+    with pytest.raises(ValidationError, match="eps_num"):
+        call(judge, judge_opt, eps_num)
+
+
+def test_zero_eps_num_accepted(judge, judge_opt):
+    assert evaluate_objective(judge, judge_opt, 0.0, 0.0, "worst", 0.0).value == 0.0
