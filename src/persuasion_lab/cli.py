@@ -305,30 +305,22 @@ def _cmd_simulate(args) -> int:
     # the default interval is the first default mark
     checkpoint_every = args.checkpoint_every or checkpoint_marks(args.rounds)[0]
     threads = min(_threads(), len(seeds))
+    out = args.output_dir
 
-    traces = run_replications(
-        inst,
-        policy_factory,
-        receiver_factory,
-        args.rounds,
-        seeds,
-        lambda tr: tr,
-        threads=threads,
+    def write_seed(trace) -> dict:
+        """Write one seed's files as it finishes; keep only its report row."""
+        out.mkdir(parents=True, exist_ok=True)
+        trace.to_csv(out / f"trace-seed{trace.seed}.csv")
+        trace.checkpoints_to_csv(out / f"diagnostics-seed{trace.seed}.csv", checkpoint_every)
+        return {
+            "seed": trace.seed,
+            "final_average": trace.final_average,
+            "obedience_last_decile": trace.last_decile_obedience,
+        }
+
+    per_seed = run_replications(
+        inst, policy_factory, receiver_factory, args.rounds, seeds, write_seed, threads=threads
     )
-    args.output_dir.mkdir(parents=True, exist_ok=True)
-    per_seed = []
-    for trace in traces:
-        trace.to_csv(args.output_dir / f"trace-seed{trace.seed}.csv")
-        trace.checkpoints_to_csv(
-            args.output_dir / f"diagnostics-seed{trace.seed}.csv", checkpoint_every
-        )
-        per_seed.append(
-            {
-                "seed": trace.seed,
-                "final_average": trace.final_average,
-                "obedience_last_decile": trace.last_decile_obedience,
-            }
-        )
     finals = [p["final_average"] for p in per_seed]
     payload = {
         "config": _config(

@@ -557,20 +557,10 @@ def _radius(
     return 2.0 * chern + (2.0 / p) * math.sqrt(math.log(2.0 * S * n * t) / (2.0 * t))
 
 
-def confidence_radii(
-    instance: PersuasionInstance, scheme: SignalingScheme, t: int
-) -> tuple[float | None, ...]:
-    """``confidence_radius`` of every signal at ``t``, ``None`` where undefined.
-
-    A signal that is never sent or is still undersampled has no radius.
-    """
-    return _radii(instance, scheme, signal_marginals(instance, scheme), t)
-
-
 def _radii(
     instance: PersuasionInstance, scheme: SignalingScheme, marginals: np.ndarray, t: int
 ) -> tuple[float | None, ...]:
-    """``confidence_radii`` given the scheme's ``signal_marginals``."""
+    """``confidence_radius`` of every signal at ``t``; ``None`` if never sent or undersampled."""
     out = []
     for s in range(scheme.n_signals):
         try:
@@ -698,37 +688,18 @@ def run_replications(
 # schedules and the convergence pipeline
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Accuracy (gamma_t, delta_t) of exponential weights with rate eta_t.
+def exp_weights_certificate(n_actions: int, min_signal_prob: float, t: int) -> tuple[float, float]:
+    """Accuracy (gamma_t, delta_t) of exponential weights at round ``t``.
 
     At round t a signal of probability p has been seen about p*t times, so
-    the per-signal softmax temperature is lam = eta_t * p * t and the
-    receiver is a (log(n lam)/lam, 1/lam) member.
+    the per-signal softmax temperature is lam = eta_t * p * t = p *
+    sqrt(t log n) and the receiver is a (log(n lam)/lam, 1/lam) member;
+    ``min_signal_prob`` is the rarest sent signal's p.
     """
-
-    n_actions: int
-    min_signal_prob: float
-
-    def _lam(self, t: int) -> float:
-        return self.min_signal_prob * math.sqrt(t * math.log(self.n_actions))
-
-    def _certificate(self, t: int) -> tuple[float, float]:
-        l = self._lam(t)
-        return softmax_certificate(self.n_actions, l) if l > 0 else (math.inf, math.inf)
-
-    def gamma(self, t: int) -> float:
-        return self._certificate(t)[0]
-
-    def delta(self, t: int) -> float:
-        return self._certificate(t)[1]
-
-
-def exp_weights_schedule(n_actions: int, min_signal_prob: float) -> Schedule:
-    """The exponential-weights ``Schedule`` for the rarest sent signal."""
     if not 0.0 < min_signal_prob <= 1.0:
         raise ValidationError("min_signal_prob must lie in (0, 1]")
-    return Schedule(n_actions, min_signal_prob)
+    lam = min_signal_prob * math.sqrt(t * math.log(n_actions))
+    return softmax_certificate(n_actions, lam) if lam > 0 else (math.inf, math.inf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -795,7 +766,7 @@ def convergence_report(
     scheme, alpha, opt = robustified_optimum(instance, constant, prof)
     marginals = signal_marginals(instance, scheme)
     sent = np.flatnonzero(marginals > 0.0)
-    schedule = exp_weights_schedule(instance.n_actions, float(marginals[sent].min()))
+    min_signal_prob = float(marginals[sent].min())
     lift = margin_lift(instance, prof, alpha, marginals)
 
     def summarize(trace: SimulationTrace):
@@ -818,8 +789,7 @@ def convergence_report(
     for k, t in enumerate(c.t for c in results[0][2]):
         mean_avg = float(np.mean([r[2][k].running_avg for r in results]))
         mean_obe = float(np.mean([r[2][k].obedience_frequency for r in results]))
-        g_t = schedule.gamma(max(t - 1, 1))
-        d_t = schedule.delta(max(t - 1, 1))
+        g_t, d_t = exp_weights_certificate(instance.n_actions, min_signal_prob, max(t - 1, 1))
         radii = _radii(instance, scheme, marginals, max(t - 1, 1))
         if any(radii[s] is None for s in sent):
             margin, ok = None, False

@@ -83,6 +83,8 @@ def check_eps_num(eps_num: float) -> None:
 
 
 def _check_rows_sum_to_one(name: str, mat: np.ndarray) -> None:
+    if mat.shape[0] == 0:
+        raise ValidationError(f"{name} has no rows")
     if not np.all(mat >= 0):  # written so that NaN fails too
         raise ValidationError(f"{name} has negative or NaN entries")
     sums = mat.sum(axis=1)
@@ -304,9 +306,9 @@ def make_scheme(
 ) -> SignalingScheme:
     """Build a scheme against ``instance``, computing the direct-revelation flag."""
     cond = np.asarray(conditional, dtype=np.float64)
-    if cond.shape[0] != instance.n_states:
+    if cond.ndim != 2 or cond.shape[0] != instance.n_states:
         raise DimensionMismatchError(
-            f"conditional has {cond.shape[0]} rows, instance has {instance.n_states} states"
+            f"conditional has shape {cond.shape}, instance has {instance.n_states} states"
         )
     direct = tuple(signals) == instance.actions
     return SignalingScheme(tuple(signals), cond, is_direct_revelation=direct)
@@ -456,6 +458,7 @@ def best_response_mask(
     The last axis indexes actions; any leading axes (signals, a batch of
     schemes) are kept.
     """
+    check_gamma(gamma)
     check_eps_num(eps_num)
     best = receiver_values.max(axis=-1, keepdims=True)
     return receiver_values >= best - gamma - eps_num
@@ -474,7 +477,6 @@ def project_strategy(
     NoMassOnApproxSetError when a positive-marginal signal has no mass to
     renormalize.
     """
-    check_gamma(gamma)
     _check_scheme(instance, scheme)
     if strategy.n_signals != scheme.n_signals or strategy.n_actions != instance.n_actions:
         raise DimensionMismatchError("strategy shape does not match scheme/instance")

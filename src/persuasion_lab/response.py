@@ -73,7 +73,6 @@ def approx_set(
     gamma: float,
     eps_num: float = DEFAULT_EPS,
 ) -> ApproxResponseSet:
-    check_gamma(gamma)
     stats = scheme_stats(instance, scheme)
     mask = best_response_mask(stats.receiver_values, gamma, eps_num)
     mask[stats.marginals <= 0.0] = False

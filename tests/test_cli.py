@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +350,57 @@ class TestSimulate:
         assert code == 0
         assert read_json(tmp_path / "simulate.json")["config"]["threads"] == 3
 
+    def test_wrong_instance_leaves_no_output_dir(self, tmp_path):
+        # the alternating sender needs two states; its factory raises before
+        # any seed runs, so no directory is made
+        three = PersuasionInstance(
+            ("w0", "w1", "w2"),
+            ("a0", "a1"),
+            np.full(3, 1 / 3),
+            np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]]),
+            np.array([[1.0, 0.0, 0.2], [0.0, 1.0, 0.8]]),
+        )
+        path = tmp_path / "three.json"
+        path.write_text(instance_to_json(three))
+        code = run(
+            "simulate",
+            "--instance", path,
+            "--sender", "alternating",
+            "--receiver", "empirical-br",
+            "--rounds", 100,
+            "--output-dir", tmp_path / "out",
+        )
+        assert code == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_memory_holds_one_trace_per_thread(self, tmp_path, monkeypatch):
+        # each seed's files are written as it finishes, so four seeds on one
+        # thread peak no higher than one seed does
+        monkeypatch.setenv("PERSUASION_LAB_THREADS", "1")
+
+        def simulate(seeds, label):
+            return run(
+                "simulate",
+                "--instance", "judge",
+                "--sender", "robustified:0.2",
+                "--receiver", "exp-weights",
+                "--rounds", 50_000,
+                "--seeds", seeds,
+                "--output-dir", tmp_path / label,
+            )
+
+        def peak(seeds):
+            tracemalloc.start()
+            try:
+                assert simulate(seeds, f"seeds{seeds}") == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert simulate(1, "warm-up") == 0
+        one, four = peak(1), peak(4)
+        assert four <= 1.25 * one, (one, four)
+
     def test_bad_thread_env_exit_1(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PERSUASION_LAB_THREADS", "lots")
         code = run(
@@ -408,6 +460,22 @@ class TestReproduce:
         assert run(*argv, "--seed", 5, "--output-dir", tmp_path / "five") == 0
         assert read_json(tmp_path / "default" / name)["config"]["seed"] == 2024
         assert read_json(tmp_path / "five" / name)["config"]["seed"] == 5
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_example_4_3_unsent_signal_exit_3(self, tmp_path, seed):
+        # one round sends one signal; the other's mean is null, its check
+        # fails, and the report is still written
+        code = run(
+            "reproduce", "example-4-3", "--rounds", 1, "--seeds", 1, "--seed", seed,
+            "--output-dir", tmp_path,
+        )
+        assert code == 3
+        text = (tmp_path / "reproduce-example-4-3.json").read_text()
+        out = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
+        checks = {c["name"]: c for c in out["checks"]}
+        means = [checks[f"s{k}_mean_utility"] for k in (1, 2)]
+        assert [c["value"] is None for c in means].count(True) == 1
+        assert not any(c["ok"] for c in means if c["value"] is None)
 
     @pytest.mark.parametrize("target", ["judge", "example-1"])
     def test_seed_rejected_where_not_taken(self, tmp_path, capsys, target):

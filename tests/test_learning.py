@@ -22,8 +22,8 @@ from persuasion_lab import (
     empirical_br_probs,
     empirical_conditional_utilities,
     exp3_act,
+    exp_weights_certificate,
     exp_weights_probs,
-    exp_weights_schedule,
     judge_optimal_scheme,
     make_receiver,
     make_scheme,
@@ -702,17 +702,21 @@ class TestConfidenceRadius:
 
 class TestSchedule:
     def test_formulas(self):
-        sched = exp_weights_schedule(2, 0.4)
         for t in (10, 1000, 250_000):
+            gamma, delta = exp_weights_certificate(2, 0.4, t)
             lam = 0.4 * math.sqrt(t * math.log(2))
-            assert sched.gamma(t) == pytest.approx(max(0.0, math.log(2 * lam) / lam), abs=1e-15)
-            assert sched.delta(t) == pytest.approx(1.0 / lam, abs=1e-15)
+            assert gamma == pytest.approx(max(0.0, math.log(2 * lam) / lam), abs=1e-15)
+            assert delta == pytest.approx(1.0 / lam, abs=1e-15)
+
+    def test_no_temperature_certifies_nothing(self):
+        # one action: log n = 0, so lam = 0
+        assert exp_weights_certificate(1, 0.4, 100) == (math.inf, math.inf)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            exp_weights_schedule(2, 0.0)
+            exp_weights_certificate(2, 0.0, 10)
         with pytest.raises(ValidationError):
-            exp_weights_schedule(2, 1.5)
+            exp_weights_certificate(2, 1.5, 10)
 
     def test_empirical_membership_audit(self, judge, judge_opt):
         # after T rounds the per-signal softmax temperature is eta_T * T_s;
@@ -735,7 +739,11 @@ class TestSchedule:
 
 class TestAlternatingLongRun:
     def test_structural_claims_single_seed(self, mismatch):
-        st = alternating_stats(mismatch, 1_000_000, seed=0)
+        st = alternating_stats(
+            simulate(
+                mismatch, AlternatingSignalPolicy(mismatch), EmpiricalBestResponse(), 1_000_000, 0
+            )
+        )
         assert st.alternation_ok
         assert st.s1_fraction == pytest.approx(0.5, abs=0.01)
         assert st.s1_mean == pytest.approx(0.75, abs=0.01)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from persuasion_lab import (
     DimensionMismatchError,
@@ -379,3 +380,79 @@ def test_values_stay_in_unit_interval(seed):
     assert np.all(stats.receiver_values[sent] <= 1 + 1e-12)
     assert np.all(stats.sender_values[sent] >= -1e-12)
     assert np.all(stats.sender_values[sent] <= 1 + 1e-12)
+
+
+# Entries a constructor must cope with: valid probabilities, negatives,
+# NaN and both infinities.
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, -0.5, math.nan, math.inf, -math.inf]),
+    st.floats(-2.0, 2.0),
+)
+ANY_SHAPE = array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+
+
+@st.composite
+def arrays_near(draw, shape):
+    """A float array of ``shape`` or of any small shape, a zero-length axis included."""
+    shape = draw(st.one_of(st.just(shape), ANY_SHAPE))
+    return draw(arrays(np.float64, shape, elements=ENTRIES))
+
+
+def built_or_rejected(make):
+    """The object ``make`` builds, or ``None`` when it raises ValidationError."""
+    try:
+        return make()
+    except ValidationError:
+        return None
+
+
+@given(st.data(), st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_instance_builds_or_rejects(data, m, n):
+    prior = data.draw(arrays_near((m,)))
+    u = data.draw(arrays_near((n, m)))
+    v = data.draw(arrays_near((n, m)))
+    inst = built_or_rejected(
+        lambda: PersuasionInstance(
+            tuple(f"w{k}" for k in range(m)), tuple(f"a{k}" for k in range(n)), prior, u, v
+        )
+    )
+    if inst is not None:
+        assert abs(inst.prior.sum() - 1.0) <= 1e-12
+        for mat in (inst.prior, inst.sender_utility, inst.receiver_utility):
+            assert np.all((mat >= 0) & (mat <= 1))
+
+
+@given(st.data(), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_make_scheme_builds_or_rejects(data, k):
+    inst = make_instance([0.5, 0.5], [[1, 0], [0, 1]], [[1, 0], [0, 1]])
+    cond = data.draw(arrays_near((2, k)))
+    scheme = built_or_rejected(lambda: make_scheme(inst, tuple(f"s{i}" for i in range(k)), cond))
+    if scheme is not None:
+        assert scheme.conditional.shape == (2, k)
+        assert np.all(scheme.conditional >= 0)
+        assert np.allclose(scheme.conditional.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@given(arrays(np.float64, ANY_SHAPE, elements=ENTRIES))
+@settings(max_examples=200, deadline=None)
+def test_receiver_strategy_builds_or_rejects(rho):
+    strat = built_or_rejected(lambda: ReceiverStrategy(rho))
+    if strat is not None:
+        assert strat.n_signals >= 1
+        assert np.all(strat.action_distribution >= 0)
+        assert np.allclose(strat.action_distribution.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ReceiverStrategy(np.zeros((0, 2))),
+        lambda: SignalingScheme(("s0",), np.zeros((0, 1))),
+    ],
+    ids=["strategy", "scheme"],
+)
+def test_no_rows_rejected(make):
+    with pytest.raises(ValidationError, match="no rows"):
+        make()

@@ -34,6 +34,7 @@ from persuasion_lab import (
 )
 from persuasion_lab.response import _tv_step
 from persuasion_lab.sampling import (
+    approx_responding_strategy,
     deterministic_responding_strategy,
     random_instance,
     random_scheme,
@@ -443,3 +444,24 @@ def test_bad_eps_num_rejected(judge, judge_opt, call, eps_num):
 
 def test_zero_eps_num_accepted(judge, judge_opt):
     assert evaluate_objective(judge, judge_opt, 0.0, 0.0, "worst", 0.0).value == 0.0
+
+
+@pytest.mark.parametrize("gamma", [NAN, -0.5])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda inst, scheme, g: approx_membership_mass(inst, scheme, obedient_strategy(inst), g),
+        lambda inst, scheme, g: is_approx_best_responding(inst, scheme, obedient_strategy(inst), g),
+        lambda inst, scheme, g: approx_responding_strategy(
+            np.random.default_rng(0), inst, scheme, g, 0.0
+        ),
+        lambda inst, scheme, g: deterministic_responding_strategy(
+            np.random.default_rng(0), inst, scheme, g
+        ),
+    ],
+    ids=["membership", "is_responding", "approx_strategy", "deterministic_strategy"],
+)
+def test_bad_gamma_rejected_by_every_response_set(judge, judge_opt, call, gamma):
+    # best_response_mask checks gamma, so no entry point reads an empty set
+    with pytest.raises(ValidationError, match="gamma"):
+        call(judge, judge_opt, gamma)
