@@ -100,18 +100,20 @@ def _resolve_instance(ref: str):
     return load_instance(path)
 
 
-def _write_json(outdir: Path, name: str, payload: dict) -> Path:
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / name
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
-    return path
-
-
 def _write_text(outdir: Path, name: str, text: str) -> Path:
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / name
     path.write_text(text)
     return path
+
+
+def _write_json(outdir: Path, name: str, payload: dict) -> Path:
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    return _write_text(outdir, name, text + "\n")
+
+
+def _finite_or_none(x: float):
+    return x if x == x and abs(x) != float("inf") else None
 
 
 def _config(args: argparse.Namespace, **resolved) -> dict:
@@ -132,7 +134,7 @@ def _cmd_check_assumptions(args) -> int:
         "config": _config(args),
         "satisfied": prof.assumption_satisfied,
         "reasons": list(prof.reasons),
-        "gap": None if prof.gap == float("inf") else prof.gap,
+        "gap": _finite_or_none(prof.gap),
         "mu_min": prof.mu_min,
         "per_state_optimal": dict(prof.per_state_optimal),
         "optimal_regions": {a: sorted(ws) for a, ws in prof.optimal_regions.items()},
@@ -161,10 +163,6 @@ def _cmd_solve_classic(args) -> int:
     path = _write_json(args.output_dir, "solve-classic.json", report)
     print(f"OPT = {opt:.9f} -> {path}")
     return _EXIT_OK
-
-
-def _finite_or_none(x: float):
-    return x if x == x and abs(x) != float("inf") else None
 
 
 def _cmd_robustify(args) -> int:

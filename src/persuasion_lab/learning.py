@@ -25,7 +25,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
-    AssumptionViolatedError,
     RadiusPreconditionError,
     ValidationError,
     WrongInstanceError,
@@ -35,11 +34,12 @@ from .model import (
     DEFAULT_EPS,
     PersuasionInstance,
     SignalingScheme,
+    check_sent,
     profile_instance,
     signal_marginals,
 )
-from .response import softmax_certificate
-from .robustify import margin_lift, robustified_optimum
+from .response import softmax, softmax_certificate
+from .robustify import margin_lift, require_assumption, robustified_optimum
 
 
 def _spawn_rngs(seed: int) -> tuple[np.random.Generator, ...]:
@@ -47,19 +47,16 @@ def _spawn_rngs(seed: int) -> tuple[np.random.Generator, ...]:
     return tuple(np.random.default_rng(s) for s in seqs)
 
 
-def _sample_row(cdf_row: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw; ``_sample_rows`` replicates this arithmetic exactly."""
-    return min(int(np.searchsorted(cdf_row, u, side="right")), cdf_row.size - 1)
+def _sample(cdf: np.ndarray, u) -> np.ndarray:
+    """Inverse-CDF draws: the first index whose CDF entry exceeds ``u``, else the last.
 
-
-def _sample_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One inverse-CDF draw per row of ``cdf``, one uniform per row.
-
-    Counting the entries at or below ``u`` equals ``searchsorted(side="right")``
-    because every CDF row is nondecreasing; leaving out the last entry caps
-    the count at the last index, as ``_sample_row`` does.
+    ``cdf``'s last axis is a nondecreasing CDF, and ``u`` is a scalar or
+    one uniform per row of ``cdf``.  Counting the entries at or below ``u``
+    among all but the last caps the draw at the last index.  Many uniforms
+    against one shared CDF go through ``_draw_states``, whose binary search
+    makes no T x (m - 1) temporary.
     """
-    return np.add.reduce(cdf[:, :-1] <= u[:, None], axis=1)
+    return np.add.reduce(cdf[..., :-1] <= np.asarray(u)[..., None], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +103,7 @@ def exp_weights_probs(counts: np.ndarray, utility: np.ndarray, t: np.ndarray) ->
     indices at which each row acts.
     """
     eta = np.sqrt(np.log(utility.shape[0]) / t)
-    logits = eta[:, None] * _scores(counts, utility)
-    logits -= logits.max(axis=1, keepdims=True)
-    w = np.exp(logits)
-    return w / w.sum(axis=1, keepdims=True)
+    return softmax(eta[:, None] * _scores(counts, utility))
 
 
 @dataclass(frozen=True)
@@ -143,7 +137,7 @@ def exp3_act(cumulative: list[float], config: Exp3Config, u: float) -> tuple[int
 
     The probabilities are a softmax of one signal's cumulative
     importance-weighted reward estimates, mixed with uniform exploration.
-    The draw is ``_sample_row``'s: the first action whose running sum of
+    The draw is ``_sample``'s: the first action whose running sum of
     probabilities exceeds ``u``, else the last.  A row has a few entries and
     this runs once per round, so it works on plain floats; ``lr * max`` is
     the max of the scaled estimates because ``Exp3Config`` keeps ``lr >= 0``.
@@ -182,7 +176,7 @@ class _FullFeedbackReceiver:
 
     def act(self, signal: int, t: int, u: float) -> int:
         p = self._probs(self.counts[signal : signal + 1], np.array([float(t)]))[0]
-        return _sample_row(np.add.accumulate(p), u)
+        return int(_sample(np.add.accumulate(p), u))
 
     def feed(self, signal: int, action: int, state: int, payoff: float, t: int) -> None:
         self.counts[signal, state] += 1.0
@@ -207,7 +201,7 @@ class _FullFeedbackReceiver:
             self.counts[s] = counts[-1]
             counts -= onehot  # counts before each visit
             probs = self._probs(counts, idx + 1.0)
-            actions[idx] = _sample_rows(np.cumsum(probs, axis=1), u_actions[idx])
+            actions[idx] = _sample(np.cumsum(probs, axis=1), u_actions[idx])
         return actions
 
 
@@ -306,7 +300,7 @@ class FixedSchemePolicy:
         pass
 
     def signals_for_states(self, states: np.ndarray, u_signals: np.ndarray) -> np.ndarray:
-        return _sample_rows(self._cdf[states], u_signals)
+        return _sample(self._cdf[states], u_signals)
 
 
 class AlternatingSignalPolicy:
@@ -532,19 +526,17 @@ def confidence_radius(
     empirical conditional distribution is too undersampled to certify.
     """
     s = scheme.signal_index(signal)
-    return _radius(instance, scheme, t, s, float(signal_marginals(instance, scheme)[s]))
+    return _radius(instance, scheme, t, signal_marginals(instance, scheme), s)
 
 
 def _radius(
-    instance: PersuasionInstance, scheme: SignalingScheme, t: int, s: int, p: float
+    instance: PersuasionInstance, scheme: SignalingScheme, t: int, marginals: np.ndarray, s: int
 ) -> float:
-    """``confidence_radius`` of the signal at index ``s``, whose marginal is ``p``."""
+    """``confidence_radius`` of the signal at index ``s``; ``marginals`` are the scheme's."""
     if t < 1:
         raise ValidationError("t must be at least 1")
-    if p <= 0.0:
-        raise ZeroProbabilitySignalError(
-            f"signal {scheme.signals[s]!r} has zero marginal probability"
-        )
+    check_sent(scheme.signals, marginals, s)
+    p = float(marginals[s])
     S = scheme.n_signals
     n = instance.n_actions
     chern = math.sqrt(3.0 * math.log(2.0 * S * t) / (p * t))
@@ -564,13 +556,14 @@ def _radii(
     out = []
     for s in range(scheme.n_signals):
         try:
-            out.append(_radius(instance, scheme, t, s, float(marginals[s])))
+            out.append(_radius(instance, scheme, t, marginals, s))
         except (RadiusPreconditionError, ZeroProbabilitySignalError):
             out.append(None)
     return tuple(out)
 
 
 def _draw_states(instance: PersuasionInstance, u_states: np.ndarray) -> np.ndarray:
+    """``_sample`` of each uniform against the prior's CDF, by binary search."""
     cdf = np.cumsum(instance.prior)
     idx = np.searchsorted(cdf, u_states, side="right")
     return np.minimum(idx, instance.n_states - 1)
@@ -629,7 +622,7 @@ def simulate(
             t = i + 1
             w = states_list[i]
             cdf = policy.round_cdf(t)
-            s = _sample_row(cdf[w], u_signals[i])
+            s = int(_sample(cdf[w], u_signals[i]))
             a = receiver.act(s, t, u_actions[i])
             signals[i] = s
             actions[i] = a
@@ -756,13 +749,10 @@ def convergence_report(
     The checkpoints score the exponential-weights schedule, so the receiver
     is always ``ExpWeights``.
     """
+    seeds = tuple(seeds)
     if constant <= 0:
         raise ValidationError("constant must be positive")
-    prof = profile_instance(instance, eps_num)
-    if not prof.assumption_satisfied:
-        raise AssumptionViolatedError(
-            f"instance fails the uniqueness assumption: {prof.reasons}"
-        )
+    prof = require_assumption(profile_instance(instance, eps_num))
     scheme, alpha, opt = robustified_optimum(instance, constant, prof)
     marginals = signal_marginals(instance, scheme)
     sent = np.flatnonzero(marginals > 0.0)
@@ -777,7 +767,7 @@ def convergence_report(
         lambda: FixedSchemePolicy(scheme),
         ExpWeights,
         rounds,
-        list(seeds),
+        seeds,
         summarize,
         threads=threads,
     )
@@ -817,7 +807,7 @@ def convergence_report(
         constant=float(constant),
         alpha=float(alpha),
         rounds=rounds,
-        seeds=tuple(seeds),
+        seeds=seeds,
         final_averages=finals,
         mean_final_average=mean_final,
         target=float(target),

@@ -374,6 +374,14 @@ def signal_marginals(instance: PersuasionInstance, scheme: SignalingScheme) -> n
     return scheme_stats(instance, scheme).marginals
 
 
+def check_sent(signals: tuple[str, ...], marginals: np.ndarray, s: int) -> None:
+    """Reject the signal at index ``s`` when its marginal is zero: it is never sent."""
+    if marginals[s] <= 0.0:
+        raise ZeroProbabilitySignalError(
+            f"signal {signals[s]!r} has zero marginal probability", signal=signals[s]
+        )
+
+
 def posterior(
     instance: PersuasionInstance, scheme: SignalingScheme, signal: str | int
 ) -> np.ndarray:
@@ -383,11 +391,7 @@ def posterior(
     """
     stats = scheme_stats(instance, scheme)
     s = scheme.signal_index(signal)
-    if stats.marginals[s] <= 0.0:
-        raise ZeroProbabilitySignalError(
-            f"signal {scheme.signals[s]!r} has zero marginal probability",
-            signal=scheme.signals[s],
-        )
+    check_sent(scheme.signals, stats.marginals, s)
     return stats.posteriors[s]
 
 
@@ -439,11 +443,7 @@ def advantage(
 
     if signal is not None:
         s = scheme.signal_index(signal)
-        if stats.marginals[s] <= 0.0:
-            raise ZeroProbabilitySignalError(
-                f"signal {scheme.signals[s]!r} has zero marginal probability",
-                signal=scheme.signals[s],
-            )
+        check_sent(scheme.signals, stats.marginals, s)
         return margin_at(s)
 
     sent = np.flatnonzero(stats.marginals > 0.0)
@@ -498,26 +498,56 @@ def project_strategy(
 # ---------------------------------------------------------------------------
 # JSON serialization
 
-_INSTANCE_KEYS = ("states", "actions", "prior", "sender_utility", "receiver_utility")
+
+def _names(key: str, value) -> tuple[str, ...]:
+    """A JSON field that must be an array of strings."""
+    if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
+        raise ParseError(f"{key!r} must be an array of strings")
+    try:
+        # JSON escapes can spell a lone surrogate, which no output file can hold
+        "".join(value).encode("utf-8")
+    except UnicodeEncodeError:
+        raise ParseError(f"{key!r} holds a string that is not valid Unicode") from None
+    return tuple(value)
+
+
+def _numbers(key: str, value) -> np.ndarray:
+    """A JSON field that must be a rectangular array of numbers, as floats."""
+    # one nesting level at a time, while every item is a list of one length
+    level = [value]
+    while level and all(isinstance(x, list) and len(x) == len(level[0]) for x in level):
+        level = [y for x in level for y in x]
+    if not (isinstance(value, list) and all(type(x) in (int, float) for x in level)):
+        raise ParseError(f"{key!r} must be a rectangular array of numbers")
+    try:
+        return np.array(value, dtype=np.float64)
+    except (OverflowError, ValueError) as e:  # a huge integer, or too many dimensions
+        raise ParseError(f"{key!r} is not a float array: {e}") from None
+
+
+def _read_document(
+    text: str, kind: str, names: tuple[str, ...], arrays: tuple[str, ...]
+) -> dict:
+    """The fields of a JSON object: ``names`` keys as tuples of strings,
+    ``arrays`` keys as float arrays; anything else raises ``ParseError``."""
+    try:
+        raw = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise ParseError(f"invalid JSON: {e}") from e
+    if not isinstance(raw, dict):
+        raise ParseError(f"{kind} document must be a JSON object")
+    missing = [k for k in names + arrays if k not in raw]
+    if missing:
+        raise ParseError(f"{kind} document missing keys: {missing}")
+    doc = {key: _names(key, raw[key]) for key in names}
+    return doc | {key: _numbers(key, raw[key]) for key in arrays}
 
 
 def instance_from_json(text: str) -> PersuasionInstance:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e}") from e
-    if not isinstance(raw, dict):
-        raise ParseError("instance document must be a JSON object")
-    missing = [k for k in _INSTANCE_KEYS if k not in raw]
-    if missing:
-        raise ParseError(f"instance document missing keys: {missing}")
-    return PersuasionInstance(
-        states=tuple(raw["states"]),
-        actions=tuple(raw["actions"]),
-        prior=np.asarray(raw["prior"], dtype=np.float64),
-        sender_utility=np.asarray(raw["sender_utility"], dtype=np.float64),
-        receiver_utility=np.asarray(raw["receiver_utility"], dtype=np.float64),
+    doc = _read_document(
+        text, "instance", ("states", "actions"), ("prior", "sender_utility", "receiver_utility")
     )
+    return PersuasionInstance(**doc)
 
 
 def instance_to_json(instance: PersuasionInstance) -> str:
@@ -535,7 +565,7 @@ def _read_file(path) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}") from e
 
 
@@ -544,16 +574,10 @@ def load_instance(path) -> PersuasionInstance:
 
 
 def scheme_from_json(text: str, instance: PersuasionInstance | None = None) -> SignalingScheme:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e}") from e
-    if not isinstance(raw, dict) or "signals" not in raw or "conditional" not in raw:
-        raise ParseError("scheme document must contain 'signals' and 'conditional'")
-    cond = np.asarray(raw["conditional"], dtype=np.float64)
+    doc = _read_document(text, "scheme", ("signals",), ("conditional",))
     if instance is not None:
-        return make_scheme(instance, tuple(raw["signals"]), cond)
-    return SignalingScheme(tuple(raw["signals"]), cond)
+        return make_scheme(instance, doc["signals"], doc["conditional"])
+    return SignalingScheme(doc["signals"], doc["conditional"])
 
 
 def scheme_to_json(scheme: SignalingScheme) -> str:

@@ -215,13 +215,8 @@ def reproduce_bounds_sweep(
                 lower_viol += 1
             if not rep.upper_ok:
                 upper_viol += rep.n_upper_violations
-            worst_lower_margin = min(
-                worst_lower_margin, rep.lower_certificate - (rep.opt - rep.slack)
-            )
-            worst_upper_margin = min(
-                worst_upper_margin,
-                (rep.opt + rep.slack) - max(rep.upper_values),
-            )
+            worst_lower_margin = min(worst_lower_margin, rep.lower_certificate - rep.lower_bound)
+            worst_upper_margin = min(worst_upper_margin, rep.upper_bound - max(rep.upper_values))
     checks = [
         _check("lower_violations", lower_viol, lower_viol == 0, "0"),
         _check("upper_violations", upper_viol, upper_viol == 0, "0"),

@@ -21,7 +21,6 @@ from .errors import (
     DimensionMismatchError,
     StrategyNotDeterministicError,
     ValidationError,
-    ZeroProbabilitySignalError,
 )
 from .model import (
     DEFAULT_EPS,
@@ -31,6 +30,7 @@ from .model import (
     best_response_mask,
     check_eps_num,
     check_gamma,
+    check_sent,
     index_of,
     make_scheme,
     profile_instance,
@@ -56,10 +56,7 @@ class ApproxResponseSet:
 
     def actions_for(self, signal: str | int) -> tuple[str, ...]:
         s = index_of("signal", self.signals, signal)
-        if self.marginals[s] <= 0.0:
-            raise ZeroProbabilitySignalError(
-                f"signal {self.signals[s]!r} has zero marginal probability"
-            )
+        check_sent(self.signals, self.marginals, s)
         return tuple(a for a, keep in zip(self.actions, self.member_mask[s]) if keep)
 
     def contains(self, signal: str | int, action: str | int) -> bool:
@@ -256,6 +253,14 @@ def is_approx_best_responding(
 # behavioral receiver models
 
 
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, in place: ``logits`` is overwritten and returned."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
+
+
 def quantal_strategy(
     instance: PersuasionInstance, scheme: SignalingScheme, lam: float
 ) -> ReceiverStrategy:
@@ -267,10 +272,7 @@ def quantal_strategy(
     if not lam >= 0:  # NaN fails too
         raise ValidationError("lam must be nonnegative")
     stats = scheme_stats(instance, scheme)
-    logits = lam * stats.receiver_values
-    logits -= logits.max(axis=1, keepdims=True)
-    rho = np.exp(logits)
-    rho /= rho.sum(axis=1, keepdims=True)
+    rho = softmax(lam * stats.receiver_values)
     rho[stats.marginals <= 0.0] = 1.0 / instance.n_actions
     return ReceiverStrategy(rho)
 

@@ -191,14 +191,19 @@ def verify_robustification(
     )
 
 
-def _ratio(instance: PersuasionInstance, gamma: float, profile: InstanceProfile | None) -> float:
-    check_gamma(gamma)
-    prof = profile if profile is not None else profile_instance(instance)
+def require_assumption(prof: InstanceProfile) -> InstanceProfile:
+    """``prof``, unless it fails the uniqueness assumption."""
     if not prof.assumption_satisfied:
         raise AssumptionViolatedError(
             f"instance fails the uniqueness assumption: {prof.reasons}",
             reasons=prof.reasons,
         )
+    return prof
+
+
+def _ratio(instance: PersuasionInstance, gamma: float, profile: InstanceProfile | None) -> float:
+    check_gamma(gamma)
+    prof = require_assumption(profile if profile is not None else profile_instance(instance))
     denom = prof.mu_min * prof.gap
     ratio = 0.0 if gamma == 0.0 else gamma / denom
     if ratio >= 1.0:

@@ -3,11 +3,14 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import persuasion_lab
 from persuasion_lab import PersuasionInstance, advantage, instance_to_json, scheme_to_json
@@ -574,6 +577,124 @@ def test_reports_refuse_nan(tmp_path):
     with pytest.raises(ValueError):
         _write_json(tmp_path, "report.json", {"value": float("nan")})
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, key, value",
+    [
+        ("instance", "states", "gi"),
+        ("instance", "states", {"guilty": 0, "innocent": 1}),
+        ("instance", "prior", ["0.3", "0.7"]),
+        ("instance", "states", 5),
+        ("instance", "states", ["guilty\udc80", "innocent"]),
+        ("instance", "receiver_utility", [[1.0, 0.0], [0.0]]),
+        ("scheme", "conditional", [[0.5, 0.5], [1.0]]),
+    ],
+)
+def test_malformed_file_exit_1(tmp_path, capsys, judge, judge_opt, doc, key, value):
+    blobs = {
+        "instance": json.loads(instance_to_json(judge)),
+        "scheme": json.loads(scheme_to_json(judge_opt)),
+    }
+    blobs[doc][key] = value
+    for name, blob in blobs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(blob))
+    code = run(
+        "evaluate",
+        "--instance", tmp_path / "instance.json",
+        "--scheme", tmp_path / "scheme.json",
+        "--mode", "worst",
+        "--output-dir", tmp_path / "out",
+    )
+    assert code == 1
+    assert "error[PARSE_ERROR]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# Any JSON value, NaN and the infinities included (``json`` reads them back).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=8,
+)
+MISSING = object()
+
+
+def simplex_rows(n_rows, width):
+    """Rows of probabilities over ``width`` entries, zeros included."""
+    weights = st.lists(st.sampled_from([0, 1, 2]), min_size=width, max_size=width)
+    rows = weights.map(lambda w: [x / sum(w) for x in w] if sum(w) else [1.0] + [0.0] * (width - 1))
+    return st.lists(rows, min_size=n_rows, max_size=n_rows)
+
+
+@st.composite
+def corrupted(draw, doc):
+    """``doc`` with some keys dropped or given any JSON value; or, now and then, any JSON value."""
+    doc = dict(doc)
+    for key in draw(st.sets(st.sampled_from(sorted(doc)))):
+        value = draw(st.one_of(JSON_VALUES, st.just(MISSING)))
+        if value is MISSING:
+            del doc[key]
+        else:
+            doc[key] = value
+    return draw(st.one_of(st.just(doc), JSON_VALUES)) if draw(st.booleans()) else doc
+
+
+@st.composite
+def game_files(draw):
+    """An instance and a scheme document, each well-formed or corrupted.
+
+    The well-formed games have one to three actions, utilities in {0, 1/2,
+    1} (so ties are common) and priors that may put zero on a state.
+    """
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    states = [f"w{k}" for k in range(m)]
+    actions = [f"a{k}" for k in range(n)]
+    utility = st.lists(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=m, max_size=m), min_size=n, max_size=n
+    )
+    instance = {
+        "states": states,
+        "actions": actions,
+        "prior": draw(simplex_rows(1, m))[0],
+        "sender_utility": draw(utility),
+        "receiver_utility": draw(utility),
+    }
+    # names may hold lone surrogates, which JSON escapes can spell
+    names = st.text(st.characters(exclude_categories=()), max_size=2)
+    signals = draw(st.one_of(st.just(actions), st.lists(names, min_size=1, max_size=3)))
+    scheme = {"signals": signals, "conditional": draw(simplex_rows(m, len(signals)))}
+    return draw(corrupted(instance)), draw(corrupted(scheme))
+
+
+@given(
+    game_files(),
+    st.sampled_from(["worst", "best", "obedient", "quantal:2", "perturbed:0.1"]),
+    st.floats(0.0, 0.6),
+)
+@settings(max_examples=200, deadline=None)
+def test_parse_path_exits_0_1_or_2(files, mode, gamma):
+    # the commands read the files, or exit 1 before writing anything
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, doc in zip(("instance.json", "scheme.json"), files):
+            (tmp / name).write_text(json.dumps(doc))
+        commands = [
+            ["check-assumptions", "--instance", tmp / "instance.json"],
+            [
+                "evaluate",
+                "--instance", tmp / "instance.json",
+                "--scheme", tmp / "scheme.json",
+                "--mode", mode,
+                "--gamma", gamma,
+            ],
+        ]
+        for k, argv in enumerate(commands):
+            out = tmp / f"out{k}"
+            code = run(*argv, "--output-dir", out)
+            assert code in (0, 1, 2)
+            if code == 1:
+                assert not out.exists()
 
 
 def test_exit_code_mapping():

@@ -72,6 +72,11 @@ def exp3_row(cumulative, config):
     return np.array(probs)
 
 
+def sample_oracle(cdf_row, u):
+    """The searchsorted-plus-cap inverse-CDF draw that ``learning._sample`` replaced."""
+    return min(int(np.searchsorted(cdf_row, u, side="right")), cdf_row.size - 1)
+
+
 def exp3_reference(cumulative, config):
     """EXP3's probabilities written directly in numpy."""
     w = np.exp(config.learning_rate * (cumulative - cumulative.max()))
@@ -657,8 +662,75 @@ class TestRuleBatches:
             assert exp3_row(cumulative, cfg) == pytest.approx(p_ref, rel=1e-14)
             for u in rng.random(200):
                 a, p = exp3_act(cumulative, cfg, u)
-                assert a == learning._sample_row(np.cumsum(p_ref), u)
+                assert a == sample_oracle(np.cumsum(p_ref), u)
                 assert p == pytest.approx(p_ref[a], rel=1e-14)
+
+
+# CDF rows with the awkward cases: one entry, zero-probability entries that
+# repeat a value, and a last entry below 1.
+CDF_ROWS = [
+    np.array([1.0]),
+    np.array([0.25, 0.5, 1.0]),
+    np.array([0.0, 0.2, 0.2, 0.2, 1.0]),
+    np.array([0.3, 0.6, 0.9]),
+    np.cumsum([0.1] * 10),
+]
+
+
+def uniforms_for(cdf_row, rng):
+    """Random uniforms plus every CDF entry, zero and values past the last entry."""
+    return np.concatenate([rng.random(50), cdf_row, [0.0, 0.95, np.nextafter(1.0, 0.0)]])
+
+
+class TestSample:
+    @pytest.mark.parametrize("row", range(len(CDF_ROWS)))
+    def test_scalar_matches_oracle(self, row):
+        cdf = CDF_ROWS[row]
+        for u in uniforms_for(cdf, np.random.default_rng(row)):
+            assert learning._sample(cdf, u) == sample_oracle(cdf, u)
+
+    @pytest.mark.parametrize(
+        "prior",
+        [[1.0], [0.3, 0.7], [0.2, 0.0, 0.5, 0.0, 0.3], [0.0, 0.0, 1.0]]
+        + [np.random.default_rng(3).dirichlet(np.ones(50)).tolist()],
+    )
+    def test_state_draws_are_sample(self, prior):
+        """``_draw_states`` is ``_sample`` of each uniform against the prior's CDF."""
+        m = len(prior)
+        inst = PersuasionInstance(
+            tuple(f"w{i}" for i in range(m)),
+            ("a", "b"),
+            np.array(prior),
+            np.zeros((2, m)),
+            np.zeros((2, m)),
+        )
+        cdf = np.cumsum(inst.prior)
+        u = uniforms_for(cdf, np.random.default_rng(m))
+        got = learning._draw_states(inst, u)
+        assert got.dtype == np.int64
+        assert got.tolist() == [int(learning._sample(cdf, x)) for x in u]
+        assert got.tolist() == [sample_oracle(cdf, x) for x in u]
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 7])
+    def test_one_row_per_uniform_matches_oracle(self, width):
+        rng = np.random.default_rng(width)
+        probs = rng.random((400, width)) * (rng.random((400, width)) < 0.7)
+        probs[:, 0] += 1e-3
+        cdf = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+        # a quarter of the uniforms sit exactly on an entry of their row
+        u = rng.random(400)
+        on_entry = rng.random(400) < 0.25
+        u[on_entry] = cdf[on_entry, rng.integers(0, width, 400)[on_entry]]
+        got = learning._sample(cdf, u)
+        assert got.dtype == np.int64
+        assert got.tolist() == [sample_oracle(cdf[i], u[i]) for i in range(400)]
+
+    def test_state_draws_match_oracle(self, judge):
+        state_rng = learning._spawn_rngs(11)[0]
+        u = state_rng.random(5000)
+        states, _, _ = learning._draw_streams(judge, 5000, 11)
+        cdf = np.cumsum(judge.prior)
+        assert states.tolist() == [sample_oracle(cdf, x) for x in u]
 
 
 class TestConfidenceRadius:
@@ -798,10 +870,17 @@ class TestConvergencePipeline:
     def test_validation(self, judge, example1):
         with pytest.raises(ValidationError):
             convergence_report(judge, 0.0, 100, seeds=[0])
-        from persuasion_lab import AssumptionViolatedError
+        from persuasion_lab import AssumptionViolatedError, profile_instance
 
-        with pytest.raises(AssumptionViolatedError):
+        with pytest.raises(AssumptionViolatedError) as err:
             convergence_report(example1, 0.2, 100, seeds=[0])
+        assert err.value.details["reasons"] == profile_instance(example1).reasons
+
+    def test_one_shot_seed_iterable(self, judge):
+        rep = convergence_report(judge, 0.2, 2_000, seeds=(s for s in [0, 1]))
+        want = convergence_report(judge, 0.2, 2_000, seeds=[0, 1])
+        assert rep.seeds == (0, 1)
+        assert rep.to_dict() == want.to_dict()
 
 
 class TestSingleRunTargets:

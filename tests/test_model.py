@@ -314,6 +314,55 @@ class TestJson:
             instance_from_json(json.dumps({"states": ["a"], "actions": ["x"]}))
         assert "missing" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("states", "gi"),
+            ("states", {"guilty": 0, "innocent": 1}),
+            ("states", 5),
+            ("actions", ["convict", 1]),
+            ("actions", ["convict", "acquit\udc80"]),
+            ("prior", ["0.3", "0.7"]),
+            ("prior", [True, False]),
+            ("prior", [0.3, None]),
+            ("prior", 1.0),
+            ("prior", [10**400, 0]),
+            ("receiver_utility", [[1.0, 0.0], [0.0]]),
+            ("receiver_utility", [[1.0, 0.0], 1.0]),
+            ("sender_utility", [1.0, [0.0, 1.0]]),
+        ],
+    )
+    def test_malformed_instance_field_raises_parse_error(self, judge, key, value):
+        doc = json.loads(instance_to_json(judge))
+        doc[key] = value
+        with pytest.raises(ParseError, match=key):
+            instance_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("signals", "ab"),
+            ("signals", {"a": 0, "b": 1}),
+            ("conditional", [[0.5, 0.5], [1.0]]),
+            ("conditional", [["1", "0"], ["0", "1"]]),
+            ("conditional", [[1, False], [0, True]]),
+        ],
+    )
+    def test_malformed_scheme_field_raises_parse_error(self, judge, judge_opt, key, value):
+        doc = json.loads(scheme_to_json(judge_opt))
+        doc[key] = value
+        for inst in (judge, None):
+            with pytest.raises(ParseError, match=key):
+                scheme_from_json(json.dumps(doc), inst)
+
+    def test_too_deep_raises_parse_error(self, judge):
+        doc = json.loads(instance_to_json(judge))
+        doc["prior"] = json.loads("[" * 70 + "0.5" + "]" * 70)
+        with pytest.raises(ParseError, match="prior"):
+            instance_from_json(json.dumps(doc))
+        with pytest.raises(ParseError, match="invalid JSON"):
+            instance_from_json("[" * 100_000 + "]" * 100_000)
+
     def test_serialization_is_deterministic(self, judge):
         assert instance_to_json(judge) == instance_to_json(judge)
 

@@ -12,6 +12,7 @@ from persuasion_lab import (
     ValidationError,
     ZeroProbabilitySignalError,
     advantage,
+    confidence_radius,
     approx_membership_mass,
     approx_set,
     bounds_report,
@@ -24,6 +25,7 @@ from persuasion_lab import (
     obedient_strategy,
     perturbed_posterior_certificate,
     perturbed_posterior_strategy,
+    posterior,
     project_strategy,
     quantal_certificate,
     quantal_strategy,
@@ -32,7 +34,7 @@ from persuasion_lab import (
     solve_classic,
     to_direct_revelation,
 )
-from persuasion_lab.response import _tv_step
+from persuasion_lab.response import _tv_step, softmax
 from persuasion_lab.sampling import (
     approx_responding_strategy,
     deterministic_responding_strategy,
@@ -465,3 +467,50 @@ def test_bad_gamma_rejected_by_every_response_set(judge, judge_opt, call, gamma)
     # best_response_mask checks gamma, so no entry point reads an empty set
     with pytest.raises(ValidationError, match="gamma"):
         call(judge, judge_opt, gamma)
+
+
+def exp_weights_softmax(logits):
+    """The softmax ``exp_weights_probs`` wrote out before ``response.softmax``."""
+    logits = logits.copy()
+    logits -= logits.max(axis=1, keepdims=True)
+    w = np.exp(logits)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def quantal_softmax(logits):
+    """The softmax ``quantal_strategy`` wrote out before ``response.softmax``."""
+    logits = logits.copy()
+    logits -= logits.max(axis=1, keepdims=True)
+    rho = np.exp(logits)
+    rho /= rho.sum(axis=1, keepdims=True)
+    return rho
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (5, 2), (40, 7)])
+@pytest.mark.parametrize("scale", [0.0, 1.0, 50.0, 1e6])
+def test_softmax_is_both_formulas_in_place(shape, scale):
+    logits = np.random.default_rng(shape[1]).standard_normal(shape) * scale
+    want = exp_weights_softmax(logits)
+    assert quantal_softmax(logits).tobytes() == want.tobytes()
+    given = logits.copy()
+    got = softmax(given)
+    assert got is given
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda inst, scheme: posterior(inst, scheme, "acquit"),
+        lambda inst, scheme: advantage(inst, scheme, "acquit"),
+        lambda inst, scheme: approx_set(inst, scheme, 0.1).actions_for("acquit"),
+        lambda inst, scheme: confidence_radius(inst, scheme, 10**6, "acquit"),
+    ],
+    ids=["posterior", "advantage", "actions_for", "confidence_radius"],
+)
+def test_unsent_signal_rejected_with_its_name(judge, call):
+    # a direct scheme that never recommends acquit
+    never = direct_scheme(judge, np.array([[1.0, 0.0], [1.0, 0.0]]))
+    with pytest.raises(ZeroProbabilitySignalError, match="'acquit' has zero marginal") as err:
+        call(judge, never)
+    assert err.value.details["signal"] == "acquit"
