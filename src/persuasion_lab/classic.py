@@ -31,7 +31,6 @@ class ObedienceLP:
     remaining columns are surplus variables for the obedience inequalities.
     """
 
-    instance: PersuasionInstance
     A: np.ndarray
     b: np.ndarray
     c: np.ndarray
@@ -73,14 +72,7 @@ def build_obedience_lp(instance: PersuasionInstance) -> ObedienceLP:
     c = np.zeros(n_dec + n_ob)
     c[:n_dec] = (mu[:, None] * u.T).reshape(-1)  # mu(w) u(a,w), state-major
 
-    return ObedienceLP(
-        instance=instance,
-        A=A,
-        b=b_vec,
-        c=c,
-        n_obedience_rows=n_ob,
-        n_simplex_rows=m,
-    )
+    return ObedienceLP(A=A, b=b_vec, c=c, n_obedience_rows=n_ob, n_simplex_rows=m)
 
 
 def constant_recommendation(instance: PersuasionInstance) -> np.ndarray:

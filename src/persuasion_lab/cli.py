@@ -40,6 +40,7 @@ from .learning import (
 from .model import (
     DEFAULT_EPS,
     advantage,
+    check_direct,
     expected_utility,
     load_instance,
     load_scheme,
@@ -184,9 +185,11 @@ def _cmd_robustify(args) -> int:
     scheme_path = _write_text(
         args.output_dir, "robustified-scheme.json", scheme_to_json(robust)
     )
+    # with one action no margin exists and the slack is +inf, which JSON cannot hold
+    slack = _finite_or_none(report.advantage_bound_slack)
     payload = {
         "config": _config(args, alpha=alpha),
-        "report": report.to_dict(),
+        "report": {**report.to_dict(), "advantage_bound_slack": slack},
         "ok": report.ok(),
         "scheme_file": scheme_path.name,
     }
@@ -235,6 +238,7 @@ def _cmd_evaluate(args) -> int:
         )
         value = est.value
     elif kind == "obedient":
+        check_direct(inst, scheme)
         value = expected_utility(inst, scheme, obedient_strategy(inst))
         report.update(value=value)
     else:

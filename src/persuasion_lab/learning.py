@@ -34,6 +34,7 @@ from .model import (
     DEFAULT_EPS,
     PersuasionInstance,
     SignalingScheme,
+    check_scheme,
     check_sent,
     profile_instance,
     signal_marginals,
@@ -272,10 +273,10 @@ class Exp3:
 _RECEIVERS = {cls.kind: cls for cls in (EmpiricalBestResponse, ExpWeights, Exp3)}
 
 
-def make_receiver(kind: str, **kwargs):
+def make_receiver(kind: str):
     if kind not in _RECEIVERS:
         raise ValidationError(f"unknown receiver kind {kind!r}; choose from {sorted(_RECEIVERS)}")
-    return _RECEIVERS[kind](**kwargs)
+    return _RECEIVERS[kind]()
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +412,6 @@ class SimulationTrace:
     signals: np.ndarray
     actions: np.ndarray
     sender_utils: np.ndarray
-    receiver_utils: np.ndarray
     running_avg: np.ndarray
     seed: int
     scheme: SignalingScheme | None
@@ -605,6 +605,9 @@ def simulate(
     """
     if rounds < 1:
         raise ValidationError("rounds must be positive")
+    scheme = policy.scheme if isinstance(policy, FixedSchemePolicy) else None
+    if scheme is not None:
+        check_scheme(instance, scheme)
     states, u_signals, u_actions = _draw_streams(instance, rounds, seed)
     policy.reset()
     signal_ids = tuple(policy.signals)
@@ -638,10 +641,9 @@ def simulate(
         signals=signals,
         actions=actions,
         sender_utils=su,
-        receiver_utils=instance.receiver_utility[actions, states],
         running_avg=np.cumsum(su) / np.arange(1, rounds + 1),
         seed=seed,
-        scheme=policy.scheme if isinstance(policy, FixedSchemePolicy) else None,
+        scheme=scheme,
     )
 
 
@@ -833,6 +835,7 @@ def empirical_conditional_utilities(
     Rows for unvisited signals are zero.  Uses the same substream layout as
     the simulator's state and signal streams.
     """
+    check_scheme(instance, scheme)
     state_rng, signal_rng, _ = _spawn_rngs(seed)
     states = _draw_states(instance, state_rng.random(t))
     signals = FixedSchemePolicy(scheme).signals_for_states(states, signal_rng.random(t))

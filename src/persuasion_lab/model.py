@@ -159,14 +159,11 @@ class PersuasionInstance:
 class SignalingScheme:
     """A map from states to distributions over signals.
 
-    ``conditional[w, s]`` is P(signal s | state w).  ``is_direct_revelation``
-    records whether the signal list coincides, element by element, with the
-    action list of the instance the scheme was built against.
+    ``conditional[w, s]`` is P(signal s | state w).
     """
 
     signals: tuple[str, ...]
     conditional: np.ndarray
-    is_direct_revelation: bool = False
 
     def __post_init__(self):
         signals = _check_ids("signal", self.signals)
@@ -296,6 +293,39 @@ def profile_instance(
 
 
 # ---------------------------------------------------------------------------
+# how a scheme and a strategy fit an instance
+
+
+def check_scheme(instance: PersuasionInstance, scheme: SignalingScheme) -> None:
+    """Reject a scheme that does not cover the instance's states."""
+    if scheme.n_states != instance.n_states:
+        raise DimensionMismatchError(
+            f"scheme covers {scheme.n_states} states, instance has {instance.n_states}"
+        )
+
+
+def check_direct(instance: PersuasionInstance, scheme: SignalingScheme) -> None:
+    """Reject a scheme that is not direct: its signals must be the instance's actions, in order."""
+    check_scheme(instance, scheme)
+    if scheme.signals != instance.actions:
+        raise NotDirectRevelationError(
+            f"signals {scheme.signals} are not the instance's actions {instance.actions}"
+        )
+
+
+def check_strategy(
+    instance: PersuasionInstance, scheme: SignalingScheme, strategy: ReceiverStrategy
+) -> None:
+    """Reject a strategy without one row per signal and one column per action."""
+    check_scheme(instance, scheme)
+    want = (scheme.n_signals, instance.n_actions)
+    if strategy.action_distribution.shape != want:
+        raise DimensionMismatchError(
+            f"strategy has shape {strategy.action_distribution.shape}, expected {want}"
+        )
+
+
+# ---------------------------------------------------------------------------
 # scheme construction helpers
 
 
@@ -304,14 +334,10 @@ def make_scheme(
     signals: Sequence[str],
     conditional: np.ndarray,
 ) -> SignalingScheme:
-    """Build a scheme against ``instance``, computing the direct-revelation flag."""
-    cond = np.asarray(conditional, dtype=np.float64)
-    if cond.ndim != 2 or cond.shape[0] != instance.n_states:
-        raise DimensionMismatchError(
-            f"conditional has shape {cond.shape}, instance has {instance.n_states} states"
-        )
-    direct = tuple(signals) == instance.actions
-    return SignalingScheme(tuple(signals), cond, is_direct_revelation=direct)
+    """Build a scheme against ``instance``: one conditional row per state."""
+    scheme = SignalingScheme(tuple(signals), conditional)
+    check_scheme(instance, scheme)
+    return scheme
 
 
 def direct_scheme(instance: PersuasionInstance, conditional: np.ndarray) -> SignalingScheme:
@@ -351,15 +377,8 @@ class SchemeStats(NamedTuple):
     sender_values: np.ndarray  # (S, n_actions)
 
 
-def _check_scheme(instance: PersuasionInstance, scheme: SignalingScheme) -> None:
-    if scheme.n_states != instance.n_states:
-        raise DimensionMismatchError(
-            f"scheme covers {scheme.n_states} states, instance has {instance.n_states}"
-        )
-
-
 def scheme_stats(instance: PersuasionInstance, scheme: SignalingScheme) -> SchemeStats:
-    _check_scheme(instance, scheme)
+    check_scheme(instance, scheme)
     joint = instance.prior[:, None] * scheme.conditional  # (m, S)
     marginals = joint.sum(axis=0)
     safe = np.where(marginals > 0.0, marginals, 1.0)
@@ -403,15 +422,7 @@ def expected_utility(
     for_receiver: bool = False,
 ) -> float:
     """Expected utility of the sender (or receiver) under (scheme, strategy)."""
-    _check_scheme(instance, scheme)
-    if strategy.n_signals != scheme.n_signals:
-        raise DimensionMismatchError(
-            f"strategy indexes {strategy.n_signals} signals, scheme has {scheme.n_signals}"
-        )
-    if strategy.n_actions != instance.n_actions:
-        raise DimensionMismatchError(
-            f"strategy has {strategy.n_actions} actions, instance has {instance.n_actions}"
-        )
+    check_strategy(instance, scheme, strategy)
     util = instance.receiver_utility if for_receiver else instance.sender_utility
     joint = instance.prior[:, None] * scheme.conditional  # (m, S)
     per_pair = strategy.action_distribution @ util  # (S, m)
@@ -429,8 +440,7 @@ def advantage(
     margin is ``+inf``.  Without an explicit signal, returns the minimum
     over signals with positive marginal.
     """
-    if not scheme.is_direct_revelation:
-        raise NotDirectRevelationError("advantage requires a direct-revelation scheme")
+    check_direct(instance, scheme)
     stats = scheme_stats(instance, scheme)
 
     def margin_at(s: int) -> float:
@@ -477,9 +487,7 @@ def project_strategy(
     NoMassOnApproxSetError when a positive-marginal signal has no mass to
     renormalize.
     """
-    _check_scheme(instance, scheme)
-    if strategy.n_signals != scheme.n_signals or strategy.n_actions != instance.n_actions:
-        raise DimensionMismatchError("strategy shape does not match scheme/instance")
+    check_strategy(instance, scheme, strategy)
     stats = scheme_stats(instance, scheme)
     mask = best_response_mask(stats.receiver_values, gamma, eps_num)
     rho = np.array(strategy.action_distribution)
@@ -573,11 +581,9 @@ def load_instance(path) -> PersuasionInstance:
     return instance_from_json(_read_file(path))
 
 
-def scheme_from_json(text: str, instance: PersuasionInstance | None = None) -> SignalingScheme:
+def scheme_from_json(text: str, instance: PersuasionInstance) -> SignalingScheme:
     doc = _read_document(text, "scheme", ("signals",), ("conditional",))
-    if instance is not None:
-        return make_scheme(instance, doc["signals"], doc["conditional"])
-    return SignalingScheme(doc["signals"], doc["conditional"])
+    return make_scheme(instance, doc["signals"], doc["conditional"])
 
 
 def scheme_to_json(scheme: SignalingScheme) -> str:
@@ -585,5 +591,5 @@ def scheme_to_json(scheme: SignalingScheme) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def load_scheme(path, instance: PersuasionInstance | None = None) -> SignalingScheme:
+def load_scheme(path, instance: PersuasionInstance) -> SignalingScheme:
     return scheme_from_json(_read_file(path), instance)

@@ -17,11 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .classic import solve_classic
-from .errors import (
-    DimensionMismatchError,
-    StrategyNotDeterministicError,
-    ValidationError,
-)
+from .errors import StrategyNotDeterministicError, ValidationError
 from .model import (
     DEFAULT_EPS,
     PersuasionInstance,
@@ -31,6 +27,7 @@ from .model import (
     check_eps_num,
     check_gamma,
     check_sent,
+    check_strategy,
     index_of,
     make_scheme,
     profile_instance,
@@ -228,8 +225,7 @@ def approx_membership_mass(
     eps_num: float = DEFAULT_EPS,
 ) -> float:
     """Minimum over sent signals of the strategy mass on the gamma-best set."""
-    if strategy.n_signals != scheme.n_signals:
-        raise DimensionMismatchError("strategy and scheme disagree on signal count")
+    check_strategy(instance, scheme, strategy)
     stats = scheme_stats(instance, scheme)
     mask = best_response_mask(stats.receiver_values, gamma, eps_num)
     sent = stats.marginals > 0.0
@@ -361,8 +357,7 @@ def to_direct_revelation(
     sender value is preserved exactly, and if the strategy was a gamma-best
     response the obedient strategy is one for the new scheme.
     """
-    if strategy.n_signals != scheme.n_signals:
-        raise DimensionMismatchError("strategy and scheme disagree on signal count")
+    check_strategy(instance, scheme, strategy)
     check_eps_num(eps_num)
     rho = strategy.action_distribution
     top = rho.max(axis=1)

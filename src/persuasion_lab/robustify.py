@@ -17,7 +17,6 @@ from .classic import solve_classic
 from .errors import (
     AssumptionViolatedError,
     HypothesisViolatedError,
-    NotDirectRevelationError,
     ValidationError,
 )
 from .model import (
@@ -26,6 +25,7 @@ from .model import (
     PersuasionInstance,
     SignalingScheme,
     advantage,
+    check_direct,
     check_gamma,
     direct_scheme,
     expected_utility,
@@ -88,8 +88,7 @@ def robustify(
     """Blend ``scheme`` with the always-recommend-the-optimum scheme."""
     if not 0.0 <= alpha <= 1.0:
         raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
-    if not scheme.is_direct_revelation:
-        raise NotDirectRevelationError("robustification requires a direct-revelation scheme")
+    check_direct(instance, scheme)
     prof = _require_unique_optima(instance, profile)
 
     reveal = np.zeros((instance.n_states, instance.n_actions))
@@ -144,11 +143,12 @@ def verify_robustification(
     alpha: float,
     profile: InstanceProfile | None = None,
 ) -> RobustificationReport:
-    """Recompute the mixture guarantees from raw matrices.
+    """Check the mixture guarantees of ``robustify(instance, scheme, alpha)``.
 
-    Everything here is derived independently from (instance, scheme, alpha):
-    marginals from the prior and conditionals, margins from freshly computed
-    posteriors, distances from the joint distributions.
+    Marginals and margins are read from ``scheme_stats`` of both schemes,
+    through ``signal_marginals`` and ``advantage``, so they test the mixture
+    identity and the margin bound, not the statistics themselves.  The
+    distances come straight from the joint distributions prior x conditional.
     """
     prof = _require_unique_optima(instance, profile)
     robust = robustify(instance, scheme, alpha, prof)

@@ -53,7 +53,7 @@ def two_state_optimum(instance: PersuasionInstance) -> float:
 def test_judge_value(judge):
     scheme, opt = solve_classic(judge)
     assert opt == pytest.approx(0.6, abs=1e-8)
-    assert scheme.is_direct_revelation
+    assert scheme.signals == judge.actions
     assert scheme.conditional[0] == pytest.approx([1.0, 0.0], abs=1e-9)
     assert scheme.conditional[1] == pytest.approx([3 / 7, 4 / 7], abs=1e-9)
 

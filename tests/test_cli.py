@@ -13,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import persuasion_lab
-from persuasion_lab import PersuasionInstance, advantage, instance_to_json, scheme_to_json
+from persuasion_lab import (
+    PersuasionInstance,
+    advantage,
+    full_revelation_scheme,
+    instance_to_json,
+    scheme_to_json,
+)
 from persuasion_lab.cli import _exit_code, _write_json, main
 from persuasion_lab.errors import (
     AssumptionViolatedError,
@@ -174,6 +180,21 @@ class TestEvaluate:
         )
         out = read_json(tmp_path / "evaluate.json")
         assert out["value"] == pytest.approx(0.6, abs=1e-9)
+
+    def test_obedient_needs_a_direct_scheme(self, tmp_path, capsys, judge):
+        # full revelation signals states, not actions: there is nothing to obey
+        scheme_file = tmp_path / "full.json"
+        scheme_file.write_text(scheme_to_json(full_revelation_scheme(judge)))
+        code = run(
+            "evaluate",
+            "--instance", "judge",
+            "--scheme", scheme_file,
+            "--mode", "obedient",
+            "--output-dir", tmp_path / "out",
+        )
+        assert code == 1
+        assert "error[NOT_DIRECT_REVELATION]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_quantal(self, tmp_path, scheme_file):
         run(
@@ -687,6 +708,19 @@ def test_parse_path_exits_0_1_or_2(files, mode, gamma):
                 "--scheme", tmp / "scheme.json",
                 "--mode", mode,
                 "--gamma", gamma,
+            ],
+            [
+                "simulate",
+                "--instance", tmp / "instance.json",
+                "--sender", f"fixed:{tmp / 'scheme.json'}",
+                "--receiver", "exp-weights",
+                "--rounds", 50,
+            ],
+            [
+                "robustify",
+                "--instance", tmp / "instance.json",
+                "--scheme", tmp / "scheme.json",
+                "--alpha", 0.1,
             ],
         ]
         for k, argv in enumerate(commands):

@@ -336,6 +336,7 @@ def oracle_csv(trace, path):
         w.writerow(["t", "state", "signal", "action", "u", "v", "running_avg"])
         states = trace.instance.states
         actions = trace.instance.actions
+        v = trace.instance.receiver_utility
         for i in range(trace.rounds):
             w.writerow(
                 [
@@ -344,7 +345,7 @@ def oracle_csv(trace, path):
                     trace.signal_ids[trace.signals[i]],
                     actions[trace.actions[i]],
                     repr(float(trace.sender_utils[i])),
-                    repr(float(trace.receiver_utils[i])),
+                    repr(float(v[trace.actions[i], trace.states[i]])),
                     repr(float(trace.running_avg[i])),
                 ]
             )

@@ -301,13 +301,13 @@ class TestJson:
         clone = scheme_from_json(scheme_to_json(judge_opt), judge)
         assert clone.signals == judge_opt.signals
         assert np.array_equal(clone.conditional, judge_opt.conditional)
-        assert clone.is_direct_revelation
+        assert clone.signals == judge.actions
 
-    def test_bad_json_raises_parse_error(self):
+    def test_bad_json_raises_parse_error(self, judge):
         with pytest.raises(ParseError):
             instance_from_json("{not json")
         with pytest.raises(ParseError):
-            scheme_from_json("[1, 2, 3]")
+            scheme_from_json("[1, 2, 3]", judge)
 
     def test_missing_keys_raise_parse_error(self):
         with pytest.raises(ParseError) as err:

@@ -7,6 +7,7 @@ import pytest
 from persuasion_lab import (
     AssumptionViolatedError,
     HypothesisViolatedError,
+    PersuasionInstance,
     ReceiverStrategy,
     StrategyNotDeterministicError,
     ValidationError,
@@ -20,6 +21,7 @@ from persuasion_lab import (
     direct_scheme,
     evaluate_objective,
     expected_utility,
+    full_revelation_scheme,
     is_approx_best_responding,
     make_scheme,
     obedient_strategy,
@@ -200,6 +202,27 @@ class TestEvaluateObjective:
         assert "convict" in on_edge.knife_edge_signals
         interior = evaluate_objective(judge, mixed, margin / 2, 0.0, "worst")
         assert interior.knife_edge_signals == ()
+
+    def test_margin_exactly_at_gamma(self):
+        # at w0 the deviation a1 trails a0 by exactly 0.25; the sender wants
+        # a0 at w0 and a1 at w1
+        inst = PersuasionInstance(
+            states=("w0", "w1"),
+            actions=("a0", "a1"),
+            prior=[0.5, 0.5],
+            sender_utility=[[1.0, 0.0], [0.0, 1.0]],
+            receiver_utility=[[0.75, 0.0], [0.5, 1.0]],
+        )
+        full = full_revelation_scheme(inst)
+        on_edge = evaluate_objective(inst, full, 0.25, 0.0, "worst")
+        assert approx_set(inst, full, 0.25).actions_for("w0") == ("a0", "a1")
+        assert on_edge.value == 0.5
+        assert on_edge.knife_edge_signals == ("w0",)
+        inside = evaluate_objective(inst, full, 0.25 - 2e-9, 0.0, "worst")
+        assert approx_set(inst, full, 0.25 - 2e-9).actions_for("w0") == ("a0",)
+        assert inside.value == 1.0
+        # still within 10 eps_num of the cutoff
+        assert inside.knife_edge_signals == ("w0",)
 
 
 class TestMembership:
