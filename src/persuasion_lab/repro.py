@@ -116,18 +116,23 @@ class AlternatingStats:
 
 def alternating_stats(trace: SimulationTrace) -> AlternatingStats:
     """Example 4.3's summary of one alternating-sender trace; an unsent signal's mean is None."""
+    # each gather is freed before the next is made
     s1 = trace.signals == 0
     s1_states = trace.states[s1]
     alternation = bool(np.all(s1_states[0::2] == 0) and np.all(s1_states[1::2] == 1))
-    s1_utils, s2_utils = trace.sender_utils[s1], trace.sender_utils[~s1]
+    del s1_states
     return AlternatingStats(
         seed=trace.seed,
         overall_avg=trace.final_average,
         s1_fraction=float(s1.mean()),
-        s1_mean=float(s1_utils.mean()) if s1_utils.size else None,
-        s2_mean=float(s2_utils.mean()) if s2_utils.size else None,
+        s1_mean=_mean_or_none(trace.sender_utils[s1]),
+        s2_mean=_mean_or_none(trace.sender_utils[~s1]),
         alternation_ok=alternation,
     )
+
+
+def _mean_or_none(values: np.ndarray) -> float | None:
+    return float(values.mean()) if values.size else None
 
 
 def _seed_mean(values: list) -> float | None:

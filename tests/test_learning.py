@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,18 @@ class FlippedPolicy(FixedSchemePolicy):
 
     def round_cdf(self, t):
         return super().round_cdf(t)[::-1].copy()
+
+
+def sender_case(sender, judge, judge_opt, mismatch):
+    """The instance and a policy factory for the fixed, flipped or alternating sender."""
+    if sender == "fixed":
+        return judge, lambda: FixedSchemePolicy(judge_opt)
+    if sender == "flipped":
+        return judge, lambda: FlippedPolicy(judge_opt)
+    return mismatch, lambda: AlternatingSignalPolicy(mismatch)
+
+
+TRACE_ARRAYS = ("states", "signals", "actions", "sender_utils", "running_avg")
 
 
 def exp3_row(cumulative, config):
@@ -257,12 +270,7 @@ class TestSimulate:
     )
     @pytest.mark.parametrize("sender", ["fixed", "flipped", "alternating"])
     def test_fast_path_matches_generic(self, judge, judge_opt, mismatch, receiver_cls, sender):
-        if sender == "fixed":
-            inst, make_policy = judge, lambda: FixedSchemePolicy(judge_opt)
-        elif sender == "flipped":
-            inst, make_policy = judge, lambda: FlippedPolicy(judge_opt)
-        else:
-            inst, make_policy = mismatch, lambda: AlternatingSignalPolicy(mismatch)
+        inst, make_policy = sender_case(sender, judge, judge_opt, mismatch)
         fast_receiver, slow_receiver = receiver_cls(), receiver_cls()
         fast = simulate(inst, make_policy(), fast_receiver, 3000, 11, fast=True)
         slow = simulate(inst, make_policy(), slow_receiver, 3000, 11, fast=False)
@@ -271,6 +279,61 @@ class TestSimulate:
         assert np.array_equal(fast.actions, slow.actions)
         assert np.array_equal(fast.running_avg, slow.running_avg)
         assert_same_state(fast_receiver, slow_receiver)
+
+    @pytest.mark.parametrize(
+        "receiver_cls",
+        [EmpiricalBestResponse, ExpWeights, FirstActionExpWeights, Exp3, MirroredExp3],
+    )
+    @pytest.mark.parametrize("sender", ["fixed", "flipped", "alternating"])
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    # 448 rounds is a whole number of chunks of every size; 450 ends on a
+    # part chunk of 7 and of 64
+    @pytest.mark.parametrize("rounds", [448, 450])
+    def test_chunk_size_changes_nothing(
+        self, judge, judge_opt, mismatch, monkeypatch, receiver_cls, sender, chunk, rounds
+    ):
+        inst, make_policy = sender_case(sender, judge, judge_opt, mismatch)
+        whole_receiver = receiver_cls()
+        whole = simulate(inst, make_policy(), whole_receiver, rounds, 11)
+        monkeypatch.setattr(learning, "SIMULATE_CHUNK", chunk)
+        for fast in (True, False):
+            receiver = receiver_cls()
+            chunked = simulate(inst, make_policy(), receiver, rounds, 11, fast=fast)
+            assert_same_trace(chunked, whole)
+            assert_same_state(receiver, whole_receiver)
+
+    def test_chunked_running_average_keeps_negative_zero(self, judge, judge_opt, monkeypatch):
+        # one cumsum over -0.0 utilities stays -0.0; so must the carry
+        inst = PersuasionInstance(
+            judge.states,
+            judge.actions,
+            judge.prior,
+            np.full_like(judge.sender_utility, -0.0),
+            judge.receiver_utility,
+        )
+        monkeypatch.setattr(learning, "SIMULATE_CHUNK", 7)
+        trace = simulate(inst, FixedSchemePolicy(judge_opt), ExpWeights(), 30, 0)
+        assert np.signbit(trace.running_avg).all()
+
+    @pytest.mark.parametrize("case", ["exp-weights/judge", "empirical-br/example-4-3"])
+    def test_memory_beyond_trace_does_not_grow(self, judge, judge_opt, mismatch, case):
+        # working memory is one chunk's, about 1.5 MB; one full-horizon
+        # int64 or float64 temporary would add 6.4 MB at 800k rounds
+        if case == "exp-weights/judge":
+            inst, policy, receiver_cls = judge, FixedSchemePolicy(judge_opt), ExpWeights
+        else:
+            inst, policy = mismatch, AlternatingSignalPolicy(mismatch)
+            receiver_cls = EmpiricalBestResponse
+        for rounds in (100_000, 800_000):
+            receiver = receiver_cls()
+            tracemalloc.start()
+            try:
+                trace = simulate(inst, policy, receiver, rounds, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra = peak - sum(getattr(trace, name).nbytes for name in TRACE_ARRAYS)
+            assert extra < 3_000_000, (rounds, extra)
 
     @pytest.mark.parametrize("receiver_cls", [EmpiricalBestResponse, ExpWeights, Exp3])
     def test_fast_path_matches_generic_many_states(self, receiver_cls):
@@ -555,11 +618,12 @@ def checkpoint_fields(trace, every):
 
 
 def assert_same_trace(got, want):
+    """Same seed, signal names and per-round arrays, bit for bit."""
     assert got.seed == want.seed
     assert got.signal_ids == want.signal_ids
-    for field in ("states", "signals", "actions", "running_avg"):
-        assert np.array_equal(getattr(got, field), getattr(want, field)), field
-        assert getattr(got, field).dtype == getattr(want, field).dtype, field
+    for field in TRACE_ARRAYS:
+        x, y = getattr(got, field), getattr(want, field)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
 
 
 EXP3_ROUNDS = 1500
@@ -727,9 +791,8 @@ class TestSample:
         assert got.tolist() == [sample_oracle(cdf[i], u[i]) for i in range(400)]
 
     def test_state_draws_match_oracle(self, judge):
-        state_rng = learning._spawn_rngs(11)[0]
-        u = state_rng.random(5000)
-        states, _, _ = learning._draw_streams(judge, 5000, 11)
+        u = learning._spawn_rngs(11)[0].random(5000)
+        states = learning._draw_states(judge, u)
         cdf = np.cumsum(judge.prior)
         assert states.tolist() == [sample_oracle(cdf, x) for x in u]
 
@@ -754,6 +817,18 @@ class TestConfidenceRadius:
             confidence_radius(judge, judge_opt, 10, "acquit")
         with pytest.raises(ValidationError):
             confidence_radius(judge, judge_opt, 0, "acquit")
+
+    @pytest.mark.parametrize("chunk", [7, learning.SIMULATE_CHUNK])
+    def test_empirical_utilities_count_simulated_rounds(self, judge, judge_opt, monkeypatch, chunk):
+        # the states and signals are simulate's, whatever the chunk size
+        monkeypatch.setattr(learning, "SIMULATE_CHUNK", chunk)
+        trace = simulate(judge, FixedSchemePolicy(judge_opt), ExpWeights(), 2000, 4)
+        counts = np.zeros((2, 2))
+        np.add.at(counts, (trace.signals, trace.states), 1.0)
+        visited, vhat = empirical_conditional_utilities(judge, judge_opt, 2000, 4)
+        assert visited.all()
+        freq = counts / counts.sum(axis=1, keepdims=True)
+        assert np.array_equal(vhat, freq @ judge.receiver_utility.T)
 
     def test_coverage_on_simulated_draws(self, judge, judge_opt):
         t = 100_000
