@@ -131,15 +131,16 @@ def _config(args: argparse.Namespace, **resolved) -> dict:
 def _cmd_check_assumptions(args) -> int:
     inst = _resolve_instance(args.instance)
     prof = profile_instance(inst, args.eps_num)
+    per_state = prof.per_state_optimal
     report = {
         "config": _config(args),
         "satisfied": prof.assumption_satisfied,
         "reasons": list(prof.reasons),
         "gap": _finite_or_none(prof.gap),
         "mu_min": prof.mu_min,
-        "per_state_optimal": dict(prof.per_state_optimal),
-        "optimal_regions": {a: sorted(ws) for a, ws in prof.optimal_regions.items()},
-        "region_masses": {a: prof.region_mass(inst, a) for a in inst.actions},
+        "per_state_optimal": per_state,
+        "optimal_regions": {a: sorted(w for w, b in per_state.items() if b == a) for a in inst.actions},
+        "region_masses": dict(zip(inst.actions, prof.region_masses.tolist())),
     }
     path = _write_json(args.output_dir, "check-assumptions.json", report)
     status = "satisfied" if prof.assumption_satisfied else "violated"
@@ -172,16 +173,15 @@ def _cmd_robustify(args) -> int:
         scheme = load_scheme(Path(args.scheme), inst)
     else:
         scheme, _ = solve_classic(inst)
-    prof = profile_instance(inst, args.eps_num)
     if args.alpha is not None:
         alpha = args.alpha
     elif args.gamma is not None:
         pick = choose_alpha_lower if args.rule == "lower" else choose_alpha_upper
-        alpha = pick(inst, args.gamma, prof)
+        alpha = pick(inst, args.gamma, args.eps_num)
     else:
         raise ValidationError("robustify needs either --alpha or --gamma")
-    robust = robustify(inst, scheme, alpha, prof)
-    report = verify_robustification(inst, scheme, alpha, prof)
+    robust = robustify(inst, scheme, alpha, args.eps_num)
+    report = verify_robustification(inst, scheme, alpha, args.eps_num)
     scheme_path = _write_text(
         args.output_dir, "robustified-scheme.json", scheme_to_json(robust)
     )
@@ -290,8 +290,7 @@ def _make_policy_factory(args, inst):
         scheme = load_scheme(Path(ref.split(":", 1)[1]), inst)
         return lambda: FixedSchemePolicy(scheme), {}
     if ref.startswith("robustified:"):
-        prof = profile_instance(inst, args.eps_num)
-        scheme, alpha, _ = robustified_optimum(inst, _kind_param(ref, "sender"), prof)
+        scheme, alpha, _ = robustified_optimum(inst, _kind_param(ref, "sender"), args.eps_num)
         return lambda: FixedSchemePolicy(scheme), {"alpha": alpha}
     raise ValidationError(
         f"sender must be fixed:<scheme.json>|robustified:<C>|alternating, got {ref!r}"

@@ -779,11 +779,11 @@ def convergence_report(
     if constant <= 0:
         raise ValidationError("constant must be positive")
     prof = require_assumption(profile_instance(instance, eps_num))
-    scheme, alpha, opt = robustified_optimum(instance, constant, prof)
+    scheme, alpha, opt = robustified_optimum(instance, constant, eps_num)
     marginals = signal_marginals(instance, scheme)
     sent = np.flatnonzero(marginals > 0.0)
     min_signal_prob = float(marginals[sent].min())
-    lift = margin_lift(instance, prof, alpha, marginals)
+    lift = margin_lift(prof, alpha, marginals)
 
     def summarize(trace: SimulationTrace):
         return trace.final_average, trace.last_decile_obedience, trace.checkpoints()
@@ -859,6 +859,8 @@ def empirical_conditional_utilities(
     Rows for unvisited signals are zero.  The states and signals are
     ``simulate``'s, drawn through the same ``_round_chunks``.
     """
+    if t < 1:
+        raise ValidationError("t must be positive")
     check_scheme(instance, scheme)
     policy = FixedSchemePolicy(scheme)
     S, m = scheme.n_signals, instance.n_states

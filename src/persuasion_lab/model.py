@@ -15,8 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -214,32 +213,47 @@ class ReceiverStrategy:
 class InstanceProfile:
     """Structural summary used by robustification and the utility bounds.
 
-    ``per_state_optimal`` maps a state to its receiver-optimal action and is
-    populated only for states where that action is unique.  ``gap`` is the
-    smallest margin between a state's best and second-best receiver utility
-    (``inf`` when there is a single action).  ``optimal_regions`` maps each
-    action to the states where it is the unique optimum.
+    ``optimal[w]`` is the index of the receiver's unique optimal action at
+    state ``w``, or -1 where the best two utilities tie within the profile's
+    ``eps_num``.  ``gap`` is the smallest margin between a state's best and
+    second-best receiver utility (``inf`` when there is a single action).
     """
 
-    per_state_optimal: Mapping[str, str]
+    instance: PersuasionInstance
+    optimal: np.ndarray
     gap: float
-    optimal_regions: Mapping[str, frozenset[str]]
-    mu_min: float
-    assumption_satisfied: bool
     reasons: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "per_state_optimal", MappingProxyType(dict(self.per_state_optimal)))
-        object.__setattr__(self, "optimal_regions", MappingProxyType(dict(self.optimal_regions)))
+        optimal = np.array(self.optimal, dtype=np.intp)
+        optimal.setflags(write=False)
+        object.__setattr__(self, "optimal", optimal)
 
-    def region_mass(self, instance: PersuasionInstance, action: str | int) -> float:
-        """Prior mass of the states where ``action`` is the unique optimum.
+    @property
+    def assumption_satisfied(self) -> bool:
+        return not self.reasons
 
-        Summed in state order, so the value does not depend on
-        ``PYTHONHASHSEED``.
+    @property
+    def mu_min(self) -> float:
+        return float(self.instance.prior.min())
+
+    @property
+    def per_state_optimal(self) -> dict[str, str]:
+        """State name -> optimal action name, for the states with a unique optimum."""
+        inst = self.instance
+        return {w: inst.actions[a] for w, a in zip(inst.states, self.optimal.tolist()) if a >= 0}
+
+    @property
+    def region_masses(self) -> np.ndarray:
+        """mu(R_a) for each action a, in action order.
+
+        R_a holds the states where a is the unique optimum; each mass is
+        summed in state order.
         """
-        region = self.optimal_regions[instance.actions[instance.action_index(action)]]
-        return float(sum(p for w, p in zip(instance.states, instance.prior) if w in region))
+        masses = np.zeros(self.instance.n_actions)
+        unique = self.optimal >= 0
+        np.add.at(masses, self.optimal[unique], self.instance.prior[unique])
+        return masses
 
 
 def profile_instance(
@@ -251,45 +265,19 @@ def profile_instance(
     """
     check_eps_num(eps_num)
     v = instance.receiver_utility
-    m, n = instance.n_states, instance.n_actions
-    per_state: dict[str, str] = {}
-    regions: dict[str, set[str]] = {a: set() for a in instance.actions}
-    reasons: list[str] = []
-    gap = math.inf
+    if instance.n_actions == 1:
+        margins = np.full(instance.n_states, math.inf)
+    else:
+        top = np.sort(v, axis=0)
+        margins = top[-1] - top[-2]
+    optimal = np.where(margins > eps_num, v.argmax(axis=0), -1)
 
-    for w in range(m):
-        col = v[:, w]
-        order = np.argsort(col)
-        best = int(order[-1])
-        if n == 1:
-            margin = math.inf
-        else:
-            margin = float(col[best] - col[int(order[-2])])
-            gap = min(gap, margin)
-        if margin > eps_num:
-            per_state[instance.states[w]] = instance.actions[best]
-            regions[instance.actions[best]].add(instance.states[w])
-        else:
-            reasons.append(TIE_AT_STATE.format(instance.states[w]))
-
-    for a in instance.actions:
-        if not regions[a]:
-            reasons.append(ACTION_NEVER_OPTIMAL.format(a))
-
-    mu_min = float(instance.prior.min())
-    if mu_min <= 0.0:
-        for w in range(m):
-            if instance.prior[w] <= 0.0:
-                reasons.append(ZERO_PRIOR_STATE.format(instance.states[w]))
-
-    return InstanceProfile(
-        per_state_optimal=per_state,
-        gap=float(gap),
-        optimal_regions={a: frozenset(s) for a, s in regions.items()},
-        mu_min=mu_min,
-        assumption_satisfied=not reasons,
-        reasons=tuple(reasons),
-    )
+    # ties, then actions never optimal, then zero-prior states
+    states, present = instance.states, set(optimal.tolist())
+    reasons = [TIE_AT_STATE.format(states[w]) for w in np.flatnonzero(optimal < 0)]
+    reasons += [ACTION_NEVER_OPTIMAL.format(a) for k, a in enumerate(instance.actions) if k not in present]
+    reasons += [ZERO_PRIOR_STATE.format(states[w]) for w in np.flatnonzero(instance.prior <= 0.0)]
+    return InstanceProfile(instance, optimal, float(margins.min()), tuple(reasons))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .model import (
     check_strategy,
     index_of,
     make_scheme,
-    profile_instance,
     scheme_stats,
 )
 from .robustify import choose_alpha_lower, choose_alpha_upper, robustify
@@ -471,15 +470,15 @@ def bounds_grid(
 ) -> list[BoundsReport]:
     """``bounds_report`` for every (gamma, delta) cell, in gamma-major order.
 
-    The cells share the work that does not depend on them: the instance
-    profile, the classic LP, and the candidate schemes with their
-    statistics (every cell scores the same candidates).  The ratio
-    gamma/(mu_min*gap), the mixing weight and the robustified certificate
-    are made once per gamma.
+    The cells share the work that does not depend on them: the classic LP
+    and the candidate schemes with their statistics (every cell scores the
+    same candidates).  The ratio gamma/(mu_min*gap), the mixing weight and
+    the robustified certificate are made once per gamma, each from the
+    instance profile at ``eps_num``.
     """
-    prof = profile_instance(instance, eps_num)
-    ratios = [choose_alpha_upper(instance, gamma, prof) for gamma in gammas]
-    alphas = [choose_alpha_lower(instance, gamma, prof) for gamma in gammas]
+    check_eps_num(eps_num)
+    ratios = [choose_alpha_upper(instance, gamma, eps_num) for gamma in gammas]
+    alphas = [choose_alpha_lower(instance, gamma, eps_num) for gamma in gammas]
     opt_scheme, opt = solve_classic(instance)
     if schemes is None:
         rng = np.random.default_rng(seed)
@@ -488,7 +487,7 @@ def bounds_grid(
 
     reports = []
     for gamma, ratio, alpha in zip(gammas, ratios, alphas):
-        certificate = robustify(instance, opt_scheme, alpha, prof)
+        certificate = robustify(instance, opt_scheme, alpha, eps_num)
         cert_marginals, cert_rv, cert_sv = _stack_stats(instance, [certificate])
         cert_mask = best_response_mask(cert_rv, gamma, eps_num)
         cand_mask = best_response_mask(cand_rv, gamma, eps_num)

@@ -66,11 +66,9 @@ class RobustificationReport:
         return {**asdict(self), "ok": self.ok()}
 
 
-def _require_unique_optima(
-    instance: PersuasionInstance, profile: InstanceProfile | None
-) -> InstanceProfile:
-    prof = profile if profile is not None else profile_instance(instance)
-    missing = [w for w in instance.states if w not in prof.per_state_optimal]
+def _require_unique_optima(instance: PersuasionInstance, eps_num: float) -> InstanceProfile:
+    prof = profile_instance(instance, eps_num)
+    missing = [instance.states[w] for w in np.flatnonzero(prof.optimal < 0)]
     if missing:
         raise AssumptionViolatedError(
             f"no unique receiver-optimal action at states {missing}",
@@ -83,17 +81,16 @@ def robustify(
     instance: PersuasionInstance,
     scheme: SignalingScheme,
     alpha: float,
-    profile: InstanceProfile | None = None,
+    eps_num: float = DEFAULT_EPS,
 ) -> SignalingScheme:
     """Blend ``scheme`` with the always-recommend-the-optimum scheme."""
     if not 0.0 <= alpha <= 1.0:
         raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
     check_direct(instance, scheme)
-    prof = _require_unique_optima(instance, profile)
+    prof = _require_unique_optima(instance, eps_num)
 
     reveal = np.zeros((instance.n_states, instance.n_actions))
-    for w, a in prof.per_state_optimal.items():
-        reveal[instance.state_index(w), instance.action_index(a)] = 1.0
+    reveal[np.arange(instance.n_states), prof.optimal] = 1.0
 
     mixed = (1.0 - alpha) * scheme.conditional + alpha * reveal
     return direct_scheme(instance, mixed)
@@ -102,7 +99,7 @@ def robustify(
 def robustified_optimum(
     instance: PersuasionInstance,
     constant: float,
-    profile: InstanceProfile | None = None,
+    eps_num: float = DEFAULT_EPS,
 ) -> tuple[SignalingScheme, float, float]:
     """The classic optimum robustified to forfeit at most ``constant``.
 
@@ -111,20 +108,10 @@ def robustified_optimum(
     """
     alpha = min(constant / 2.0, 1.0)
     opt_scheme, opt = solve_classic(instance)
-    return robustify(instance, opt_scheme, alpha, profile), alpha, opt
+    return robustify(instance, opt_scheme, alpha, eps_num), alpha, opt
 
 
-def _region_masses(instance: PersuasionInstance, profile: InstanceProfile) -> np.ndarray:
-    """mu(R_a) for each action a, in action order."""
-    return np.array([profile.region_mass(instance, a) for a in instance.actions])
-
-
-def margin_lift(
-    instance: PersuasionInstance,
-    profile: InstanceProfile,
-    alpha: float,
-    marginals: np.ndarray,
-) -> np.ndarray:
+def margin_lift(profile: InstanceProfile, alpha: float, marginals: np.ndarray) -> np.ndarray:
     """alpha * mu(R_s) * gap / pi'(s) for each direct signal s.
 
     Mixing with weight ``alpha`` raises the obedience margin of a sent
@@ -133,7 +120,7 @@ def margin_lift(
     """
     sent = marginals > 0.0
     lift = np.zeros(marginals.size)
-    lift[sent] = alpha * _region_masses(instance, profile)[sent] * profile.gap / marginals[sent]
+    lift[sent] = alpha * profile.region_masses[sent] * profile.gap / marginals[sent]
     return lift
 
 
@@ -141,7 +128,7 @@ def verify_robustification(
     instance: PersuasionInstance,
     scheme: SignalingScheme,
     alpha: float,
-    profile: InstanceProfile | None = None,
+    eps_num: float = DEFAULT_EPS,
 ) -> RobustificationReport:
     """Check the mixture guarantees of ``robustify(instance, scheme, alpha)``.
 
@@ -150,18 +137,18 @@ def verify_robustification(
     identity and the margin bound, not the statistics themselves.  The
     distances come straight from the joint distributions prior x conditional.
     """
-    prof = _require_unique_optima(instance, profile)
-    robust = robustify(instance, scheme, alpha, prof)
+    prof = _require_unique_optima(instance, eps_num)
+    robust = robustify(instance, scheme, alpha, eps_num)
 
     marg_before = signal_marginals(instance, scheme)
     marg_after = signal_marginals(instance, robust)
 
-    mixed = alpha * _region_masses(instance, prof)
+    mixed = alpha * prof.region_masses
     residual = float(np.max(np.abs(marg_after - ((1.0 - alpha) * marg_before + mixed))))
 
     slack = math.inf
     if instance.n_actions > 1:
-        lift = margin_lift(instance, prof, alpha, marg_after)
+        lift = margin_lift(prof, alpha, marg_after)
         for s in range(instance.n_actions):
             if marg_after[s] <= 0.0:
                 continue
@@ -201,9 +188,9 @@ def require_assumption(prof: InstanceProfile) -> InstanceProfile:
     return prof
 
 
-def _ratio(instance: PersuasionInstance, gamma: float, profile: InstanceProfile | None) -> float:
+def _ratio(instance: PersuasionInstance, gamma: float, eps_num: float) -> float:
     check_gamma(gamma)
-    prof = require_assumption(profile if profile is not None else profile_instance(instance))
+    prof = require_assumption(profile_instance(instance, eps_num))
     denom = prof.mu_min * prof.gap
     ratio = 0.0 if gamma == 0.0 else gamma / denom
     if ratio >= 1.0:
@@ -217,7 +204,7 @@ def _ratio(instance: PersuasionInstance, gamma: float, profile: InstanceProfile 
 def choose_alpha_lower(
     instance: PersuasionInstance,
     gamma: float,
-    profile: InstanceProfile | None = None,
+    eps_num: float = DEFAULT_EPS,
 ) -> float:
     """Smallest mixing weight that pushes every obedience margin beyond gamma.
 
@@ -225,14 +212,14 @@ def choose_alpha_lower(
     the classic optimum the obedient action is the only gamma-best response
     at every sent signal.
     """
-    ratio = _ratio(instance, gamma, profile)
+    ratio = _ratio(instance, gamma, eps_num)
     return min(ratio + 1e-6, 1.0)
 
 
 def choose_alpha_upper(
     instance: PersuasionInstance,
     gamma: float,
-    profile: InstanceProfile | None = None,
+    eps_num: float = DEFAULT_EPS,
 ) -> float:
     """Mixing weight that restores plain obedience (margin >= 0) exactly."""
-    return _ratio(instance, gamma, profile)
+    return _ratio(instance, gamma, eps_num)

@@ -4,10 +4,13 @@ The callables are found by walking ``persuasion_lab.__all__`` for a
 signature with both ``instance`` and ``scheme``; their other arguments come
 from ``ARGS``, keyed by parameter name, so a new such function is covered
 as soon as it is exported.  A mismatched scheme or strategy must raise a
-``PersuasionError``: a returned value or any other exception fails.
+``PersuasionError``: a returned value or any other exception fails.  The
+same walk finds every callable with an ``eps_num`` tolerance, which must
+reject a negative or non-finite one.
 """
 
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -15,11 +18,13 @@ import pytest
 import persuasion_lab
 from persuasion_lab import (
     DEFAULT_EPS,
+    AssumptionViolatedError,
     FixedSchemePolicy,
     NotDirectRevelationError,
     PersuasionError,
     ReceiverStrategy,
     SignalingScheme,
+    ValidationError,
     advantage,
     make_receiver,
     obedient_strategy,
@@ -33,29 +38,50 @@ def _params(fn) -> tuple[str, ...]:
     return tuple(inspect.signature(fn).parameters)
 
 
-GUARDED = sorted(
-    name
-    for name in persuasion_lab.__all__
-    if not inspect.isclass(fn := getattr(persuasion_lab, name))
-    and callable(fn)
-    and {"instance", "scheme"} <= set(_params(fn))
-)
+def _exported_with(*params: str) -> list[str]:
+    """Exported functions whose signature has every one of ``params``."""
+    return sorted(
+        name
+        for name in persuasion_lab.__all__
+        if not inspect.isclass(fn := getattr(persuasion_lab, name))
+        and callable(fn)
+        and set(params) <= set(_params(fn))
+    )
+
+
+GUARDED = _exported_with("instance", "scheme")
+TOLERANT = _exported_with("eps_num")
+ROBUSTIFY = [
+    "choose_alpha_lower",
+    "choose_alpha_upper",
+    "robustified_optimum",
+    "robustify",
+    "verify_robustification",
+]
 
 # a valid value for every other parameter of a guarded callable
 ARGS = {
     "alpha": 0.1,
+    "constant": 0.2,
     "delta": 0.0,
+    "deltas": (0.0,),
     "epsilon": 0.1,
     "eps_num": DEFAULT_EPS,
     "for_receiver": False,
     "gamma": 0.1,
+    "gammas": (0.1,),
     "lam": 2.0,
     "mode": "worst",
-    "profile": None,
+    "n_schemes": 2,
+    "receiver_values": lambda: np.array([[[0.2, 0.8]]]),
     "rng": lambda: np.random.default_rng(0),
+    "rounds": 20,
+    "schemes": None,
     "seed": 0,
+    "seeds": (0,),
     "signal": 0,
     "t": 1000,
+    "threads": 1,
 }
 
 
@@ -66,22 +92,29 @@ def point_mass(n_signals: int, n_actions: int) -> ReceiverStrategy:
     return ReceiverStrategy(rho)
 
 
-def call(name, instance, scheme, strategy=None):
-    """``name`` on the pair; the strategy defaults to obedience, which needs a direct scheme."""
+def call(name, instance, scheme, strategy=None, **given):
+    """``name`` on the pair; the strategy defaults to obedience, which needs a direct scheme.
+
+    ``given`` overrides the ``ARGS`` value of a parameter.
+    """
     fn = getattr(persuasion_lab, name)
+    given = {"instance": instance, "scheme": scheme, **given}
     kwargs = {}
     for p in _params(fn):
-        if p == "strategy":
+        if p in given:
+            kwargs[p] = given[p]
+        elif p == "strategy":
             kwargs[p] = obedient_strategy(instance) if strategy is None else strategy
-        elif p not in ("instance", "scheme"):
+        else:
             value = ARGS[p]
             kwargs[p] = value() if callable(value) else value
-    return fn(instance=instance, scheme=scheme, **kwargs)
+    return fn(**kwargs)
 
 
 def test_walk_finds_the_guarded_calls():
     assert {"advantage", "expected_utility", "robustify", "to_direct_revelation"} <= set(GUARDED)
     assert "empirical_conditional_utilities" in GUARDED
+    assert {"profile_instance", "evaluate_objective", "bounds_grid", *ROBUSTIFY} <= set(TOLERANT)
 
 
 @pytest.mark.parametrize("name", GUARDED)
@@ -129,3 +162,23 @@ def test_simulate_rejects_fixed_scheme_for_other_states(kind, n_states, fast, ju
     scheme = SignalingScheme(judge.actions, np.full((n_states, judge.n_actions), 0.5))
     with pytest.raises(PersuasionError):
         simulate(judge, FixedSchemePolicy(scheme), make_receiver(kind), 20, 0, fast=fast)
+
+
+@pytest.mark.parametrize("name", TOLERANT)
+def test_default_eps_num_is_accepted(name, judge, judge_opt):
+    call(name, judge, judge_opt)
+
+
+@pytest.mark.parametrize("eps_num", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", TOLERANT)
+def test_bad_eps_num_raises(name, eps_num, judge, judge_opt):
+    with pytest.raises(ValidationError, match="eps_num"):
+        call(name, judge, judge_opt, eps_num=eps_num)
+
+
+@pytest.mark.parametrize("name", ROBUSTIFY)
+def test_robustify_layer_profiles_at_its_eps_num(name, judge, judge_opt):
+    # judge's states both have margin 1.0, a tie at eps_num = 1.0
+    call(name, judge, judge_opt, gamma=0.03)
+    with pytest.raises(AssumptionViolatedError):
+        call(name, judge, judge_opt, gamma=0.03, eps_num=1.0)

@@ -830,6 +830,12 @@ class TestConfidenceRadius:
         freq = counts / counts.sum(axis=1, keepdims=True)
         assert np.array_equal(vhat, freq @ judge.receiver_utility.T)
 
+    @pytest.mark.parametrize("t", [0, -5])
+    def test_empirical_utilities_reject_nonpositive_t(self, judge, judge_opt, t):
+        # as simulate does for rounds < 1, instead of reporting no signal visited
+        with pytest.raises(ValidationError, match="t must be positive"):
+            empirical_conditional_utilities(judge, judge_opt, t, 0)
+
     def test_coverage_on_simulated_draws(self, judge, judge_opt):
         t = 100_000
         rad = {s: confidence_radius(judge, judge_opt, t, s) for s in range(2)}

@@ -133,8 +133,11 @@ class TestProfile:
         assert prof.gap == 1.0
         assert prof.mu_min == 0.3
         assert prof.per_state_optimal == {"guilty": "convict", "innocent": "acquit"}
-        assert prof.region_mass(judge, "convict") == 0.3
-        assert prof.region_mass(judge, "acquit") == 0.7
+        assert prof.region_masses.tolist() == [0.3, 0.7]
+        assert prof.instance is judge
+        assert prof.optimal.tolist() == [0, 1]
+        with pytest.raises(ValueError):
+            prof.optimal[0] = 1
 
     def test_mismatch_profile(self, mismatch):
         prof = profile_instance(mismatch)
@@ -174,6 +177,86 @@ class TestProfile:
         # a negative tolerance would drop example 1's tie at w1
         with pytest.raises(ValidationError, match="eps_num"):
             profile_instance(example1, eps_num)
+
+
+def profile_oracle(instance, eps_num):
+    """The per-column loop that ``profile_instance`` replaced.
+
+    Returns ``(per_state_optimal, reasons, gap, mu_min, region_masses)``.
+    """
+    v = instance.receiver_utility
+    per_state, reasons, gap = {}, [], math.inf
+    regions = {a: set() for a in instance.actions}
+    for w in range(instance.n_states):
+        col = v[:, w]
+        order = np.argsort(col)
+        best = int(order[-1])
+        if instance.n_actions == 1:
+            margin = math.inf
+        else:
+            margin = float(col[best] - col[int(order[-2])])
+            gap = min(gap, margin)
+        if margin > eps_num:
+            per_state[instance.states[w]] = instance.actions[best]
+            regions[instance.actions[best]].add(instance.states[w])
+        else:
+            reasons.append(f"TIE_AT_STATE({instance.states[w]})")
+    reasons += [f"ACTION_NEVER_OPTIMAL({a})" for a in instance.actions if not regions[a]]
+    mu_min = float(instance.prior.min())
+    pairs = list(zip(instance.states, instance.prior))
+    reasons += [f"ZERO_PRIOR_STATE({w})" for w, p in pairs if p <= 0.0]
+    masses = [float(sum(p for w, p in pairs if w in regions[a])) for a in instance.actions]
+    return per_state, tuple(reasons), float(gap), mu_min, np.array(masses)
+
+
+def oracle_instance(rng):
+    """A small random instance; coarse utility grids make exact ties common."""
+    m, n = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+    levels = int(rng.choice([2, 3, 5, 11]))
+    if rng.random() < 0.2:
+        v = rng.random((n, m))
+    else:
+        v = rng.integers(0, levels, size=(n, m)) / (levels - 1)
+    prior = rng.dirichlet(np.ones(m))
+    prior[rng.random(m) < 0.2] = 0.0
+    if prior.sum() == 0.0:
+        prior[0] = 1.0
+    return make_instance(prior / prior.sum(), rng.random((n, m)), v)
+
+
+ORACLE_CASES = [
+    ([0.5, 0.5], [[0.3, 0.7]]),  # one action
+    ([0.2, 0.3, 0.5], [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]]),  # every state a tie
+    ([0.0, 1.0], [[1, 0], [0, 1]]),  # a zero-prior state
+    ([0.25, 0.25, 0.5], [[1, 1, 0], [0, 0, 0], [0, 0, 1]]),  # a never-optimal action
+]
+
+
+class TestProfileOracle:
+    @staticmethod
+    def assert_matches_oracle(inst, eps_num):
+        prof = profile_instance(inst, eps_num)
+        per_state, reasons, gap, mu_min, masses = profile_oracle(inst, eps_num)
+        assert prof.per_state_optimal == per_state
+        assert prof.reasons == reasons
+        assert np.float64(prof.gap).tobytes() == np.float64(gap).tobytes()
+        assert prof.mu_min == mu_min
+        assert prof.region_masses.dtype == np.float64
+        assert prof.region_masses.tobytes() == masses.tobytes()
+        assert not prof.optimal.flags.writeable
+
+    @pytest.mark.parametrize("eps_num", [0.0, 1e-9, 0.1, 0.3])
+    @pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
+    def test_edge_cases(self, case, eps_num):
+        prior, v = ORACLE_CASES[case]
+        u = np.zeros((len(v), len(prior)))
+        self.assert_matches_oracle(make_instance(prior, u, v), eps_num)
+
+    @pytest.mark.parametrize("eps_num", [0.0, 1e-9, 0.1, 0.3])
+    def test_random_instances(self, eps_num):
+        rng = np.random.default_rng(20)
+        for _ in range(500):
+            self.assert_matches_oracle(oracle_instance(rng), eps_num)
 
 
 class TestPosteriorsAndValues:
