@@ -403,11 +403,11 @@ def _csv_cells(rows) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class SimulationTrace:
-    """Full per-round record of one run.
+    """Full per-round record of one run: the state, signal and action indices drawn.
 
     ``scheme`` is the fixed sender's committed scheme, ``None`` for any
-    other sender; checkpoint diagnostics are computed from the record on
-    demand.
+    other sender.  Each read of ``sender_utils`` or ``running_avg`` computes
+    a full-horizon array; checkpoint diagnostics are computed on demand.
     """
 
     instance: PersuasionInstance
@@ -415,8 +415,6 @@ class SimulationTrace:
     states: np.ndarray
     signals: np.ndarray
     actions: np.ndarray
-    sender_utils: np.ndarray
-    running_avg: np.ndarray
     seed: int
     scheme: SignalingScheme | None
 
@@ -425,14 +423,27 @@ class SimulationTrace:
         return int(self.states.size)
 
     @property
+    def sender_utils(self) -> np.ndarray:
+        return self.instance.sender_utility[self.actions, self.states]
+
+    @property
+    def running_avg(self) -> np.ndarray:
+        """Mean sender utility over rounds 1..t; round 1 gets no addend, so -0.0 stays."""
+        avg = np.cumsum(self.sender_utils)
+        avg /= np.arange(1, self.rounds + 1)
+        return avg
+
+    @property
     def final_average(self) -> float:
         return float(self.running_avg[-1])
 
     def obedience_frequency(self, start: int = 0, stop: int | None = None) -> float | None:
-        """Fraction of rounds whose action index equals the signal index."""
+        """Fraction of rounds ``[start:stop]`` (at least one) whose action index is the signal's."""
+        sl = slice(start, stop)
+        if not range(self.rounds)[sl]:
+            raise ValidationError(f"rounds [{start}:{stop}] select none of {self.rounds}")
         if self.signal_ids != self.instance.actions:
             return None
-        sl = slice(start, stop)
         return float(np.mean(self.actions[sl] == self.signals[sl]))
 
     @property
@@ -450,6 +461,7 @@ class SimulationTrace:
         """
         marginals = None if self.scheme is None else signal_marginals(self.instance, self.scheme)
         direct = self.signal_ids == self.instance.actions
+        running_avg = self.running_avg
         out = []
         prev = obeyed = 0
         for t in checkpoint_marks(self.rounds, every):
@@ -465,7 +477,7 @@ class SimulationTrace:
             out.append(
                 Checkpoint(
                     t=t,
-                    running_avg=float(self.running_avg[t - 1]),
+                    running_avg=float(running_avg[t - 1]),
                     obedience_frequency=obeyed / t if direct else None,
                     window_obedience=window / (t - prev) if direct else None,
                     max_radius=radius,
@@ -493,6 +505,7 @@ class SimulationTrace:
             for i, a in enumerate(inst.actions)
             for w in range(W)
         )
+        running_avg = self.running_avg
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write("t,state,signal,action,u,v,running_avg\r\n")
             for lo in range(0, self.rounds, TRACE_CHUNK):
@@ -502,7 +515,7 @@ class SimulationTrace:
                     range(lo + 1, hi + 1),
                     (states * S + self.signals[lo:hi]).tolist(),
                     (self.actions[lo:hi] * W + states).tolist(),
-                    self.running_avg[lo:hi].tolist(),
+                    running_avg[lo:hi].tolist(),
                 )
                 lines = [f"{t},{state_signal[i]}{action_uv[j]}{r!r}\r\n" for t, i, j, r in rows]
                 fh.write("".join(lines))
@@ -628,9 +641,6 @@ def simulate(
     states = np.empty(rounds, dtype=np.int64)
     signals = np.empty(rounds, dtype=np.int64)
     actions = np.empty(rounds, dtype=np.int64)
-    sender_utils = np.empty(rounds)
-    running_avg = np.empty(rounds)
-    total = 0.0
     for lo, w, u_signals, u_actions in _round_chunks(instance, rounds, _spawn_rngs(seed)):
         hi = lo + w.size
         states[lo:hi] = w
@@ -646,17 +656,8 @@ def simulate(
                 actions[lo + i] = a
                 receiver.feed(s, a, state, v[a, state], t)
                 policy.observe(t, state, s, a)
-        sender_utils[lo:hi] = instance.sender_utility[actions[lo:hi], w]
-        # the running sum carries from chunk to chunk in the order one
-        # cumsum over the whole run adds in (round 1 gets no addend, which
-        # would turn a -0.0 into 0.0)
-        avg = running_avg[lo:hi]
-        avg[:] = sender_utils[lo:hi]
-        if lo:
-            avg[0] += total
-        np.cumsum(avg, out=avg)
-        total = avg[-1]
-        avg /= np.arange(lo + 1, hi + 1)
+    for drawn in (states, signals, actions):
+        drawn.setflags(write=False)
 
     return SimulationTrace(
         instance=instance,
@@ -664,8 +665,6 @@ def simulate(
         states=states,
         signals=signals,
         actions=actions,
-        sender_utils=sender_utils,
-        running_avg=running_avg,
         seed=seed,
         scheme=scheme,
     )

@@ -121,12 +121,13 @@ def alternating_stats(trace: SimulationTrace) -> AlternatingStats:
     s1_states = trace.states[s1]
     alternation = bool(np.all(s1_states[0::2] == 0) and np.all(s1_states[1::2] == 1))
     del s1_states
+    overall_avg, utils = trace.final_average, trace.sender_utils
     return AlternatingStats(
         seed=trace.seed,
-        overall_avg=trace.final_average,
+        overall_avg=overall_avg,
         s1_fraction=float(s1.mean()),
-        s1_mean=_mean_or_none(trace.sender_utils[s1]),
-        s2_mean=_mean_or_none(trace.sender_utils[~s1]),
+        s1_mean=_mean_or_none(utils[s1]),
+        s2_mean=_mean_or_none(utils[~s1]),
         alternation_ok=alternation,
     )
 

@@ -14,6 +14,7 @@ from persuasion_lab import (
     FixedSchemePolicy,
     PersuasionInstance,
     RadiusPreconditionError,
+    SimulationTrace,
     ValidationError,
     WrongInstanceError,
     advantage,
@@ -71,7 +72,26 @@ def sender_case(sender, judge, judge_opt, mismatch):
     return mismatch, lambda: AlternatingSignalPolicy(mismatch)
 
 
-TRACE_ARRAYS = ("states", "signals", "actions", "sender_utils", "running_avg")
+# a trace stores the index arrays; the utilities and running average are derived
+STORED_ARRAYS = ("states", "signals", "actions")
+TRACE_ARRAYS = (*STORED_ARRAYS, "sender_utils", "running_avg")
+
+
+def chunked_running_avg(sender_utils, chunk):
+    """The running average built chunk by chunk, with the running sum carried across."""
+    rounds = sender_utils.size
+    running_avg = np.empty(rounds)
+    total = 0.0
+    for lo in range(0, rounds, chunk):
+        hi = min(lo + chunk, rounds)
+        avg = running_avg[lo:hi]
+        avg[:] = sender_utils[lo:hi]
+        if lo:
+            avg[0] += total
+        np.cumsum(avg, out=avg)
+        total = avg[-1]
+        avg /= np.arange(lo + 1, hi + 1)
+    return running_avg
 
 
 def exp3_row(cumulative, config):
@@ -332,7 +352,7 @@ class TestSimulate:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            extra = peak - sum(getattr(trace, name).nbytes for name in TRACE_ARRAYS)
+            extra = peak - sum(getattr(trace, name).nbytes for name in STORED_ARRAYS)
             assert extra < 3_000_000, (rounds, extra)
 
     @pytest.mark.parametrize("receiver_cls", [EmpiricalBestResponse, ExpWeights, Exp3])
@@ -377,6 +397,55 @@ class TestSimulate:
             mismatch, AlternatingSignalPolicy(mismatch), ExpWeights(), 50, 0
         )
         assert tr2.obedience_frequency() is None
+
+    @pytest.mark.parametrize("start, stop", [(5, 5), (60, None), (10, 2)])
+    def test_obedience_frequency_rejects_empty_range(self, judge, judge_opt, start, stop):
+        tr = simulate(judge, FixedSchemePolicy(judge_opt), ExpWeights(), 50, 0)
+        with pytest.raises(ValidationError):
+            tr.obedience_frequency(start, stop)
+
+    def test_index_arrays_read_only(self, judge, judge_opt):
+        tr = simulate(judge, FixedSchemePolicy(judge_opt), ExpWeights(), 50, 0)
+        for name in STORED_ARRAYS:
+            with pytest.raises(ValueError):
+                getattr(tr, name)[0] = 0
+
+
+class TestDerivedTrace:
+    ROUNDS = 1000
+
+    @pytest.fixture
+    def fields(self):
+        """A hand-built trace's fields: random indices into a non-dyadic instance."""
+        rng = np.random.default_rng(8)
+        inst = random_instance(rng)
+        actions = rng.integers(0, inst.n_actions, self.ROUNDS)
+        return dict(
+            instance=inst,
+            signal_ids=inst.actions,
+            states=rng.integers(0, inst.n_states, self.ROUNDS),
+            signals=rng.integers(0, inst.n_actions, self.ROUNDS),
+            actions=actions,
+            seed=0,
+            scheme=None,
+        )
+
+    def test_sender_utils_gathers_the_utility(self, fields):
+        tr = SimulationTrace(**fields)
+        want = [tr.instance.sender_utility[a, w] for a, w in zip(tr.actions, tr.states)]
+        assert tr.sender_utils.tolist() == want
+
+    @pytest.mark.parametrize("chunk", [1, 7, ROUNDS])
+    def test_running_avg_equals_chunked_carry(self, fields, chunk):
+        tr = SimulationTrace(**fields)
+        want = chunked_running_avg(tr.sender_utils, chunk)
+        assert tr.running_avg.tobytes() == want.tobytes()
+        assert tr.final_average == want[-1]
+
+    @pytest.mark.parametrize("name", ["sender_utils", "running_avg"])
+    def test_derived_values_not_accepted(self, fields, name):
+        with pytest.raises(TypeError):
+            SimulationTrace(**fields, **{name: np.zeros(self.ROUNDS)})
 
     def test_trace_csv_round_trip(self, judge, judge_opt, tmp_path):
         tr = simulate(judge, FixedSchemePolicy(judge_opt), ExpWeights(), 40, 2)
