@@ -37,13 +37,6 @@ class ObedienceLP:
     n_obedience_rows: int
     n_simplex_rows: int
 
-    def residuals(self, conditional: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(obedience row values, simplex row residuals) for a candidate."""
-        x = np.asarray(conditional, dtype=np.float64).reshape(-1)
-        rows = self.A[: self.n_obedience_rows, : x.size] @ x
-        sums = conditional.sum(axis=1) - 1.0
-        return rows, sums
-
 
 def build_obedience_lp(instance: PersuasionInstance) -> ObedienceLP:
     m, n = instance.n_states, instance.n_actions
@@ -73,19 +66,6 @@ def build_obedience_lp(instance: PersuasionInstance) -> ObedienceLP:
     c[:n_dec] = (mu[:, None] * u.T).reshape(-1)  # mu(w) u(a,w), state-major
 
     return ObedienceLP(A=A, b=b_vec, c=c, n_obedience_rows=n_ob, n_simplex_rows=m)
-
-
-def constant_recommendation(instance: PersuasionInstance) -> np.ndarray:
-    """Always recommend the receiver's best action against the prior.
-
-    This assignment is obedient by construction, so it witnesses LP
-    feasibility.
-    """
-    prior_values = instance.receiver_utility @ instance.prior
-    best = int(np.argmax(prior_values))
-    cond = np.zeros((instance.n_states, instance.n_actions))
-    cond[:, best] = 1.0
-    return cond
 
 
 _GHOST_TOL = 1e-9

@@ -85,9 +85,14 @@ def _threads() -> int:
     """The ``PERSUASION_LAB_THREADS`` cap on replication threads (default 1)."""
     raw = os.environ.get("PERSUASION_LAB_THREADS", "1")
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
-        raise ValidationError(f"PERSUASION_LAB_THREADS must be an integer, got {raw!r}")
+        threads = 0  # rejected below, with the values under 1
+    if threads < 1:
+        raise ValidationError(
+            f"PERSUASION_LAB_THREADS must be an integer of at least 1, got {raw!r}"
+        )
+    return threads
 
 
 def _resolve_instance(ref: str):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .errors import UnknownTargetError
-from .model import PersuasionInstance, SignalingScheme, instance_from_json, scheme_from_json
+from .model import PersuasionInstance, instance_from_json
 
 BUILTIN_INSTANCES = ("judge", "example-1", "example-4-3")
 
@@ -22,7 +22,3 @@ def builtin_instance(name: str) -> PersuasionInstance:
         )
     return instance_from_json(_read(f"{name}.json"))
 
-
-def judge_optimal_scheme() -> SignalingScheme:
-    """The classic solution of the judge instance, as a checked-in fixture."""
-    return scheme_from_json(_read("judge-optimal-scheme.json"), builtin_instance("judge"))

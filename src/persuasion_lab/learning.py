@@ -785,7 +785,8 @@ def convergence_report(
     lift = margin_lift(prof, alpha, marginals)
 
     def summarize(trace: SimulationTrace):
-        return trace.final_average, trace.last_decile_obedience, trace.checkpoints()
+        # the last checkpoint is at t = rounds, so it carries the final average
+        return trace.last_decile_obedience, trace.checkpoints()
 
     results = run_replications(
         instance,
@@ -797,13 +798,13 @@ def convergence_report(
         threads=threads,
     )
 
-    finals = tuple(r[0] for r in results)
-    tail_obedience = float(np.mean([r[1] for r in results]))
+    finals = tuple(r[1][-1].running_avg for r in results)
+    tail_obedience = float(np.mean([r[0] for r in results]))
 
     checkpoints = []
-    for k, t in enumerate(c.t for c in results[0][2]):
-        mean_avg = float(np.mean([r[2][k].running_avg for r in results]))
-        mean_obe = float(np.mean([r[2][k].obedience_frequency for r in results]))
+    for k, t in enumerate(c.t for c in results[0][1]):
+        mean_avg = float(np.mean([r[1][k].running_avg for r in results]))
+        mean_obe = float(np.mean([r[1][k].obedience_frequency for r in results]))
         g_t, d_t = exp_weights_certificate(instance.n_actions, min_signal_prob, max(t - 1, 1))
         radii = _radii(instance, scheme, marginals, max(t - 1, 1))
         if any(radii[s] is None for s in sent):

@@ -338,11 +338,6 @@ def full_revelation_scheme(instance: PersuasionInstance) -> SignalingScheme:
     return make_scheme(instance, instance.states, np.eye(instance.n_states))
 
 
-def uninformative_scheme(instance: PersuasionInstance) -> SignalingScheme:
-    """A single constant signal; every posterior equals the prior."""
-    return make_scheme(instance, ("s0",), np.ones((instance.n_states, 1)))
-
-
 def obedient_strategy(instance: PersuasionInstance) -> ReceiverStrategy:
     """Follow the recommendation: identity over the action-indexed signals."""
     return ReceiverStrategy(np.eye(instance.n_actions))

@@ -19,17 +19,10 @@ from .learning import (
     AlternatingSignalPolicy,
     EmpiricalBestResponse,
     SimulationTrace,
-    confidence_radius,
     convergence_report,
-    empirical_conditional_utilities,
     run_replications,
 )
-from .model import (
-    PersuasionInstance,
-    full_revelation_scheme,
-    posterior,
-    scheme_stats,
-)
+from .model import full_revelation_scheme, posterior
 from .response import BOUNDS_TOLERANCE, bounds_grid, evaluate_objective
 from .robustify import choose_alpha_lower, robustify
 from .sampling import satisfied_instance
@@ -284,35 +277,6 @@ def reproduce_convergence(
     out = _finish("theorem-4-1", config, checks)
     out["report"] = rep.to_dict()
     return out
-
-
-def concentration_coverage(
-    instance: PersuasionInstance,
-    scheme,
-    t: int,
-    n_runs: int,
-) -> float:
-    """Fraction of runs, seeded 0 to ``n_runs - 1``, where every sent
-    signal's empirical values are in-radius."""
-    if n_runs < 1:
-        raise ValidationError(f"n_runs must be at least 1, got {n_runs}")
-    stats = scheme_stats(instance, scheme)
-    sent = np.flatnonzero(stats.marginals > 0.0)
-    radii = {int(s): confidence_radius(instance, scheme, t, int(s)) for s in sent}
-    true_vals = stats.receiver_values
-    hits = 0
-    for k in range(n_runs):
-        visited, vhat = empirical_conditional_utilities(instance, scheme, t, k)
-        ok = True
-        for s in sent:
-            if not visited[s]:
-                ok = False
-                break
-            if np.any(np.abs(vhat[s] - true_vals[s]) > radii[int(s)]):
-                ok = False
-                break
-        hits += ok
-    return hits / n_runs
 
 
 DRIVERS = {

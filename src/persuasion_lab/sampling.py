@@ -1,38 +1,11 @@
-"""Seeded random instances, schemes, and strategies for sweeps and tests."""
+"""Seeded random draws for the bound sweep: satisfying instances and schemes."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import (
-    DEFAULT_EPS,
-    PersuasionInstance,
-    ReceiverStrategy,
-    SignalingScheme,
-    make_scheme,
-    profile_instance,
-    scheme_stats,
-    best_response_mask,
-)
-
-
-def random_instance(
-    rng: np.random.Generator, max_states: int = 6, max_actions: int = 5
-) -> PersuasionInstance:
-    """Unconstrained instance; may violate the uniqueness assumption."""
-    m = int(rng.integers(2, max_states + 1))
-    n = int(rng.integers(2, max_actions + 1))
-    states = tuple(f"w{k}" for k in range(m))
-    actions = tuple(f"a{k}" for k in range(n))
-    prior = rng.dirichlet(np.ones(m))
-    return PersuasionInstance(
-        states=states,
-        actions=actions,
-        prior=prior,
-        sender_utility=rng.uniform(0.0, 1.0, (n, m)),
-        receiver_utility=rng.uniform(0.0, 1.0, (n, m)),
-    )
+from .model import PersuasionInstance, SignalingScheme, make_scheme, profile_instance
 
 
 def satisfied_instance(
@@ -90,57 +63,3 @@ def random_scheme(
         n_signals = int(rng.integers(1, instance.n_actions + 3))
     cond = rng.dirichlet(np.ones(n_signals), size=instance.n_states)
     return make_scheme(instance, tuple(f"s{k}" for k in range(n_signals)), cond)
-
-
-def random_direct_scheme(
-    rng: np.random.Generator, instance: PersuasionInstance
-) -> SignalingScheme:
-    cond = rng.dirichlet(np.ones(instance.n_actions), size=instance.n_states)
-    return make_scheme(instance, instance.actions, cond)
-
-
-def approx_responding_strategy(
-    rng: np.random.Generator,
-    instance: PersuasionInstance,
-    scheme: SignalingScheme,
-    gamma: float,
-    delta: float,
-    eps_num: float = DEFAULT_EPS,
-) -> ReceiverStrategy:
-    """A strategy keeping at least 1-delta mass inside each signal's set."""
-    stats = scheme_stats(instance, scheme)
-    mask = best_response_mask(stats.receiver_values, gamma, eps_num)
-    S, n = mask.shape
-    rho = np.zeros((S, n))
-    for s in range(S):
-        if stats.marginals[s] <= 0.0:
-            rho[s] = 1.0 / n
-            continue
-        inside = np.flatnonzero(mask[s])
-        outside = np.flatnonzero(~mask[s])
-        leak = float(rng.uniform(0.0, delta)) if (delta > 0 and outside.size) else 0.0
-        rho[s, inside] = rng.dirichlet(np.ones(inside.size)) * (1.0 - leak)
-        if leak > 0:
-            rho[s, outside] = rng.dirichlet(np.ones(outside.size)) * leak
-    return ReceiverStrategy(rho)
-
-
-def deterministic_responding_strategy(
-    rng: np.random.Generator,
-    instance: PersuasionInstance,
-    scheme: SignalingScheme,
-    gamma: float,
-    eps_num: float = DEFAULT_EPS,
-) -> ReceiverStrategy:
-    """Point mass per signal, drawn uniformly from the gamma-best set."""
-    stats = scheme_stats(instance, scheme)
-    mask = best_response_mask(stats.receiver_values, gamma, eps_num)
-    S, n = mask.shape
-    rho = np.zeros((S, n))
-    for s in range(S):
-        if stats.marginals[s] <= 0.0:
-            rho[s, int(rng.integers(0, n))] = 1.0
-            continue
-        inside = np.flatnonzero(mask[s])
-        rho[s, int(rng.choice(inside))] = 1.0
-    return ReceiverStrategy(rho)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from persuasion_lab import builtin_instance, judge_optimal_scheme
+from persuasion_lab import builtin_instance
+from support import judge_optimal_scheme
 
 
 @pytest.fixture

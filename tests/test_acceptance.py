@@ -11,6 +11,9 @@ import pytest
 
 from persuasion_lab import (
     approx_membership_mass,
+    confidence_radius,
+    direct_scheme,
+    empirical_conditional_utilities,
     evaluate_objective,
     expected_utility,
     full_revelation_scheme,
@@ -20,23 +23,21 @@ from persuasion_lab import (
     project_strategy,
     quantal_certificate,
     quantal_strategy,
+    scheme_stats,
     solve_classic,
     to_direct_revelation,
     verify_robustification,
 )
 from persuasion_lab.repro import (
-    concentration_coverage,
     reproduce_bounds_sweep,
     reproduce_convergence,
     reproduce_example_4_3,
 )
-from persuasion_lab.sampling import (
+from persuasion_lab.sampling import random_scheme, satisfied_instance
+from support import (
     approx_responding_strategy,
     deterministic_responding_strategy,
-    random_direct_scheme,
     random_instance,
-    random_scheme,
-    satisfied_instance,
 )
 
 
@@ -78,7 +79,7 @@ def test_03_robustification_audit_sweep():
     with Budget(30.0):
         for _ in range(1000):
             inst = satisfied_instance(rng)
-            scheme = random_direct_scheme(rng, inst)
+            scheme = direct_scheme(inst, rng.dirichlet(np.ones(inst.n_actions), size=inst.n_states))
             for alpha in (0.01, 0.1, 0.5):
                 rep = verify_robustification(inst, scheme, alpha)
                 assert rep.marginal_identity_residual <= 1e-12
@@ -167,6 +168,22 @@ def test_09_learning_converges_to_robust_value():
     report = result["report"]
     assert report["mean_final_average"] >= 0.4
     assert report["last_decile_obedience"] >= 0.95
+
+
+def concentration_coverage(instance, scheme, t: int, n_runs: int) -> float:
+    """Fraction of runs, seeded 0 to ``n_runs - 1``, where every sent
+    signal's empirical values are in-radius."""
+    stats = scheme_stats(instance, scheme)
+    sent = np.flatnonzero(stats.marginals > 0.0)
+    radii = {int(s): confidence_radius(instance, scheme, t, int(s)) for s in sent}
+    hits = 0
+    for k in range(n_runs):
+        visited, vhat = empirical_conditional_utilities(instance, scheme, t, k)
+        hits += all(
+            visited[s] and not np.any(np.abs(vhat[s] - stats.receiver_values[s]) > radii[int(s)])
+            for s in sent
+        )
+    return hits / n_runs
 
 
 def test_10_confidence_radius_coverage(judge, judge_opt):

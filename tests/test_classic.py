@@ -11,8 +11,8 @@ from persuasion_lab import (
     signal_marginals,
     solve_classic,
 )
-from persuasion_lab.classic import build_obedience_lp, constant_recommendation
-from persuasion_lab.sampling import random_instance
+from persuasion_lab.classic import build_obedience_lp
+from support import random_instance
 
 
 def two_state_optimum(instance: PersuasionInstance) -> float:
@@ -146,10 +146,13 @@ def test_permutation_invariance(judge):
 
 
 def test_constant_recommendation_is_feasible(judge, example1):
+    # always recommending the receiver's best action against the prior is obedient
     for inst in (judge, example1):
         lp = build_obedience_lp(inst)
-        cond = constant_recommendation(inst)
-        rows, sums = lp.residuals(cond)
+        cond = np.zeros((inst.n_states, inst.n_actions))
+        cond[:, int(np.argmax(inst.receiver_utility @ inst.prior))] = 1.0
+        rows = lp.A[: lp.n_obedience_rows, : cond.size] @ cond.reshape(-1)
+        sums = cond.sum(axis=1) - 1.0
         assert np.all(rows >= -1e-12)
         assert np.max(np.abs(sums)) <= 1e-12
 

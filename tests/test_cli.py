@@ -425,8 +425,9 @@ class TestSimulate:
         one, four = peak(1), peak(4)
         assert four <= 1.25 * one, (one, four)
 
-    def test_bad_thread_env_exit_1(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PERSUASION_LAB_THREADS", "lots")
+    @pytest.mark.parametrize("raw", ["lots", "0", "-2"])
+    def test_bad_thread_env_exit_1(self, raw, tmp_path, monkeypatch):
+        monkeypatch.setenv("PERSUASION_LAB_THREADS", raw)
         code = run(
             "simulate",
             "--instance", "judge",

@@ -111,6 +111,16 @@ def call(name, instance, scheme, strategy=None, **given):
     return fn(**kwargs)
 
 
+def test_all_is_the_public_surface():
+    public = {
+        name
+        for name, value in vars(persuasion_lab).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert persuasion_lab.__all__ == sorted(set(persuasion_lab.__all__))
+    assert set(persuasion_lab.__all__) == public
+
+
 def test_walk_finds_the_guarded_calls():
     assert {"advantage", "expected_utility", "robustify", "to_direct_revelation"} <= set(GUARDED)
     assert "empirical_conditional_utilities" in GUARDED

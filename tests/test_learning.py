@@ -26,7 +26,6 @@ from persuasion_lab import (
     exp3_act,
     exp_weights_certificate,
     exp_weights_probs,
-    judge_optimal_scheme,
     make_receiver,
     make_scheme,
     robustified_optimum,
@@ -39,7 +38,8 @@ from persuasion_lab import (
 from persuasion_lab import learning
 from persuasion_lab.model import best_response_mask
 from persuasion_lab.repro import alternating_stats
-from persuasion_lab.sampling import random_instance, random_scheme
+from persuasion_lab.sampling import random_scheme
+from support import judge_optimal_scheme, random_instance
 
 
 class FirstActionExpWeights(ExpWeights):

@@ -33,9 +33,9 @@ from persuasion_lab import (
     scheme_stats,
     scheme_to_json,
     signal_marginals,
-    uninformative_scheme,
 )
-from persuasion_lab.sampling import random_instance, random_scheme
+from persuasion_lab.sampling import random_scheme
+from support import random_instance
 
 
 def make_instance(prior, u, v, states=None, actions=None):
@@ -309,7 +309,7 @@ class TestPosteriorsAndValues:
         assert expected_utility(judge, full, strat) == pytest.approx(0.3, abs=1e-15)
 
     def test_uninformative_scheme_has_prior_posterior(self, judge):
-        flat = uninformative_scheme(judge)
+        flat = make_scheme(judge, ("s0",), np.ones((2, 1)))
         assert posterior(judge, flat, 0) == pytest.approx(judge.prior, abs=1e-15)
 
     def test_scheme_stats_zero_rows_for_unsent(self, judge):

@@ -36,7 +36,8 @@ from persuasion_lab import (
 )
 from persuasion_lab.model import DEFAULT_EPS
 from persuasion_lab.response import _knife_edges, _objective_core, _stack_stats
-from persuasion_lab.sampling import random_instance, random_scheme, satisfied_instance
+from persuasion_lab.sampling import random_scheme, satisfied_instance
+from support import random_instance
 
 SEEDS = st.integers(0, 2**32 - 1)
 GAMMAS = st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.5)

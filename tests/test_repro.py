@@ -3,7 +3,7 @@ import json
 import pytest
 
 from persuasion_lab import UnknownTargetError, ValidationError, reproduce
-from persuasion_lab.repro import TARGETS, concentration_coverage, reproduce_bounds_sweep
+from persuasion_lab.repro import TARGETS, reproduce_bounds_sweep
 
 
 def test_targets_frozen():
@@ -57,8 +57,3 @@ def test_bounds_sweep_counts_below_one(n_instances, n_schemes):
 def test_learning_targets_need_a_seed(target):
     with pytest.raises(ValidationError):
         reproduce(target, rounds=100, n_seeds=0)
-
-
-def test_coverage_needs_a_run(judge, judge_opt):
-    with pytest.raises(ValidationError, match="n_runs"):
-        concentration_coverage(judge, judge_opt, t=10_000, n_runs=0)

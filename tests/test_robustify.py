@@ -17,7 +17,7 @@ from persuasion_lab import (
     solve_classic,
     verify_robustification,
 )
-from persuasion_lab.sampling import random_direct_scheme, satisfied_instance
+from persuasion_lab.sampling import satisfied_instance
 
 
 class TestJudgeArithmetic:
@@ -136,7 +136,7 @@ class TestAlphaSelection:
 def test_verification_sweep(seed, alpha):
     rng = np.random.default_rng(1000 + seed)
     inst = satisfied_instance(rng)
-    scheme = random_direct_scheme(rng, inst)
+    scheme = direct_scheme(inst, rng.dirichlet(np.ones(inst.n_actions), size=inst.n_states))
     rep = verify_robustification(inst, scheme, alpha)
     assert rep.marginal_identity_residual <= 1e-12
     assert rep.advantage_bound_slack >= -1e-10

@@ -3,17 +3,16 @@ import pytest
 
 from persuasion_lab import (
     ValidationError,
-    is_approx_best_responding,
     approx_membership_mass,
+    direct_scheme,
+    is_approx_best_responding,
     profile_instance,
 )
-from persuasion_lab.sampling import (
+from persuasion_lab.sampling import random_scheme, satisfied_instance
+from support import (
     approx_responding_strategy,
     deterministic_responding_strategy,
-    random_direct_scheme,
     random_instance,
-    random_scheme,
-    satisfied_instance,
 )
 
 
@@ -46,10 +45,12 @@ def test_random_instance_shapes(rng):
 def test_scheme_rows_are_distributions(rng):
     for _ in range(20):
         inst = random_instance(rng)
-        for scheme in (random_scheme(rng, inst), random_direct_scheme(rng, inst)):
-            assert scheme.conditional.shape[0] == inst.n_states
-            assert np.allclose(scheme.conditional.sum(axis=1), 1.0, atol=1e-9)
-    assert random_direct_scheme(rng, inst).signals == inst.actions
+        scheme = random_scheme(rng, inst)
+        direct = direct_scheme(inst, rng.dirichlet(np.ones(inst.n_actions), size=inst.n_states))
+        for drawn in (scheme, direct):
+            assert drawn.conditional.shape[0] == inst.n_states
+            assert np.allclose(drawn.conditional.sum(axis=1), 1.0, atol=1e-9)
+        assert direct.signals == inst.actions
     assert random_scheme(rng, inst, n_signals=7).n_signals == 7
 
 
