@@ -1,7 +1,8 @@
 """Every public call on an (instance, scheme) pair checks the pair first.
 
-The callables are found by walking ``persuasion_lab.__all__`` for a
-signature with both ``instance`` and ``scheme``; their other arguments come
+The callables are found by walking ``persuasion_lab.__all__``, and the
+test generators that draw a strategy from a pair, for a signature with
+both ``instance`` and ``scheme``; their other arguments come
 from ``ARGS``, keyed by parameter name, so a new such function is covered
 as soon as it is exported.  A mismatched scheme or strategy must raise a
 ``PersuasionError``: a returned value or any other exception fails.  The
@@ -32,6 +33,12 @@ from persuasion_lab import (
     simulate,
     verify_robustification,
 )
+from support import approx_responding_strategy, deterministic_responding_strategy
+
+# the package's exports, and the test generators that read a pair through them
+CALLABLES = {name: getattr(persuasion_lab, name) for name in persuasion_lab.__all__} | {
+    fn.__name__: fn for fn in (approx_responding_strategy, deterministic_responding_strategy)
+}
 
 
 def _params(fn) -> tuple[str, ...]:
@@ -39,11 +46,11 @@ def _params(fn) -> tuple[str, ...]:
 
 
 def _exported_with(*params: str) -> list[str]:
-    """Exported functions whose signature has every one of ``params``."""
+    """Functions in ``CALLABLES`` whose signature has every one of ``params``."""
     return sorted(
         name
-        for name in persuasion_lab.__all__
-        if not inspect.isclass(fn := getattr(persuasion_lab, name))
+        for name, fn in CALLABLES.items()
+        if not inspect.isclass(fn)
         and callable(fn)
         and set(params) <= set(_params(fn))
     )
@@ -97,7 +104,7 @@ def call(name, instance, scheme, strategy=None, **given):
 
     ``given`` overrides the ``ARGS`` value of a parameter.
     """
-    fn = getattr(persuasion_lab, name)
+    fn = CALLABLES[name]
     given = {"instance": instance, "scheme": scheme, **given}
     kwargs = {}
     for p in _params(fn):
@@ -142,7 +149,7 @@ def test_scheme_for_other_states_raises(name, n_states, judge):
 
 @pytest.mark.parametrize("shape", [(1, 2), (3, 2), (2, 1), (2, 3)])
 @pytest.mark.parametrize(
-    "name", [n for n in GUARDED if "strategy" in _params(getattr(persuasion_lab, n))]
+    "name", [n for n in GUARDED if "strategy" in _params(CALLABLES[n])]
 )
 def test_strategy_of_wrong_shape_raises(name, shape, judge, judge_opt):
     with pytest.raises(PersuasionError):
