@@ -178,6 +178,8 @@ def _cmd_robustify(args) -> int:
         scheme = load_scheme(Path(args.scheme), inst)
     else:
         scheme, _ = solve_classic(inst)
+    if args.alpha is not None and args.gamma is not None:
+        raise ValidationError("robustify takes --alpha or --gamma, not both")
     if args.alpha is not None:
         alpha = args.alpha
     elif args.gamma is not None:
@@ -384,40 +386,40 @@ def _cmd_reproduce(args) -> int:
 # parser
 
 
-def _common_options(seed: int | None, seed_help: str) -> argparse.ArgumentParser:
-    """The options every command takes; ``--seed`` defaults to ``seed``."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+def _option(*flags: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one shared option."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
+def build_parser() -> argparse.ArgumentParser:
+    out = _option(
         "--output-dir", type=Path, default=Path("out"), help="artifact directory (default: ./out)"
     )
-    common.add_argument("--seed", type=int, default=seed, help=seed_help)
-    common.add_argument(
+    seed = _option("--seed", type=int, default=0, help="base RNG seed (default: 0)")
+    eps = _option(
         "--eps-num",
         type=float,
         default=DEFAULT_EPS,
         help="tie tolerance of the instance profile and slack of the response sets; "
         "at least 0 (default: 1e-9)",
     )
-    return common
-
-
-def build_parser() -> argparse.ArgumentParser:
-    common = _common_options(0, "base RNG seed (default: 0)")
     parser = argparse.ArgumentParser(
         prog="persuasion-lab",
         description="Optimal persuasion schemes, robustification, bound checks, and learning simulations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check-assumptions", parents=[common], help="profile per-state optima")
+    p = sub.add_parser("check-assumptions", parents=[out, eps], help="profile per-state optima")
     p.add_argument("--instance", required=True, help="instance file or builtin name")
     p.set_defaults(func=_cmd_check_assumptions)
 
-    p = sub.add_parser("solve-classic", parents=[common], help="solve the obedience LP")
+    p = sub.add_parser("solve-classic", parents=[out], help="solve the obedience LP")
     p.add_argument("--instance", required=True)
     p.set_defaults(func=_cmd_solve_classic)
 
-    p = sub.add_parser("robustify", parents=[common], help="mix a scheme toward full disclosure")
+    p = sub.add_parser("robustify", parents=[out, eps], help="mix a scheme toward full disclosure")
     p.add_argument("--instance", required=True)
     p.add_argument("--scheme", help="direct scheme file (default: solve the instance first)")
     p.add_argument("--alpha", type=float, help="explicit mixing weight")
@@ -425,7 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", choices=("lower", "upper"), default="lower")
     p.set_defaults(func=_cmd_robustify)
 
-    p = sub.add_parser("evaluate", parents=[common], help="sender value under a response model")
+    p = sub.add_parser(
+        "evaluate", parents=[out, seed, eps], help="sender value under a response model"
+    )
     p.add_argument("--instance", required=True)
     p.add_argument("--scheme", required=True)
     p.add_argument("--gamma", type=float, default=0.0)
@@ -437,14 +441,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("bounds", parents=[common], help="two-sided utility window check")
+    p = sub.add_parser("bounds", parents=[out, seed, eps], help="two-sided utility window check")
     p.add_argument("--instance", required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--samples", type=int, default=50, help="random schemes for the upper side")
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("simulate", parents=[common], help="repeated play against a learner")
+    p = sub.add_parser("simulate", parents=[out, seed, eps], help="repeated play against a learner")
     p.add_argument("--instance", required=True)
     p.add_argument(
         "--sender",
@@ -457,12 +461,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-every", type=int, help="diagnostic interval (default: rounds/10)")
     p.set_defaults(func=_cmd_simulate)
 
+    p = sub.add_parser("reproduce", parents=[out], help="run a pinned end-to-end bundle")
+    p.add_argument("target", help="|".join(TARGETS))
     # without --seed each target keeps its own pinned seed
     seed_help = "first replication seed, or the sweep's instance seed (default: the target's own)"
-    p = sub.add_parser(
-        "reproduce", parents=[_common_options(None, seed_help)], help="run a pinned end-to-end bundle"
-    )
-    p.add_argument("target", help="|".join(TARGETS))
+    p.add_argument("--seed", type=int, help=seed_help)
     p.add_argument("--rounds", type=int, help="override the bundled horizon")
     p.add_argument("--seeds", type=int, help="override the bundled seed count")
     p.add_argument("--instances", type=int, help="override the sweep size")

@@ -401,14 +401,11 @@ def expected_utility(
     instance: PersuasionInstance,
     scheme: SignalingScheme,
     strategy: ReceiverStrategy,
-    *,
-    for_receiver: bool = False,
 ) -> float:
-    """Expected utility of the sender (or receiver) under (scheme, strategy)."""
+    """Expected utility of the sender under (scheme, strategy)."""
     check_strategy(instance, scheme, strategy)
-    util = instance.receiver_utility if for_receiver else instance.sender_utility
     joint = instance.prior[:, None] * scheme.conditional  # (m, S)
-    per_pair = strategy.action_distribution @ util  # (S, m)
+    per_pair = strategy.action_distribution @ instance.sender_utility  # (S, m)
     return float(np.sum(joint * per_pair.T))
 
 

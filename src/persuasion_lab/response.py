@@ -479,6 +479,9 @@ def bounds_grid(
     check_eps_num(eps_num)
     ratios = [choose_alpha_upper(instance, gamma, eps_num) for gamma in gammas]
     alphas = [choose_alpha_lower(instance, gamma, eps_num) for gamma in gammas]
+    for gamma in gammas:
+        for delta in deltas:
+            _check_objective_args(gamma, delta, "worst")
     opt_scheme, opt = solve_classic(instance)
     if schemes is None:
         rng = np.random.default_rng(seed)
@@ -495,7 +498,6 @@ def bounds_grid(
             np.count_nonzero(_knife_edges(cand_marginals, cand_rv, gamma, eps_num).any(axis=1))
         )
         for delta in deltas:
-            _check_objective_args(gamma, delta, "worst")
             slack = ratio + delta
             lower = float(_objective_core(cert_marginals, cert_sv, cert_mask, delta, "worst")[0][0])
             upper = _objective_core(cand_marginals, cand_sv, cand_mask, delta, "best")[0]

@@ -54,12 +54,8 @@ def satisfied_instance(
     raise ValidationError(f"could not sample a satisfying instance in {max_tries} tries")
 
 
-def random_scheme(
-    rng: np.random.Generator,
-    instance: PersuasionInstance,
-    n_signals: int | None = None,
-) -> SignalingScheme:
-    if n_signals is None:
-        n_signals = int(rng.integers(1, instance.n_actions + 3))
+def random_scheme(rng: np.random.Generator, instance: PersuasionInstance) -> SignalingScheme:
+    """Scheme with 1 to n_actions + 2 signals, each state's row drawn from a flat Dirichlet."""
+    n_signals = int(rng.integers(1, instance.n_actions + 3))
     cond = rng.dirichlet(np.ones(n_signals), size=instance.n_states)
     return make_scheme(instance, tuple(f"s{k}" for k in range(n_signals)), cond)

@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 
 import persuasion_lab
 from persuasion_lab import (
+    DEFAULT_EPS,
     PersuasionInstance,
     advantage,
     full_revelation_scheme,
     instance_to_json,
     scheme_to_json,
 )
-from persuasion_lab.cli import _exit_code, _write_json, main
+from persuasion_lab.cli import _exit_code, _write_json, build_parser, main
 from persuasion_lab.errors import (
     AssumptionViolatedError,
     HypothesisViolatedError,
@@ -135,6 +136,12 @@ class TestRobustify:
 
     def test_missing_weight_exit_1(self, tmp_path):
         assert run("robustify", "--instance", "judge", "--output-dir", tmp_path) == 1
+
+    def test_alpha_and_gamma_exit_1(self, tmp_path, capsys):
+        argv = ("robustify", "--instance", "judge", "--alpha", 0.3, "--gamma", 0.01)
+        assert run(*argv, "--output-dir", tmp_path / "out") == 1
+        assert "not both" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_hypothesis_violation_exit_2(self, tmp_path):
         code = run(
@@ -518,6 +525,72 @@ def test_eps_num_recorded(tmp_path):
 
 
 SIMULATE = ("simulate", "--instance", "judge", "--sender", "robustified:0.2", "--receiver", "exp3")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-assumptions", "--instance", "judge", "--seed", 7),
+        ("solve-classic", "--instance", "judge", "--seed", 7),
+        ("solve-classic", "--instance", "judge", "--eps-num", 0.3),
+        ("robustify", "--instance", "judge", "--alpha", 0.1, "--seed", 7),
+        ("reproduce", "judge", "--eps-num", 0.5),
+    ],
+    ids=[
+        "check-assumptions-seed", "solve-classic-seed", "solve-classic-eps-num",
+        "robustify-seed", "reproduce-eps-num",
+    ],
+)
+def test_option_a_command_does_not_read_exit_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--output-dir", tmp_path / "out")
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+EPS = {"eps_num": DEFAULT_EPS}
+
+
+@pytest.mark.parametrize(
+    "argv, parsed",
+    [
+        (("check-assumptions", "--instance", "judge"), {"instance": "judge", **EPS}),
+        (("solve-classic", "--instance", "judge"), {"instance": "judge"}),
+        (
+            ("robustify", "--instance", "judge"),
+            {"instance": "judge", "scheme": None, "alpha": None, "gamma": None, "rule": "lower",
+             **EPS},
+        ),
+        (
+            ("evaluate", "--instance", "judge", "--scheme", "s", "--mode", "worst"),
+            {"instance": "judge", "scheme": "s", "mode": "worst", "gamma": 0.0, "delta": 0.0,
+             "seed": 0, **EPS},
+        ),
+        (
+            ("bounds", "--instance", "judge", "--gamma", 0.1),
+            {"instance": "judge", "gamma": 0.1, "delta": 0.0, "samples": 50, "seed": 0, **EPS},
+        ),
+        (
+            (*SIMULATE, "--rounds", 10),
+            {"instance": "judge", "sender": "robustified:0.2", "receiver": "exp3", "rounds": 10,
+             "seeds": 1, "checkpoint_every": None, "seed": 0, **EPS},
+        ),
+        (
+            ("reproduce", "judge"),
+            {"target": "judge", "seed": None, "rounds": None, "seeds": None, "instances": None},
+        ),
+    ],
+    ids=[
+        "check-assumptions", "solve-classic", "robustify", "evaluate", "bounds", "simulate",
+        "reproduce",
+    ],
+)
+def test_each_command_takes_the_options_it_reads(argv, parsed):
+    # the options a command keeps parse with their old defaults
+    args = vars(build_parser().parse_args([str(a) for a in argv]))
+    del args["command"], args["func"]
+    assert args == {"output_dir": Path("out"), **parsed}
 
 
 @pytest.mark.parametrize(

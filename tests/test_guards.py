@@ -74,7 +74,6 @@ ARGS = {
     "deltas": (0.0,),
     "epsilon": 0.1,
     "eps_num": DEFAULT_EPS,
-    "for_receiver": False,
     "gamma": 0.1,
     "gammas": (0.1,),
     "lam": 2.0,

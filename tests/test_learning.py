@@ -38,7 +38,6 @@ from persuasion_lab import (
 from persuasion_lab import learning
 from persuasion_lab.model import best_response_mask
 from persuasion_lab.repro import alternating_stats
-from persuasion_lab.sampling import random_scheme
 from support import judge_optimal_scheme, random_instance
 
 
@@ -364,7 +363,8 @@ class TestSimulate:
         inst = random_instance(rng, max_states=6, max_actions=12)
         while inst.n_states < 4 or inst.n_actions < 9:
             inst = random_instance(rng, max_states=6, max_actions=12)
-        scheme = random_scheme(rng, inst, n_signals=3)
+        cond = rng.dirichlet(np.ones(3), size=inst.n_states)
+        scheme = make_scheme(inst, ("s0", "s1", "s2"), cond)
         fast_receiver, slow_receiver = receiver_cls(), receiver_cls()
         fast = simulate(inst, FixedSchemePolicy(scheme), fast_receiver, 1500, 2, fast=True)
         slow = simulate(inst, FixedSchemePolicy(scheme), slow_receiver, 1500, 2, fast=False)

@@ -296,13 +296,6 @@ class TestPosteriorsAndValues:
         val = expected_utility(judge, judge_opt, obedient_strategy(judge))
         assert val == pytest.approx(0.6, abs=1e-15)
 
-    def test_judge_receiver_value(self, judge, judge_opt):
-        val = expected_utility(
-            judge, judge_opt, obedient_strategy(judge), for_receiver=True
-        )
-        # 0.6 * 0.5 at convict plus 0.4 * 1 at acquit
-        assert val == pytest.approx(0.7, abs=1e-12)
-
     def test_full_revelation_value(self, judge):
         full = full_revelation_scheme(judge)
         strat = ReceiverStrategy(np.array([[1.0, 0.0], [0.0, 1.0]]))

@@ -16,6 +16,7 @@ from persuasion_lab import (
     confidence_radius,
     approx_membership_mass,
     approx_set,
+    bounds_grid,
     bounds_report,
     choose_alpha_lower,
     direct_scheme,
@@ -36,6 +37,7 @@ from persuasion_lab import (
     solve_classic,
     to_direct_revelation,
 )
+from persuasion_lab import response
 from persuasion_lab.response import _tv_step, softmax
 from persuasion_lab.sampling import random_scheme, satisfied_instance
 from support import (
@@ -411,6 +413,17 @@ class TestBoundsReport:
     def test_assumption_violation(self, example1):
         with pytest.raises(AssumptionViolatedError):
             bounds_report(example1, 0.01, 0.0)
+
+    @pytest.mark.parametrize("delta", [1.0, 1.5, math.nan])
+    def test_bad_delta_rejected_before_the_lp(self, judge, monkeypatch, delta):
+        def spy(instance):
+            pytest.fail("solve_classic ran before delta was checked")
+
+        monkeypatch.setattr(response, "solve_classic", spy)
+        with pytest.raises(ValidationError, match=r"delta must lie in \[0, 1\)"):
+            bounds_report(judge, 0.01, delta)
+        with pytest.raises(ValidationError, match=r"delta must lie in \[0, 1\)"):
+            bounds_grid(judge, (0.01, 0.02), (0.0, delta))
 
     @pytest.mark.xfail(
         raises=AssertionError,
