@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Every command resolves its configuration, runs the corresponding library
-call, writes deterministic JSON (and CSV traces for simulations) under
---output-dir, and prints a short human summary.  Exit codes: 0 success,
-1 validation error, 2 assumption/hypothesis violation, 3 numerical failure.
+Every command records the values it reads as its configuration, runs the
+corresponding library call, writes deterministic JSON (and CSV traces for
+simulations) under --output-dir, and prints a short human summary.  An
+option given to a run that does not read it is a validation error.  Exit
+codes: 0 success, 1 validation error, 2 assumption/hypothesis violation,
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -122,11 +124,29 @@ def _finite_or_none(x: float):
     return x if x == x and abs(x) != float("inf") else None
 
 
-def _config(args: argparse.Namespace, **resolved) -> dict:
-    """The command's parsed options, updated with the values it resolved."""
-    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "output_dir")}
-    cfg.update(resolved)
-    return cfg
+def _default(value, default):
+    """``value``, or ``default`` for an option left out; 0 is a given value."""
+    return default if value is None else value
+
+
+def _config(args: argparse.Namespace, *names: str, **resolved) -> dict:
+    """The command and the values it read, for its report.
+
+    ``names`` are options read as parsed; ``resolved`` holds the values the
+    command worked out, defaults included.  An option the run does not read
+    parses to ``None`` when left out, so any other parsed value outside these
+    was given for nothing: that raises ``ValidationError``.  Call this before
+    writing any file.
+    """
+    read = {**{name: getattr(args, name) for name in names}, **resolved}
+    unread = [
+        "--" + name.replace("_", "-")
+        for name, value in vars(args).items()
+        if value is not None and name not in read and name not in ("command", "func", "output_dir")
+    ]
+    if unread:
+        raise ValidationError(f"this {args.command} run does not read {', '.join(unread)}")
+    return {"command": args.command, **read}
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +154,12 @@ def _config(args: argparse.Namespace, **resolved) -> dict:
 
 
 def _cmd_check_assumptions(args) -> int:
+    config = _config(args, "instance", "eps_num")
     inst = _resolve_instance(args.instance)
     prof = profile_instance(inst, args.eps_num)
     per_state = prof.per_state_optimal
     report = {
-        "config": _config(args),
+        "config": config,
         "satisfied": prof.assumption_satisfied,
         "reasons": list(prof.reasons),
         "gap": _finite_or_none(prof.gap),
@@ -156,12 +177,13 @@ def _cmd_check_assumptions(args) -> int:
 
 
 def _cmd_solve_classic(args) -> int:
+    config = _config(args, "instance")
     inst = _resolve_instance(args.instance)
     scheme, opt = solve_classic(inst)
     scheme_path = _write_text(args.output_dir, "optimal-scheme.json", scheme_to_json(scheme))
     stats = scheme_stats(inst, scheme)
     report = {
-        "config": _config(args),
+        "config": config,
         "opt": opt,
         "scheme_file": scheme_path.name,
         "signal_marginals": dict(zip(scheme.signals, stats.marginals.tolist())),
@@ -173,20 +195,23 @@ def _cmd_solve_classic(args) -> int:
 
 
 def _cmd_robustify(args) -> int:
+    if args.alpha is not None and args.gamma is not None:
+        raise ValidationError("robustify takes --alpha or --gamma, not both")
     inst = _resolve_instance(args.instance)
+    if args.alpha is not None:
+        weight = {"alpha": args.alpha}
+    elif args.gamma is not None:
+        rule = _default(args.rule, "lower")
+        pick = choose_alpha_lower if rule == "lower" else choose_alpha_upper
+        weight = {"gamma": args.gamma, "rule": rule, "alpha": pick(inst, args.gamma, args.eps_num)}
+    else:
+        raise ValidationError("robustify needs either --alpha or --gamma")
+    config = _config(args, "instance", "scheme", "eps_num", **weight)
+    alpha = weight["alpha"]
     if args.scheme is not None:
         scheme = load_scheme(Path(args.scheme), inst)
     else:
         scheme, _ = solve_classic(inst)
-    if args.alpha is not None and args.gamma is not None:
-        raise ValidationError("robustify takes --alpha or --gamma, not both")
-    if args.alpha is not None:
-        alpha = args.alpha
-    elif args.gamma is not None:
-        pick = choose_alpha_lower if args.rule == "lower" else choose_alpha_upper
-        alpha = pick(inst, args.gamma, args.eps_num)
-    else:
-        raise ValidationError("robustify needs either --alpha or --gamma")
     robust = robustify(inst, scheme, alpha, args.eps_num)
     report = verify_robustification(inst, scheme, alpha, args.eps_num)
     scheme_path = _write_text(
@@ -195,7 +220,7 @@ def _cmd_robustify(args) -> int:
     # with one action no margin exists and the slack is +inf, which JSON cannot hold
     slack = _finite_or_none(report.advantage_bound_slack)
     payload = {
-        "config": _config(args, alpha=alpha),
+        "config": config,
         "report": {**report.to_dict(), "advantage_bound_slack": slack},
         "ok": report.ok(),
         "scheme_file": scheme_path.name,
@@ -232,12 +257,22 @@ def _parse_mode(mode: str) -> tuple[str, float | None]:
 
 
 def _cmd_evaluate(args) -> int:
+    kind, param = _parse_mode(args.mode)
+    read = {}
+    if kind in ("worst", "best"):
+        read.update(gamma=_default(args.gamma, 0.0), delta=_default(args.delta, 0.0))
+    if kind == "perturbed":
+        read.update(seed=_default(args.seed, 0))
+    if kind != "obedient":
+        read.update(eps_num=_default(args.eps_num, DEFAULT_EPS))
+    config = _config(args, "instance", "scheme", "mode", **read)
     inst = _resolve_instance(args.instance)
     scheme = load_scheme(Path(args.scheme), inst)
-    kind, param = _parse_mode(args.mode)
-    report = {"config": _config(args)}
+    report = {"config": config}
     if kind in ("worst", "best"):
-        est = evaluate_objective(inst, scheme, args.gamma, args.delta, kind, args.eps_num)
+        est = evaluate_objective(
+            inst, scheme, config["gamma"], config["delta"], kind, config["eps_num"]
+        )
         report.update(
             value=est.value,
             knife_edge_signals=list(est.knife_edge_signals),
@@ -253,7 +288,7 @@ def _cmd_evaluate(args) -> int:
             strat = quantal_strategy(inst, scheme, param)
             name, cert = "lam", quantal_certificate(inst, param)
         else:
-            rng = np.random.default_rng(args.seed)
+            rng = np.random.default_rng(config["seed"])
             strat = perturbed_posterior_strategy(inst, scheme, param, rng)
             name, cert = "epsilon", perturbed_posterior_certificate(param)
         value = expected_utility(inst, scheme, strat)
@@ -261,7 +296,9 @@ def _cmd_evaluate(args) -> int:
             {name: param},
             value=value,
             certificate={"gamma": cert[0], "delta": cert[1]},
-            membership_mass=approx_membership_mass(inst, scheme, strat, cert[0], args.eps_num),
+            membership_mass=approx_membership_mass(
+                inst, scheme, strat, cert[0], config["eps_num"]
+            ),
             strategy=strat.action_distribution.tolist(),
         )
     path = _write_json(args.output_dir, "evaluate.json", report)
@@ -270,6 +307,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    config = _config(args, "instance", "gamma", "delta", "samples", "seed", "eps_num")
     inst = _resolve_instance(args.instance)
     rep = bounds_report(
         inst,
@@ -279,7 +317,7 @@ def _cmd_bounds(args) -> int:
         seed=args.seed,
         eps_num=args.eps_num,
     )
-    payload = {"config": _config(args), "report": rep.to_dict()}
+    payload = {"config": config, "report": rep.to_dict()}
     path = _write_json(args.output_dir, "bounds.json", payload)
     print(
         f"opt = {rep.opt:.9f}; window = [{rep.lower_bound:.9f}, {rep.upper_bound:.9f}]; "
@@ -289,7 +327,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _make_policy_factory(args, inst):
-    """The sender's policy factory and the config fields it resolved."""
+    """The sender's policy factory and the config values it read."""
     ref = args.sender
     if ref == "alternating":
         return lambda: AlternatingSignalPolicy(inst), {}
@@ -297,8 +335,9 @@ def _make_policy_factory(args, inst):
         scheme = load_scheme(Path(ref.split(":", 1)[1]), inst)
         return lambda: FixedSchemePolicy(scheme), {}
     if ref.startswith("robustified:"):
-        scheme, alpha, _ = robustified_optimum(inst, _kind_param(ref, "sender"), args.eps_num)
-        return lambda: FixedSchemePolicy(scheme), {"alpha": alpha}
+        eps_num = _default(args.eps_num, DEFAULT_EPS)
+        scheme, alpha, _ = robustified_optimum(inst, _kind_param(ref, "sender"), eps_num)
+        return lambda: FixedSchemePolicy(scheme), {"alpha": alpha, "eps_num": eps_num}
     raise ValidationError(
         f"sender must be fixed:<scheme.json>|robustified:<C>|alternating, got {ref!r}"
     )
@@ -311,8 +350,22 @@ def _cmd_simulate(args) -> int:
     feedback = receiver_factory().feedback_mode
     seeds = list(range(args.seed, args.seed + args.seeds))
     # the default interval is the first default mark
-    checkpoint_every = args.checkpoint_every or checkpoint_marks(args.rounds)[0]
+    checkpoint_every = _default(args.checkpoint_every, checkpoint_marks(args.rounds)[0])
     threads = min(_threads(), len(seeds))
+    # checked here, as the seeds below write their files as they finish
+    config = _config(
+        args,
+        "instance",
+        "sender",
+        "receiver",
+        "rounds",
+        "seed",
+        seeds=seeds,
+        checkpoint_every=checkpoint_every,
+        feedback=feedback,
+        threads=threads,
+        **sender_cfg,
+    )
     out = args.output_dir
 
     def write_seed(trace) -> dict:
@@ -331,14 +384,7 @@ def _cmd_simulate(args) -> int:
     )
     finals = [p["final_average"] for p in per_seed]
     payload = {
-        "config": _config(
-            args,
-            seeds=seeds,
-            checkpoint_every=checkpoint_every,
-            feedback=feedback,
-            threads=threads,
-            **sender_cfg,
-        ),
+        "config": config,
         "per_seed": per_seed,
         "mean_final_average": float(np.mean(finals)),
     }
@@ -398,12 +444,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--output-dir", type=Path, default=Path("out"), help="artifact directory (default: ./out)"
     )
     seed = _option("--seed", type=int, default=0, help="base RNG seed (default: 0)")
-    eps = _option(
-        "--eps-num",
-        type=float,
-        default=DEFAULT_EPS,
-        help="tie tolerance of the instance profile and slack of the response sets; "
-        "at least 0 (default: 1e-9)",
+    eps_help = (
+        "tie tolerance of the instance profile and slack of the response sets; "
+        "at least 0 (default: 1e-9)"
+    )
+    eps = _option("--eps-num", type=float, default=DEFAULT_EPS, help=eps_help)
+    # where a mode or sender may not read an option, it parses to None when
+    # left out, and the command resolves its default (see _config)
+    eps_unread = _option(
+        "--eps-num", type=float, help=eps_help + "; not every mode or sender reads it"
     )
     parser = argparse.ArgumentParser(
         prog="persuasion-lab",
@@ -424,16 +473,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", help="direct scheme file (default: solve the instance first)")
     p.add_argument("--alpha", type=float, help="explicit mixing weight")
     p.add_argument("--gamma", type=float, help="derive the weight from a margin target")
-    p.add_argument("--rule", choices=("lower", "upper"), default="lower")
+    p.add_argument(
+        "--rule", choices=("lower", "upper"), help="weight rule, read with --gamma (default: lower)"
+    )
     p.set_defaults(func=_cmd_robustify)
 
     p = sub.add_parser(
-        "evaluate", parents=[out, seed, eps], help="sender value under a response model"
+        "evaluate", parents=[out, eps_unread], help="sender value under a response model"
     )
     p.add_argument("--instance", required=True)
     p.add_argument("--scheme", required=True)
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--delta", type=float, default=0.0)
+    p.add_argument("--seed", type=int, help="RNG seed of perturbed:EPS (default: 0)")
+    p.add_argument("--gamma", type=float, help="read by worst and best (default: 0)")
+    p.add_argument("--delta", type=float, help="read by worst and best (default: 0)")
     p.add_argument(
         "--mode",
         required=True,
@@ -448,7 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=50, help="random schemes for the upper side")
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("simulate", parents=[out, seed, eps], help="repeated play against a learner")
+    p = sub.add_parser(
+        "simulate", parents=[out, seed, eps_unread], help="repeated play against a learner"
+    )
     p.add_argument("--instance", required=True)
     p.add_argument(
         "--sender",

@@ -188,19 +188,6 @@ def require_assumption(prof: InstanceProfile) -> InstanceProfile:
     return prof
 
 
-def _ratio(instance: PersuasionInstance, gamma: float, eps_num: float) -> float:
-    check_gamma(gamma)
-    prof = require_assumption(profile_instance(instance, eps_num))
-    denom = prof.mu_min * prof.gap
-    ratio = 0.0 if gamma == 0.0 else gamma / denom
-    if ratio >= 1.0:
-        raise HypothesisViolatedError(
-            f"gamma/(mu_min*gap) = {ratio:g} >= 1; no mixing weight can absorb it",
-            ratio=ratio,
-        )
-    return ratio
-
-
 def choose_alpha_lower(
     instance: PersuasionInstance,
     gamma: float,
@@ -212,8 +199,7 @@ def choose_alpha_lower(
     the classic optimum the obedient action is the only gamma-best response
     at every sent signal.
     """
-    ratio = _ratio(instance, gamma, eps_num)
-    return min(ratio + 1e-6, 1.0)
+    return min(choose_alpha_upper(instance, gamma, eps_num) + 1e-6, 1.0)
 
 
 def choose_alpha_upper(
@@ -222,4 +208,13 @@ def choose_alpha_upper(
     eps_num: float = DEFAULT_EPS,
 ) -> float:
     """Mixing weight that restores plain obedience (margin >= 0) exactly."""
-    return _ratio(instance, gamma, eps_num)
+    check_gamma(gamma)
+    prof = require_assumption(profile_instance(instance, eps_num))
+    denom = prof.mu_min * prof.gap
+    ratio = 0.0 if gamma == 0.0 else gamma / denom
+    if ratio >= 1.0:
+        raise HypothesisViolatedError(
+            f"gamma/(mu_min*gap) = {ratio:g} >= 1; no mixing weight can absorb it",
+            ratio=ratio,
+        )
+    return ratio

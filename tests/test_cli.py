@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import shutil
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import persuasion_lab
 from persuasion_lab import (
     DEFAULT_EPS,
+    cli,
     PersuasionInstance,
     advantage,
     full_revelation_scheme,
@@ -559,13 +561,13 @@ EPS = {"eps_num": DEFAULT_EPS}
         (("solve-classic", "--instance", "judge"), {"instance": "judge"}),
         (
             ("robustify", "--instance", "judge"),
-            {"instance": "judge", "scheme": None, "alpha": None, "gamma": None, "rule": "lower",
+            {"instance": "judge", "scheme": None, "alpha": None, "gamma": None, "rule": None,
              **EPS},
         ),
         (
             ("evaluate", "--instance", "judge", "--scheme", "s", "--mode", "worst"),
-            {"instance": "judge", "scheme": "s", "mode": "worst", "gamma": 0.0, "delta": 0.0,
-             "seed": 0, **EPS},
+            {"instance": "judge", "scheme": "s", "mode": "worst", "gamma": None, "delta": None,
+             "seed": None, "eps_num": None},
         ),
         (
             ("bounds", "--instance", "judge", "--gamma", 0.1),
@@ -574,7 +576,7 @@ EPS = {"eps_num": DEFAULT_EPS}
         (
             (*SIMULATE, "--rounds", 10),
             {"instance": "judge", "sender": "robustified:0.2", "receiver": "exp3", "rounds": 10,
-             "seeds": 1, "checkpoint_every": None, "seed": 0, **EPS},
+             "seeds": 1, "checkpoint_every": None, "seed": 0, "eps_num": None},
         ),
         (
             ("reproduce", "judge"),
@@ -587,10 +589,138 @@ EPS = {"eps_num": DEFAULT_EPS}
     ],
 )
 def test_each_command_takes_the_options_it_reads(argv, parsed):
-    # the options a command keeps parse with their old defaults
+    # an option every run of the command reads parses to its default; one
+    # that some mode or sender does not read parses to None when left out
     args = vars(build_parser().parse_args([str(a) for a in argv]))
     del args["command"], args["func"]
     assert args == {"output_dir": Path("out"), **parsed}
+
+
+EVALUATE = ("evaluate", "--instance", "judge", "--scheme", "SCHEME")
+FIXED = ("simulate", "--instance", "judge", "--sender", "fixed:SCHEME", "--receiver", "exp3")
+ALTERNATING = ("simulate", "--instance", "judge", "--sender", "alternating", "--receiver", "exp3")
+
+
+def with_scheme(argv, tmp_path, scheme):
+    """``argv`` as strings, with ``SCHEME`` spelled as a file that holds ``scheme``."""
+    path = tmp_path / "scheme.json"
+    path.write_text(scheme_to_json(scheme))
+    return [str(a).replace("SCHEME", str(path)) for a in argv]
+
+
+# Each option that a run accepts without reading it, given last; a given 0
+# counts as given.
+UNREAD = {
+    "robustify-alpha-rule": ("robustify", "--instance", "judge", "--alpha", 0.1, "--rule", "upper"),
+    "worst-seed": (*EVALUATE, "--mode", "worst", "--seed", 0),
+    "best-seed": (*EVALUATE, "--mode", "best", "--seed", 7),
+    "obedient-gamma": (*EVALUATE, "--mode", "obedient", "--gamma", 0),
+    "obedient-delta": (*EVALUATE, "--mode", "obedient", "--delta", 0.2),
+    "obedient-seed": (*EVALUATE, "--mode", "obedient", "--seed", 7),
+    "obedient-eps-num": (*EVALUATE, "--mode", "obedient", "--eps-num", 0.4),
+    "quantal-gamma": (*EVALUATE, "--mode", "quantal:10", "--gamma", 0.3),
+    "quantal-delta": (*EVALUATE, "--mode", "quantal:10", "--delta", 0.2),
+    "quantal-seed": (*EVALUATE, "--mode", "quantal:10", "--seed", 7),
+    "perturbed-gamma": (*EVALUATE, "--mode", "perturbed:0.1", "--gamma", 0.3),
+    "perturbed-delta": (*EVALUATE, "--mode", "perturbed:0.1", "--delta", 0),
+    "fixed-eps-num": (*FIXED, "--rounds", 10, "--eps-num", 0.7),
+    "alternating-eps-num": (*ALTERNATING, "--rounds", 10, "--eps-num", 0),
+}
+
+
+@pytest.mark.parametrize("argv", UNREAD.values(), ids=UNREAD.keys())
+def test_option_a_run_does_not_read_exit_1(tmp_path, capsys, judge_opt, argv):
+    argv = with_scheme(argv, tmp_path, judge_opt)
+    assert run(*argv, "--output-dir", tmp_path / "out") == 1
+    assert f"does not read {argv[-2]}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # the same run without the option goes through
+    assert run(*argv[:-2], "--output-dir", tmp_path / "without") == 0
+
+
+SIMULATE_KEYS = {
+    "command", "instance", "sender", "receiver", "rounds", "seed", "seeds", "checkpoint_every",
+    "feedback", "threads",
+}
+EVALUATE_KEYS = {"command", "instance", "scheme", "mode"}
+
+CONFIG_KEYS = {
+    "check-assumptions": (
+        ("check-assumptions", "--instance", "judge"), {"command", "instance", "eps_num"}
+    ),
+    "solve-classic": (("solve-classic", "--instance", "judge"), {"command", "instance"}),
+    "robustify-alpha": (
+        ("robustify", "--instance", "judge", "--alpha", 0.1),
+        {"command", "instance", "scheme", "alpha", "eps_num"},
+    ),
+    "robustify-gamma": (
+        ("robustify", "--instance", "judge", "--gamma", 0.03),
+        {"command", "instance", "scheme", "gamma", "rule", "alpha", "eps_num"},
+    ),
+    "evaluate-worst": (
+        (*EVALUATE, "--mode", "worst"), EVALUATE_KEYS | {"gamma", "delta", "eps_num"}
+    ),
+    "evaluate-best": ((*EVALUATE, "--mode", "best"), EVALUATE_KEYS | {"gamma", "delta", "eps_num"}),
+    "evaluate-obedient": ((*EVALUATE, "--mode", "obedient"), EVALUATE_KEYS),
+    "evaluate-quantal": ((*EVALUATE, "--mode", "quantal:10"), EVALUATE_KEYS | {"eps_num"}),
+    "evaluate-perturbed": (
+        (*EVALUATE, "--mode", "perturbed:0.1"), EVALUATE_KEYS | {"seed", "eps_num"}
+    ),
+    "bounds": (
+        ("bounds", "--instance", "judge", "--gamma", 0.03, "--samples", 5),
+        {"command", "instance", "gamma", "delta", "samples", "seed", "eps_num"},
+    ),
+    "simulate-robustified": ((*SIMULATE, "--rounds", 10), SIMULATE_KEYS | {"alpha", "eps_num"}),
+    "simulate-fixed": ((*FIXED, "--rounds", 10), SIMULATE_KEYS),
+    "simulate-alternating": ((*ALTERNATING, "--rounds", 10), SIMULATE_KEYS),
+    # a target's config is its driver's, with the overrides it took
+    "reproduce": (("reproduce", "example-1"), {"instance"}),
+}
+
+
+@pytest.mark.parametrize("argv, keys", CONFIG_KEYS.values(), ids=CONFIG_KEYS.keys())
+def test_config_holds_the_values_the_run_read(tmp_path, judge_opt, argv, keys):
+    argv = with_scheme(argv, tmp_path, judge_opt)
+    assert run(*argv, "--output-dir", tmp_path / "out") == 0
+    name = f"reproduce-{argv[1]}" if argv[0] == "reproduce" else argv[0]
+    assert set(read_json(tmp_path / "out" / f"{name}.json")["config"]) == keys
+
+
+# Each run that reads --eps-num, and a library call it hands the value to.
+EPS_READERS = {
+    "check-assumptions": (("check-assumptions", "--instance", "judge"), "profile_instance"),
+    "robustify-alpha": (("robustify", "--instance", "judge", "--alpha", 0.1), "robustify"),
+    "robustify-gamma": (
+        ("robustify", "--instance", "judge", "--gamma", 0.03), "choose_alpha_lower"
+    ),
+    "evaluate-worst": ((*EVALUATE, "--mode", "worst"), "evaluate_objective"),
+    "evaluate-best": ((*EVALUATE, "--mode", "best"), "evaluate_objective"),
+    "evaluate-quantal": ((*EVALUATE, "--mode", "quantal:10"), "approx_membership_mass"),
+    "evaluate-perturbed": ((*EVALUATE, "--mode", "perturbed:0.1"), "approx_membership_mass"),
+    "bounds": (("bounds", "--instance", "judge", "--gamma", 0.03, "--samples", 5), "bounds_report"),
+    "simulate-robustified": ((*SIMULATE, "--rounds", 10), "robustified_optimum"),
+}
+
+
+@pytest.mark.parametrize("argv, reader", EPS_READERS.values(), ids=EPS_READERS.keys())
+def test_eps_num_zero_is_recorded_and_read(tmp_path, monkeypatch, judge_opt, argv, reader):
+    # 0 is a given tolerance, not a missing one, so it must not turn into the default
+    original = getattr(cli, reader)
+    signature = inspect.signature(original)
+    seen = []
+
+    def spy(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append(bound.arguments["eps_num"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, reader, spy)
+    argv = with_scheme(argv, tmp_path, judge_opt)
+    assert run(*argv, "--eps-num", 0, "--output-dir", tmp_path / "out") == 0
+    config = read_json(tmp_path / "out" / f"{argv[0]}.json")["config"]
+    assert config["eps_num"] == 0.0
+    assert seen and all(eps == 0.0 for eps in seen)
 
 
 @pytest.mark.parametrize(
@@ -609,9 +739,6 @@ def test_counts_below_one_exit_1(tmp_path, capsys, argv):
     assert run(*argv, "--output-dir", tmp_path) == 1
     assert "must be at least 1" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
-
-
-EVALUATE = ("evaluate", "--instance", "judge", "--scheme", "SCHEME")
 
 
 @pytest.mark.parametrize(
@@ -633,9 +760,7 @@ EVALUATE = ("evaluate", "--instance", "judge", "--scheme", "SCHEME")
     ],
 )
 def test_non_finite_numbers_exit_1(tmp_path, capsys, judge_opt, argv, message):
-    scheme = tmp_path / "scheme.json"
-    scheme.write_text(scheme_to_json(judge_opt))
-    argv = [scheme if a == "SCHEME" else a for a in argv]
+    argv = with_scheme(argv, tmp_path, judge_opt)
     assert run(*argv, "--output-dir", tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert "error[" in err and message in err
@@ -769,7 +894,9 @@ def game_files(draw):
 )
 @settings(max_examples=200, deadline=None)
 def test_parse_path_exits_0_1_or_2(files, mode, gamma):
-    # the commands read the files, or exit 1 before writing anything
+    # the commands read the files, or exit 1 before writing anything; only
+    # worst and best read --gamma, so only they are given it
+    gamma_option = ["--gamma", gamma] if mode in ("worst", "best") else []
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for name, doc in zip(("instance.json", "scheme.json"), files):
@@ -781,7 +908,7 @@ def test_parse_path_exits_0_1_or_2(files, mode, gamma):
                 "--instance", tmp / "instance.json",
                 "--scheme", tmp / "scheme.json",
                 "--mode", mode,
-                "--gamma", gamma,
+                *gamma_option,
             ],
             [
                 "simulate",
