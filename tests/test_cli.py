@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 import persuasion_lab
 from persuasion_lab import (
     DEFAULT_EPS,
-    cli,
     PersuasionInstance,
     advantage,
+    cli,
     full_revelation_scheme,
     instance_to_json,
     scheme_to_json,
