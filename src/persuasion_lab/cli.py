@@ -53,6 +53,7 @@ from .model import (
 )
 from .repro import DRIVERS, TARGETS, reproduce
 from .response import (
+    DEFAULT_N_SCHEMES,
     approx_membership_mass,
     bounds_report,
     evaluate_objective,
@@ -213,7 +214,7 @@ def _cmd_robustify(args) -> int:
     else:
         scheme, _ = solve_classic(inst)
     robust = robustify(inst, scheme, alpha, args.eps_num)
-    report = verify_robustification(inst, scheme, alpha, args.eps_num)
+    report = verify_robustification(inst, scheme, robust, alpha, args.eps_num)
     scheme_path = _write_text(
         args.output_dir, "robustified-scheme.json", scheme_to_json(robust)
     )
@@ -295,7 +296,7 @@ def _cmd_evaluate(args) -> int:
         report.update(
             {name: param},
             value=value,
-            certificate={"gamma": cert[0], "delta": cert[1]},
+            certificate={"gamma": _finite_or_none(cert[0]), "delta": _finite_or_none(cert[1])},
             membership_mass=approx_membership_mass(
                 inst, scheme, strat, cert[0], config["eps_num"]
             ),
@@ -372,10 +373,11 @@ def _cmd_simulate(args) -> int:
         """Write one seed's files as it finishes; keep only its report row."""
         out.mkdir(parents=True, exist_ok=True)
         trace.to_csv(out / f"trace-seed{trace.seed}.csv")
-        trace.checkpoints_to_csv(out / f"diagnostics-seed{trace.seed}.csv", checkpoint_every)
+        diagnostics = out / f"diagnostics-seed{trace.seed}.csv"
+        last = trace.checkpoints_to_csv(diagnostics, checkpoint_every)[-1]  # at t = rounds
         return {
             "seed": trace.seed,
-            "final_average": trace.final_average,
+            "final_average": last.running_avg,
             "obedience_last_decile": trace.last_decile_obedience,
         }
 
@@ -497,7 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--samples", type=int, default=50, help="random schemes for the upper side")
+    p.add_argument(
+        "--samples", type=int, default=DEFAULT_N_SCHEMES, help="random schemes for the upper side"
+    )
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser(
@@ -532,12 +536,12 @@ def build_parser() -> argparse.ArgumentParser:
 _POSITIVE_OPTIONS = ("rounds", "seeds", "samples", "checkpoint_every", "instances")
 # Real options; each must be finite where the command takes it.
 _FINITE_OPTIONS = ("gamma", "delta", "alpha", "eps_num")
-# Real options that must also be at least 0.
-_NONNEGATIVE_OPTIONS = ("eps_num",)
+# Options that must be at least 0.
+_NONNEGATIVE_OPTIONS = ("eps_num", "seed")
 
 
 def _check_options(args: argparse.Namespace) -> None:
-    for name in _POSITIVE_OPTIONS + _FINITE_OPTIONS:
+    for name in dict.fromkeys(_POSITIVE_OPTIONS + _FINITE_OPTIONS + _NONNEGATIVE_OPTIONS):
         value = getattr(args, name, None)
         if value is None:
             continue

@@ -368,17 +368,14 @@ class Checkpoint:
 def checkpoint_marks(rounds: int, every: int | None = None) -> list[int]:
     """The rounds a trace reports diagnostics at: every ``every``-th, then ``rounds``.
 
-    ``every`` defaults to a tenth of the horizon.  When it exceeds the
-    horizon there are no marks.
+    ``every`` defaults to a tenth of the horizon.  The horizon is always the
+    last mark, also when ``every`` exceeds it.
     """
     if every is None:
         every = max(rounds // 10, 1)
     if every < 1:
         raise ValidationError(f"checkpoint interval must be at least 1, got {every}")
-    marks = list(range(every, rounds + 1, every))
-    if marks and marks[-1] != rounds:
-        marks.append(rounds)
-    return marks
+    return [*range(every, rounds, every), rounds]
 
 
 # Rows per write of ``SimulationTrace.to_csv``; a larger chunk buys little
@@ -520,12 +517,15 @@ class SimulationTrace:
                 lines = [f"{t},{state_signal[i]}{action_uv[j]}{r!r}\r\n" for t, i, j, r in rows]
                 fh.write("".join(lines))
 
-    def checkpoints_to_csv(self, path, every: int | None = None) -> None:
+    def checkpoints_to_csv(self, path, every: int | None = None) -> tuple[Checkpoint, ...]:
+        """Write ``checkpoints(every)`` as CSV, one row per mark, and return them."""
+        checkpoints = self.checkpoints(every)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "running_avg", "obedience_frequency", "window_obedience", "max_radius"])
-            for c in self.checkpoints(every):
+            for c in checkpoints:
                 w.writerow([c.t, repr(c.running_avg), c.obedience_frequency, c.window_obedience, c.max_radius])
+        return checkpoints
 
 
 def confidence_radius(

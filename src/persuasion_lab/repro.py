@@ -23,7 +23,7 @@ from .learning import (
     run_replications,
 )
 from .model import full_revelation_scheme, posterior
-from .response import BOUNDS_TOLERANCE, bounds_grid, evaluate_objective
+from .response import BOUNDS_TOLERANCE, DEFAULT_N_SCHEMES, bounds_grid, evaluate_objective
 from .robustify import choose_alpha_lower, robustify
 from .sampling import satisfied_instance
 
@@ -192,7 +192,7 @@ def sweep_instances(n_instances: int, seed: int, max_gamma: float):
 
 def reproduce_bounds_sweep(
     n_instances: int = 500,
-    n_schemes: int = 50,
+    n_schemes: int = DEFAULT_N_SCHEMES,
     seed: int = 2024,
 ) -> dict:
     """Two-sided bound check over seeded random satisfying instances."""

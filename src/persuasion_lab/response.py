@@ -55,10 +55,6 @@ class ApproxResponseSet:
         check_sent(self.signals, self.marginals, s)
         return tuple(a for a, keep in zip(self.actions, self.member_mask[s]) if keep)
 
-    def contains(self, signal: str | int, action: str | int) -> bool:
-        s = index_of("signal", self.signals, signal)
-        return bool(self.member_mask[s, index_of("action", self.actions, action)])
-
 
 def approx_set(
     instance: PersuasionInstance,
@@ -300,6 +296,8 @@ def _tv_step(mu: np.ndarray, epsilon: float, rng: np.random.Generator) -> np.nda
     if l1 < 1e-15 or epsilon == 0.0:
         return mu.copy()
     step = d * (2.0 * epsilon / l1)
+    if not np.isfinite(step).all():
+        raise ValidationError(f"epsilon = {epsilon!r} overflows the perturbation step")
     neg = step < 0
     theta = 1.0
     if neg.any():
@@ -377,6 +375,8 @@ def to_direct_revelation(
 
 # Float slack allowed on either side of the sandwich.
 BOUNDS_TOLERANCE = 1e-8
+# Random candidate schemes scored for the upper side, unless given.
+DEFAULT_N_SCHEMES = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,7 +435,7 @@ def bounds_report(
     gamma: float,
     delta: float,
     *,
-    n_schemes: int = 50,
+    n_schemes: int = DEFAULT_N_SCHEMES,
     seed: int | None = 0,
     schemes: list[SignalingScheme] | None = None,
     eps_num: float = DEFAULT_EPS,
@@ -463,7 +463,7 @@ def bounds_grid(
     gammas: tuple[float, ...],
     deltas: tuple[float, ...],
     *,
-    n_schemes: int = 50,
+    n_schemes: int = DEFAULT_N_SCHEMES,
     seed: int | None = 0,
     schemes: list[SignalingScheme] | None = None,
     eps_num: float = DEFAULT_EPS,

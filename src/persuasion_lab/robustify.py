@@ -77,6 +77,11 @@ def _require_unique_optima(instance: PersuasionInstance, eps_num: float) -> Inst
     return prof
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha <= 1.0:
+        raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
+
+
 def robustify(
     instance: PersuasionInstance,
     scheme: SignalingScheme,
@@ -84,8 +89,7 @@ def robustify(
     eps_num: float = DEFAULT_EPS,
 ) -> SignalingScheme:
     """Blend ``scheme`` with the always-recommend-the-optimum scheme."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     check_direct(instance, scheme)
     prof = _require_unique_optima(instance, eps_num)
 
@@ -127,18 +131,21 @@ def margin_lift(profile: InstanceProfile, alpha: float, marginals: np.ndarray) -
 def verify_robustification(
     instance: PersuasionInstance,
     scheme: SignalingScheme,
+    robust: SignalingScheme,
     alpha: float,
     eps_num: float = DEFAULT_EPS,
 ) -> RobustificationReport:
-    """Check the mixture guarantees of ``robustify(instance, scheme, alpha)``.
+    """Check that ``robust`` keeps the guarantees of ``robustify(instance, scheme, alpha)``.
 
     Marginals and margins are read from ``scheme_stats`` of both schemes,
     through ``signal_marginals`` and ``advantage``, so they test the mixture
     identity and the margin bound, not the statistics themselves.  The
     distances come straight from the joint distributions prior x conditional.
     """
+    _check_alpha(alpha)
+    check_direct(instance, scheme)
+    check_direct(instance, robust)
     prof = _require_unique_optima(instance, eps_num)
-    robust = robustify(instance, scheme, alpha, eps_num)
 
     marg_before = signal_marginals(instance, scheme)
     marg_after = signal_marginals(instance, robust)

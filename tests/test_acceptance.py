@@ -23,6 +23,7 @@ from persuasion_lab import (
     project_strategy,
     quantal_certificate,
     quantal_strategy,
+    robustify,
     scheme_stats,
     solve_classic,
     to_direct_revelation,
@@ -81,7 +82,7 @@ def test_03_robustification_audit_sweep():
             inst = satisfied_instance(rng)
             scheme = direct_scheme(inst, rng.dirichlet(np.ones(inst.n_actions), size=inst.n_states))
             for alpha in (0.01, 0.1, 0.5):
-                rep = verify_robustification(inst, scheme, alpha)
+                rep = verify_robustification(inst, scheme, robustify(inst, scheme, alpha), alpha)
                 assert rep.marginal_identity_residual <= 1e-12
                 assert rep.advantage_bound_slack >= -1e-10
                 assert rep.tv_distance <= alpha + 1e-12

@@ -1,3 +1,4 @@
+import importlib
 import inspect
 import json
 import os
@@ -17,6 +18,7 @@ import persuasion_lab
 from persuasion_lab import (
     DEFAULT_EPS,
     PersuasionInstance,
+    SimulationTrace,
     advantage,
     cli,
     full_revelation_scheme,
@@ -120,6 +122,29 @@ class TestRobustify:
         assert out["config"]["alpha"] == pytest.approx(0.100001, abs=1e-12)
         scheme = load_scheme(tmp_path / "robustified-scheme.json", judge)
         assert scheme.conditional[1, 0] == pytest.approx((1 - 0.100001) * 3 / 7, abs=1e-12)
+
+    def test_gamma_rule_mixes_once(self, tmp_path, monkeypatch):
+        # the audit checks the mixture the command writes, and makes none of its own
+        module = importlib.import_module("persuasion_lab.robustify")
+        calls = []
+
+        def counted(name, fn):
+            def spy(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return spy
+
+        mix = counted("robustify", module.robustify)
+        monkeypatch.setattr(module, "robustify", mix)
+        monkeypatch.setattr(cli, "robustify", mix)
+        monkeypatch.setattr(
+            module, "profile_instance", counted("profile_instance", module.profile_instance)
+        )
+        argv = ("robustify", "--instance", "judge", "--gamma", 0.03, "--output-dir", tmp_path)
+        assert run(*argv) == 0
+        assert calls.count("robustify") == 1
+        assert calls.count("profile_instance") == 3
 
     def test_explicit_alpha_on_scheme_file(self, tmp_path, judge):
         run("solve-classic", "--instance", "judge", "--output-dir", tmp_path)
@@ -232,6 +257,19 @@ class TestEvaluate:
         assert out["certificate"]["gamma"] == pytest.approx(0.2)
         assert out["membership_mass"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "mode, certificate",
+        [
+            # log(n lam)/lam overflows at the top of the float range, 1/lam at the bottom
+            ("quantal:1e308", {"gamma": None, "delta": 1e-308}),
+            ("quantal:1e-320", {"gamma": 0.0, "delta": None}),
+        ],
+    )
+    def test_overflowed_certificate_is_null(self, tmp_path, scheme_file, mode, certificate):
+        argv = ("evaluate", "--instance", "judge", "--scheme", scheme_file, "--mode", mode)
+        assert run(*argv, "--output-dir", tmp_path) == 0
+        assert read_json(tmp_path / "evaluate.json")["certificate"] == certificate
+
     @pytest.mark.parametrize("mode", ["median", "quantal:abc", "perturbed:"])
     def test_bad_mode_exit_1(self, tmp_path, scheme_file, mode):
         code = run(
@@ -304,6 +342,29 @@ class TestSimulate:
         diag = (tmp_path / "diagnostics-seed0.csv").read_text().splitlines()
         assert diag[0].startswith("t,running_avg,obedience_frequency")
         assert len(diag) == 11
+
+    def test_interval_past_the_horizon_writes_the_horizon(self, tmp_path):
+        assert run(*SIMULATE, "--rounds", 50, "--checkpoint-every", 80, "--output-dir", tmp_path) == 0
+        diag = (tmp_path / "diagnostics-seed0.csv").read_text().splitlines()
+        assert len(diag) == 2 and diag[1].startswith("50,")
+
+    def test_running_average_derived_twice_per_seed(self, tmp_path, monkeypatch):
+        # once for the trace CSV, once for the checkpoints, whose last is the final average
+        derived = []
+        running_avg = SimulationTrace.running_avg.fget
+
+        def spy(trace):
+            derived.append(trace.seed)
+            return running_avg(trace)
+
+        monkeypatch.setattr(SimulationTrace, "running_avg", property(spy))
+        argv = (*SIMULATE, "--rounds", 200, "--seeds", 2, "--output-dir", tmp_path)
+        assert run(*argv) == 0
+        assert sorted(derived) == [0, 0, 1, 1]
+        finals = [p["final_average"] for p in read_json(tmp_path / "simulate.json")["per_seed"]]
+        for seed, final in enumerate(finals):
+            last = (tmp_path / f"trace-seed{seed}.csv").read_text().splitlines()[-1]
+            assert repr(final) == last.rsplit(",", 1)[1]
 
     def test_alternating_sender(self, tmp_path):
         code = run(
@@ -757,6 +818,15 @@ def test_counts_below_one_exit_1(tmp_path, capsys, argv):
         # a negative tolerance empties every response set and drops ties
         ((*EVALUATE, "--mode", "worst", "--eps-num", "-1"), "--eps-num must be at least 0"),
         (("check-assumptions", "--instance", "example-1", "--eps-num", "-1"), "--eps-num must be at least 0"),
+        # numpy's generators take no negative seed
+        ((*SIMULATE, "--rounds", 10, "--seed", -1), "--seed must be at least 0"),
+        ((*EVALUATE, "--mode", "perturbed:0.1", "--seed", -3), "--seed must be at least 0"),
+        (("bounds", "--instance", "judge", "--gamma", 0.05, "--seed", -5), "--seed must be at least 0"),
+        (("reproduce", "example-4-3", "--seed", -2), "--seed must be at least 0"),
+        (("reproduce", "theorem-4-1", "--seed", -2), "--seed must be at least 0"),
+        (("reproduce", "theorem-3-1-sweep", "--seed", -2), "--seed must be at least 0"),
+        # 2 epsilon overflows; a NaN belief would silently pick action 0
+        ((*EVALUATE, "--mode", "perturbed:1e308"), "overflows the perturbation step"),
     ],
 )
 def test_non_finite_numbers_exit_1(tmp_path, capsys, judge_opt, argv, message):

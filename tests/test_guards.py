@@ -27,13 +27,18 @@ from persuasion_lab import (
     SignalingScheme,
     ValidationError,
     advantage,
+    builtin_instance,
     make_receiver,
     obedient_strategy,
     robustify,
     simulate,
     verify_robustification,
 )
-from support import approx_responding_strategy, deterministic_responding_strategy
+from support import (
+    approx_responding_strategy,
+    deterministic_responding_strategy,
+    judge_optimal_scheme,
+)
 
 # the package's exports, and the test generators that read a pair through them
 CALLABLES = {name: getattr(persuasion_lab, name) for name in persuasion_lab.__all__} | {
@@ -81,6 +86,8 @@ ARGS = {
     "n_schemes": 2,
     "receiver_values": lambda: np.array([[[0.2, 0.8]]]),
     "rng": lambda: np.random.default_rng(0),
+    # the judge's mixture at ``alpha``, for the audit of a mixture
+    "robust": lambda: robustify(builtin_instance("judge"), judge_optimal_scheme(), 0.1),
     "rounds": 20,
     "schemes": None,
     "seed": 0,
@@ -167,8 +174,16 @@ def test_directness_is_the_signal_list(judge, judge_opt):
         advantage(judge, reversed_)
     with pytest.raises(NotDirectRevelationError):
         robustify(judge, reversed_, 0.1)
+    # the audit takes the mixture as given, so it checks both schemes
+    mixed = robustify(judge, judge_opt, 0.1)
     with pytest.raises(NotDirectRevelationError):
-        verify_robustification(judge, reversed_, 0.1)
+        verify_robustification(judge, reversed_, mixed, 0.1)
+    for other in (
+        SignalingScheme(judge.actions[::-1], mixed.conditional),
+        SignalingScheme(("s0", "s1", "s2"), np.full((judge.n_states, 3), 1 / 3)),
+    ):
+        with pytest.raises(NotDirectRevelationError):
+            verify_robustification(judge, judge_opt, other, 0.1)
 
 
 @pytest.mark.parametrize("fast", [True, False])

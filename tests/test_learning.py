@@ -570,6 +570,22 @@ def oracle_checkpoints(trace, marks):
     return out
 
 
+def appended_marks(rounds, every):
+    """Every ``every``-th round up to ``rounds``, then ``rounds`` if it was missed."""
+    marks = list(range(every, rounds + 1, every))
+    if marks[-1] != rounds:
+        marks.append(rounds)
+    return marks
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 9, 10, 11, 97, 400])
+def test_checkpoint_marks_end_at_the_horizon(rounds):
+    assert learning.checkpoint_marks(rounds) == appended_marks(rounds, max(rounds // 10, 1))
+    for every in range(1, rounds + 20):
+        marks = learning.checkpoint_marks(rounds, every)
+        assert marks == (appended_marks(rounds, every) if every < rounds else [rounds])
+
+
 class TestCheckpoints:
     T = CHECKPOINT_ROUNDS
 
@@ -593,7 +609,7 @@ class TestCheckpoints:
             (1, list(range(1, 401))),
             (7, [*range(7, 400, 7), 400]),
             (CHECKPOINT_ROUNDS, [400]),
-            (CHECKPOINT_ROUNDS + 5, []),
+            (CHECKPOINT_ROUNDS + 5, [400]),
         ],
     )
     @pytest.mark.parametrize("sender", ["fixed", "alternating"])

@@ -40,15 +40,29 @@ class TestJudgeArithmetic:
         assert advantage(judge, mixed, "convict") == pytest.approx(1 / 19, abs=1e-12)
 
     def test_report_values(self, judge, judge_opt):
-        rep = verify_robustification(judge, judge_opt, 0.1)
+        rep = verify_robustification(judge, judge_opt, robustify(judge, judge_opt, 0.1), 0.1)
         assert rep.marginal_identity_residual <= 1e-12
         assert rep.advantage_bound_slack >= -1e-10
         assert rep.tv_distance == pytest.approx(0.03, abs=1e-12)
         assert rep.utility_gap == pytest.approx(0.03, abs=1e-12)
         assert rep.ok()
 
+    @pytest.mark.parametrize("made_at, audited_at", [(0.2, 0.1), (0.0, 0.1)])
+    def test_audit_fails_a_mixture_of_another_weight(self, judge, judge_opt, made_at, audited_at):
+        # a mixture made at another weight, or the unmixed scheme, breaks the
+        # marginal identity at the audited weight
+        mixed = robustify(judge, judge_opt, made_at)
+        rep = verify_robustification(judge, judge_opt, mixed, audited_at)
+        assert rep.marginal_identity_residual > 1e-3
+        assert rep.ok() is False
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
+    def test_audit_weight_out_of_range(self, judge, judge_opt, alpha):
+        with pytest.raises(ValidationError):
+            verify_robustification(judge, judge_opt, judge_opt, alpha)
+
     def test_report_round_trip(self, judge, judge_opt):
-        rep = verify_robustification(judge, judge_opt, 0.25)
+        rep = verify_robustification(judge, judge_opt, robustify(judge, judge_opt, 0.25), 0.25)
         d = rep.to_dict()
         assert d["alpha"] == 0.25
         assert set(d) >= {
@@ -64,7 +78,7 @@ class TestEdges:
     def test_alpha_zero_is_identity(self, judge, judge_opt):
         mixed = robustify(judge, judge_opt, 0.0)
         assert np.array_equal(mixed.conditional, judge_opt.conditional)
-        rep = verify_robustification(judge, judge_opt, 0.0)
+        rep = verify_robustification(judge, judge_opt, mixed, 0.0)
         assert rep.tv_distance == 0.0
         assert rep.utility_gap == 0.0
 
@@ -137,7 +151,7 @@ def test_verification_sweep(seed, alpha):
     rng = np.random.default_rng(1000 + seed)
     inst = satisfied_instance(rng)
     scheme = direct_scheme(inst, rng.dirichlet(np.ones(inst.n_actions), size=inst.n_states))
-    rep = verify_robustification(inst, scheme, alpha)
+    rep = verify_robustification(inst, scheme, robustify(inst, scheme, alpha), alpha)
     assert rep.marginal_identity_residual <= 1e-12
     assert rep.advantage_bound_slack >= -1e-10
     assert rep.tv_distance <= alpha + 1e-12
@@ -157,8 +171,8 @@ def test_mixing_creates_positive_advantage(seed):
 def test_unsent_recommendations_get_mass_from_mixing(judge):
     # a constant scheme leaves one action unsent; mixing must revive it
     always_convict = direct_scheme(judge, np.array([[1.0, 0.0], [1.0, 0.0]]))
-    rep = verify_robustification(judge, always_convict, 0.2)
     mixed = robustify(judge, always_convict, 0.2)
+    rep = verify_robustification(judge, always_convict, mixed, 0.2)
     assert signal_marginals(judge, mixed)[1] == pytest.approx(0.2 * 0.7, abs=1e-12)
     assert rep.advantage_bound_slack >= -1e-10
     assert rep.ok()
