@@ -58,7 +58,7 @@ class TestJudgeArithmetic:
 
     @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
     def test_audit_weight_out_of_range(self, judge, judge_opt, alpha):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="alpha must lie in"):
             verify_robustification(judge, judge_opt, judge_opt, alpha)
 
     def test_report_round_trip(self, judge, judge_opt):
