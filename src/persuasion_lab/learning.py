@@ -33,13 +33,12 @@ from .errors import (
     ZeroProbabilitySignalError,
 )
 from .model import (
-    DEFAULT_EPS,
     PersuasionInstance,
     SignalingScheme,
     check_scheme,
     check_sent,
     profile_instance,
-    signal_marginals,
+    scheme_stats,
 )
 from .response import softmax, softmax_certificate
 from .robustify import margin_lift, require_assumption, robustified_optimum
@@ -434,14 +433,19 @@ class SimulationTrace:
     def final_average(self) -> float:
         return float(self.running_avg[-1])
 
+    def _obeyed(self, start: int, stop: int | None) -> int:
+        """Number of rounds ``[start:stop]`` whose action index is the signal's."""
+        return int(np.count_nonzero(self.actions[start:stop] == self.signals[start:stop]))
+
     def obedience_frequency(self, start: int = 0, stop: int | None = None) -> float | None:
         """Fraction of rounds ``[start:stop]`` (at least one) whose action index is the signal's."""
-        sl = slice(start, stop)
-        if not range(self.rounds)[sl]:
+        n = len(range(self.rounds)[start:stop])
+        if not n:
             raise ValidationError(f"rounds [{start}:{stop}] select none of {self.rounds}")
         if self.signal_ids != self.instance.actions:
             return None
-        return float(np.mean(self.actions[sl] == self.signals[sl]))
+        # a count over a length is the float np.mean gives for that slice
+        return self._obeyed(start, stop) / n
 
     @property
     def last_decile_obedience(self) -> float | None:
@@ -456,7 +460,7 @@ class SimulationTrace:
         scheme's signals, ``None`` when none is defined or there is no
         committed scheme.
         """
-        marginals = None if self.scheme is None else signal_marginals(self.instance, self.scheme)
+        marginals = None if self.scheme is None else scheme_stats(self.instance, self.scheme).marginals
         direct = self.signal_ids == self.instance.actions
         running_avg = self.running_avg
         out = []
@@ -467,9 +471,7 @@ class SimulationTrace:
                 radii = _radii(self.instance, self.scheme, marginals, t)
                 radius = max((r for r in radii if r is not None), default=None)
             if direct:
-                # rounds obeyed since the previous mark; a count over a
-                # length is the float np.mean gives for that slice
-                window = int(np.count_nonzero(self.actions[prev:t] == self.signals[prev:t]))
+                window = self._obeyed(prev, t)
                 obeyed += window
             out.append(
                 Checkpoint(
@@ -540,7 +542,7 @@ def confidence_radius(
     empirical conditional distribution is too undersampled to certify.
     """
     s = scheme.signal_index(signal)
-    return _radius(instance, scheme, t, signal_marginals(instance, scheme), s)
+    return _radius(instance, scheme, t, scheme_stats(instance, scheme).marginals, s)
 
 
 def _radius(
@@ -765,7 +767,6 @@ def convergence_report(
     seeds: Sequence[int],
     *,
     threads: int = 1,
-    eps_num: float = DEFAULT_EPS,
 ) -> ConvergenceReport:
     """Run the fixed robustified scheme against exponential-weights receivers.
 
@@ -777,9 +778,9 @@ def convergence_report(
     seeds = tuple(seeds)
     if constant <= 0:
         raise ValidationError("constant must be positive")
-    prof = require_assumption(profile_instance(instance, eps_num))
-    scheme, alpha, opt = robustified_optimum(instance, constant, eps_num)
-    marginals = signal_marginals(instance, scheme)
+    prof = require_assumption(profile_instance(instance))
+    scheme, alpha, opt = robustified_optimum(instance, constant)
+    marginals = scheme_stats(instance, scheme).marginals
     sent = np.flatnonzero(marginals > 0.0)
     min_signal_prob = float(marginals[sent].min())
     lift = margin_lift(prof, alpha, marginals)

@@ -147,12 +147,6 @@ class PersuasionInstance:
     def n_actions(self) -> int:
         return len(self.actions)
 
-    def state_index(self, state: str | int) -> int:
-        return index_of("state", self.states, state)
-
-    def action_index(self, action: str | int) -> int:
-        return index_of("action", self.actions, action)
-
 
 @dataclass(frozen=True, eq=False)
 class SignalingScheme:
@@ -372,16 +366,22 @@ def scheme_stats(instance: PersuasionInstance, scheme: SignalingScheme) -> Schem
     return SchemeStats(marginals, posteriors, receiver_values, sender_values)
 
 
-def signal_marginals(instance: PersuasionInstance, scheme: SignalingScheme) -> np.ndarray:
-    return scheme_stats(instance, scheme).marginals
-
-
 def check_sent(signals: tuple[str, ...], marginals: np.ndarray, s: int) -> None:
     """Reject the signal at index ``s`` when its marginal is zero: it is never sent."""
     if marginals[s] <= 0.0:
         raise ZeroProbabilitySignalError(
             f"signal {signals[s]!r} has zero marginal probability", signal=signals[s]
         )
+
+
+def obedience_margins(receiver_values: np.ndarray) -> np.ndarray:
+    """Per signal s of a direct scheme: v(s, posterior_s) minus the best other action's value.
+
+    ``receiver_values`` are ``scheme_stats``' receiver values.  With a single
+    action there is no other, and every margin is ``+inf``.
+    """
+    others = np.where(np.eye(receiver_values.shape[1], dtype=bool), -np.inf, receiver_values)
+    return np.diagonal(receiver_values) - others.max(axis=1)
 
 
 def posterior(
@@ -422,22 +422,12 @@ def advantage(
     """
     check_direct(instance, scheme)
     stats = scheme_stats(instance, scheme)
-
-    def margin_at(s: int) -> float:
-        if instance.n_actions == 1:
-            return math.inf
-        vals = stats.receiver_values[s]
-        own = vals[s]
-        best_other = float(np.max(np.delete(vals, s)))
-        return float(own - best_other)
-
+    margins = obedience_margins(stats.receiver_values)
     if signal is not None:
         s = scheme.signal_index(signal)
         check_sent(scheme.signals, stats.marginals, s)
-        return margin_at(s)
-
-    sent = np.flatnonzero(stats.marginals > 0.0)
-    return min(margin_at(int(s)) for s in sent)
+        return float(margins[s])
+    return float(margins[stats.marginals > 0.0].min())
 
 
 def best_response_mask(

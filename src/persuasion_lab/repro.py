@@ -192,24 +192,17 @@ def sweep_instances(n_instances: int, seed: int, max_gamma: float):
 
 def reproduce_bounds_sweep(
     n_instances: int = 500,
-    n_schemes: int = DEFAULT_N_SCHEMES,
     seed: int = 2024,
 ) -> dict:
     """Two-sided bound check over seeded random satisfying instances."""
-    if n_instances < 1 or n_schemes < 1:
-        raise ValidationError("n_instances and n_schemes must be positive")
+    if n_instances < 1:
+        raise ValidationError("n_instances must be positive")
     lower_viol = 0
     upper_viol = 0
     worst_lower_margin = np.inf
     worst_upper_margin = np.inf
     for inst, scheme_seed in sweep_instances(n_instances, seed, max(SWEEP_GAMMAS)):
-        for rep in bounds_grid(
-            inst,
-            SWEEP_GAMMAS,
-            SWEEP_DELTAS,
-            n_schemes=n_schemes,
-            seed=scheme_seed,
-        ):
+        for rep in bounds_grid(inst, SWEEP_GAMMAS, SWEEP_DELTAS, seed=scheme_seed):
             if not rep.lower_ok:
                 lower_viol += 1
             if not rep.upper_ok:
@@ -236,7 +229,7 @@ def reproduce_bounds_sweep(
         "n_instances": n_instances,
         "gammas": list(SWEEP_GAMMAS),
         "deltas": list(SWEEP_DELTAS),
-        "n_schemes": n_schemes,
+        "n_schemes": DEFAULT_N_SCHEMES,
         "seed": seed,
         "tolerance": BOUNDS_TOLERANCE,
     }

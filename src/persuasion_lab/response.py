@@ -28,8 +28,8 @@ from .model import (
     check_gamma,
     check_sent,
     check_strategy,
+    direct_scheme,
     index_of,
-    make_scheme,
     scheme_stats,
 )
 from .robustify import choose_alpha_lower, choose_alpha_upper, robustify
@@ -221,11 +221,9 @@ def approx_membership_mass(
 ) -> float:
     """Minimum over sent signals of the strategy mass on the gamma-best set."""
     check_strategy(instance, scheme, strategy)
-    stats = scheme_stats(instance, scheme)
-    mask = best_response_mask(stats.receiver_values, gamma, eps_num)
-    sent = stats.marginals > 0.0
-    masses = np.where(mask, strategy.action_distribution, 0.0).sum(axis=1)
-    return float(masses[sent].min()) if sent.any() else 1.0
+    members = approx_set(instance, scheme, gamma, eps_num)
+    masses = np.where(members.member_mask, strategy.action_distribution, 0.0).sum(axis=1)
+    return float(masses[members.marginals > 0.0].min())
 
 
 def is_approx_best_responding(
@@ -367,7 +365,7 @@ def to_direct_revelation(
     cond = np.zeros((instance.n_states, instance.n_actions))
     for s in range(scheme.n_signals):
         cond[:, chosen[s]] += scheme.conditional[:, s]
-    return make_scheme(instance, instance.actions, cond)
+    return direct_scheme(instance, cond)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +400,7 @@ class BoundsReport:
     upper_ok: bool
     n_upper_violations: int
     knife_edge_schemes: int
-    seed: int | None
+    seed: int
 
     @property
     def lower_bound(self) -> float:
@@ -436,7 +434,7 @@ def bounds_report(
     delta: float,
     *,
     n_schemes: int = DEFAULT_N_SCHEMES,
-    seed: int | None = 0,
+    seed: int = 0,
     schemes: list[SignalingScheme] | None = None,
     eps_num: float = DEFAULT_EPS,
 ) -> BoundsReport:
@@ -464,7 +462,7 @@ def bounds_grid(
     deltas: tuple[float, ...],
     *,
     n_schemes: int = DEFAULT_N_SCHEMES,
-    seed: int | None = 0,
+    seed: int = 0,
     schemes: list[SignalingScheme] | None = None,
     eps_num: float = DEFAULT_EPS,
 ) -> list[BoundsReport]:
@@ -477,6 +475,10 @@ def bounds_grid(
     instance profile at ``eps_num``.
     """
     check_eps_num(eps_num)
+    if n_schemes < 0:
+        raise ValidationError(f"n_schemes must be at least 0, got {n_schemes}")
+    if seed is None or seed < 0:  # None would draw a seed no run can repeat
+        raise ValidationError(f"seed must be an integer at least 0, got {seed!r}")
     ratios = [choose_alpha_upper(instance, gamma, eps_num) for gamma in gammas]
     alphas = [choose_alpha_lower(instance, gamma, eps_num) for gamma in gammas]
     for gamma in gammas:

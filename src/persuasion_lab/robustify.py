@@ -24,14 +24,14 @@ from .model import (
     InstanceProfile,
     PersuasionInstance,
     SignalingScheme,
-    advantage,
     check_direct,
     check_gamma,
     direct_scheme,
     expected_utility,
+    obedience_margins,
     obedient_strategy,
     profile_instance,
-    signal_marginals,
+    scheme_stats,
 )
 
 
@@ -137,8 +137,8 @@ def verify_robustification(
 ) -> RobustificationReport:
     """Check that ``robust`` keeps the guarantees of ``robustify(instance, scheme, alpha)``.
 
-    Marginals and margins are read from ``scheme_stats`` of both schemes,
-    through ``signal_marginals`` and ``advantage``, so they test the mixture
+    Marginals and margins are read from one ``scheme_stats`` of each scheme,
+    the margins through ``obedience_margins``, so they test the mixture
     identity and the margin bound, not the statistics themselves.  The
     distances come straight from the joint distributions prior x conditional.
     """
@@ -147,24 +147,22 @@ def verify_robustification(
     check_direct(instance, robust)
     prof = _require_unique_optima(instance, eps_num)
 
-    marg_before = signal_marginals(instance, scheme)
-    marg_after = signal_marginals(instance, robust)
+    before, after = scheme_stats(instance, scheme), scheme_stats(instance, robust)
+    marg_before, marg_after = before.marginals, after.marginals
 
     mixed = alpha * prof.region_masses
     residual = float(np.max(np.abs(marg_after - ((1.0 - alpha) * marg_before + mixed))))
 
     slack = math.inf
     if instance.n_actions > 1:
-        lift = margin_lift(prof, alpha, marg_after)
-        for s in range(instance.n_actions):
-            if marg_after[s] <= 0.0:
-                continue
-            adv_after = advantage(instance, robust, s)
-            bound = lift[s]
-            if marg_before[s] > 0.0:
-                adv_before = advantage(instance, scheme, s)
-                bound += (1.0 - alpha) * (marg_before[s] / marg_after[s]) * adv_before
-            slack = min(slack, adv_after - bound)
+        # the bound of a sent signal s: the lift, plus the carried-over
+        # margin of the unmixed scheme where it sends s too
+        sent = marg_after > 0.0
+        carried = sent & (marg_before > 0.0)
+        bound = margin_lift(prof, alpha, marg_after)
+        share = marg_before[carried] / marg_after[carried]
+        bound[carried] += (1.0 - alpha) * share * obedience_margins(before.receiver_values)[carried]
+        slack = float(np.min(obedience_margins(after.receiver_values)[sent] - bound[sent]))
 
     joint_before = instance.prior[:, None] * scheme.conditional
     joint_after = instance.prior[:, None] * robust.conditional

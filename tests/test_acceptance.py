@@ -91,7 +91,7 @@ def test_03_robustification_audit_sweep():
 
 def test_04_two_sided_bound_sweep():
     with Budget(300.0):
-        result = reproduce_bounds_sweep(n_instances=500, n_schemes=50, seed=2024)
+        result = reproduce_bounds_sweep(n_instances=500, seed=2024)
     failures = [c for c in result["checks"] if not c["ok"]]
     assert result["ok"], failures
 

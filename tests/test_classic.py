@@ -8,7 +8,7 @@ from persuasion_lab import (
     advantage,
     expected_utility,
     obedient_strategy,
-    signal_marginals,
+    scheme_stats,
     solve_classic,
 )
 from persuasion_lab.classic import build_obedience_lp
@@ -121,7 +121,7 @@ def test_solution_is_obedient(seed):
     rng = np.random.default_rng(300 + seed)
     inst = random_instance(rng)
     scheme, opt = solve_classic(inst)
-    marg = signal_marginals(inst, scheme)
+    marg = scheme_stats(inst, scheme).marginals
     if np.any(marg > 0):
         assert advantage(inst, scheme) >= -1e-7
     assert expected_utility(inst, scheme, obedient_strategy(inst)) == pytest.approx(

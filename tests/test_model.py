@@ -29,11 +29,13 @@ from persuasion_lab import (
     posterior,
     profile_instance,
     project_strategy,
+    robustify,
     scheme_from_json,
     scheme_stats,
     scheme_to_json,
-    signal_marginals,
+    verify_robustification,
 )
+from persuasion_lab.model import index_of
 from persuasion_lab.sampling import random_scheme
 from support import random_instance
 
@@ -116,13 +118,13 @@ class TestValidation:
             judge_opt.conditional[0, 0] = 0.0
 
     def test_label_lookup(self, judge):
-        assert judge.state_index("innocent") == 1
-        assert judge.action_index("acquit") == 1
-        assert judge.state_index(0) == 0
+        assert index_of("state", judge.states, "innocent") == 1
+        assert index_of("action", judge.actions, "acquit") == 1
+        assert index_of("state", judge.states, 0) == 0
         with pytest.raises(ValidationError, match="unknown state 'unknown'"):
-            judge.state_index("unknown")
+            index_of("state", judge.states, "unknown")
         with pytest.raises(ValidationError, match="action index 2 out of range"):
-            judge.action_index(2)
+            index_of("action", judge.actions, 2)
 
 
 class TestProfile:
@@ -271,17 +273,17 @@ class TestPosteriorsAndValues:
         assert post[1] == 1.0
 
     def test_judge_marginals(self, judge, judge_opt):
-        marg = signal_marginals(judge, judge_opt)
+        marg = scheme_stats(judge, judge_opt).marginals
         assert marg == pytest.approx([0.6, 0.4], abs=1e-15)
 
     def test_marginals_and_posteriors_are_scheme_stats(self):
-        # the single-signal readers return scheme_stats' bits, not a second formula
+        # the single-signal reader returns scheme_stats' bits, not a second formula
         rng = np.random.default_rng(5)
         for _ in range(300):
             inst = random_instance(rng, max_states=12)
             scheme = random_scheme(rng, inst)
             stats = scheme_stats(inst, scheme)
-            assert np.array_equal(signal_marginals(inst, scheme), stats.marginals)
+            assert stats.marginals == pytest.approx(inst.prior @ scheme.conditional, abs=1e-15)
             for s in np.flatnonzero(stats.marginals > 0.0):
                 assert np.array_equal(posterior(inst, scheme, int(s)), stats.posteriors[s])
 
@@ -332,6 +334,47 @@ class TestAdvantage:
         labeled = make_scheme(judge, ("s0", "s1"), np.eye(2))
         with pytest.raises(NotDirectRevelationError):
             advantage(judge, labeled)
+
+    def test_margins_match_the_per_signal_oracle(self):
+        from persuasion_lab.model import obedience_margins
+
+        # quarter-grid utilities and one-hot rows make ties; some signals go unsent
+        rng = np.random.default_rng(29)
+        ties = unsent = 0
+        for _ in range(400):
+            m, n = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+            u = rng.integers(0, 5, (n, m)) / 4
+            inst = make_instance(rng.dirichlet(np.ones(m)), u, rng.integers(0, 5, (n, m)) / 4)
+            sent = np.flatnonzero(rng.random(n) < 0.6)
+            sent = sent if sent.size else np.array([int(rng.integers(n))])
+            cond = np.zeros((m, n))
+            if rng.random() < 0.5:
+                cond[np.arange(m), rng.choice(sent, m)] = 1.0
+            else:
+                cond[:, sent] = rng.dirichlet(np.ones(sent.size), size=m)
+            scheme = direct_scheme(inst, cond)
+            stats = scheme_stats(inst, scheme)
+            vals = stats.receiver_values
+            want = np.array([vals[s, s] - max(np.delete(vals[s], s)) for s in range(n)])
+            assert obedience_margins(vals).tobytes() == want.tobytes()
+            sent = np.flatnonzero(stats.marginals > 0.0)
+            for s in sent:
+                assert advantage(inst, scheme, int(s)) == want[s]
+            assert advantage(inst, scheme) == min(want[sent])
+            ties += int(np.count_nonzero(want[sent] == 0.0))
+            unsent += n - sent.size
+        assert ties > 0 and unsent > 0
+
+    def test_single_action_margin_and_slack_are_infinite(self):
+        from persuasion_lab.model import obedience_margins
+
+        inst = make_instance([0.5, 0.5], [[1, 0]], [[1, 0]], actions=("only",))
+        scheme = direct_scheme(inst, np.array([[1.0], [1.0]]))
+        margins = obedience_margins(scheme_stats(inst, scheme).receiver_values)
+        assert margins.tolist() == [math.inf]
+        for alpha in (0.0, 0.5, 1.0):
+            rep = verify_robustification(inst, scheme, robustify(inst, scheme, alpha), alpha)
+            assert rep.advantage_bound_slack == math.inf
 
 
 class TestProjection:

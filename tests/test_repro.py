@@ -40,17 +40,18 @@ def test_dispatch_forwards_overrides():
 
 
 def test_bounds_sweep_small_structure():
-    result = reproduce_bounds_sweep(n_instances=10, n_schemes=5, seed=3)
+    result = reproduce_bounds_sweep(n_instances=10, seed=3)
     assert result["ok"] is True
     names = [c["name"] for c in result["checks"]]
     assert "lower_violations" in names and "upper_violations" in names
     assert result["config"]["n_instances"] == 10
+    assert result["config"]["n_schemes"] == 50
 
 
-@pytest.mark.parametrize("n_instances, n_schemes", [(2, 0), (0, 5), (2, -3)])
-def test_bounds_sweep_counts_below_one(n_instances, n_schemes):
+@pytest.mark.parametrize("n_instances", [0, -3])
+def test_bounds_sweep_counts_below_one(n_instances):
     with pytest.raises(ValidationError):
-        reproduce("theorem-3-1-sweep", n_instances=n_instances, n_schemes=n_schemes)
+        reproduce("theorem-3-1-sweep", n_instances=n_instances)
 
 
 @pytest.mark.parametrize("target", ["theorem-4-1", "example-4-3"])

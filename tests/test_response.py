@@ -430,6 +430,28 @@ class TestBoundsReport:
         with pytest.raises(ValidationError, match=r"delta must lie in \[0, 1\)"):
             bounds_grid(judge, (0.01, 0.02), (0.0, delta))
 
+    @pytest.mark.parametrize(
+        "given",
+        [{"n_schemes": -5}, {"n_schemes": -1}, {"seed": None}, {"seed": -1}],
+        ids=["n_schemes-5", "n_schemes-1", "seed-None", "seed-1"],
+    )
+    def test_bad_candidate_draw_rejected_before_the_lp(self, judge, monkeypatch, given):
+        # a negative count once gave ok=True over zero candidates; seed=None
+        # drew from OS entropy, so no seed reproduced the report; a negative
+        # seed ended in numpy's ValueError
+        def spy(instance):
+            pytest.fail("solve_classic ran before the candidate draw was checked")
+
+        monkeypatch.setattr(response, "solve_classic", spy)
+        with pytest.raises(ValidationError, match=next(iter(given))):
+            bounds_report(judge, 0.03, 0.0, **given)
+        with pytest.raises(ValidationError, match=next(iter(given))):
+            bounds_grid(judge, (0.01, 0.03), (0.0,), **given)
+
+    def test_zero_candidates_accepted(self, judge):
+        rep = bounds_report(judge, 0.03, 0.0, n_schemes=0)
+        assert rep.upper_values == () and rep.upper_ok and rep.lower_ok
+
     @pytest.mark.xfail(
         raises=AssertionError,
         strict=True,

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,11 @@ from persuasion_lab import (
     make_scheme,
     posterior,
     robustify,
-    signal_marginals,
+    scheme_stats,
     solve_classic,
     verify_robustification,
 )
+from persuasion_lab import model
 from persuasion_lab.sampling import satisfied_instance
 
 
@@ -29,7 +32,7 @@ class TestJudgeArithmetic:
 
     def test_marginal_identity(self, judge, judge_opt):
         mixed = robustify(judge, judge_opt, 0.1)
-        marg = signal_marginals(judge, mixed)
+        marg = scheme_stats(judge, mixed).marginals
         assert marg[0] == pytest.approx(0.57, abs=1e-12)
         assert marg[1] == pytest.approx(0.43, abs=1e-12)
 
@@ -173,6 +176,35 @@ def test_unsent_recommendations_get_mass_from_mixing(judge):
     always_convict = direct_scheme(judge, np.array([[1.0, 0.0], [1.0, 0.0]]))
     mixed = robustify(judge, always_convict, 0.2)
     rep = verify_robustification(judge, always_convict, mixed, 0.2)
-    assert signal_marginals(judge, mixed)[1] == pytest.approx(0.2 * 0.7, abs=1e-12)
+    assert scheme_stats(judge, mixed).marginals[1] == pytest.approx(0.2 * 0.7, abs=1e-12)
     assert rep.advantage_bound_slack >= -1e-10
     assert rep.ok()
+
+
+def _first_five_action_draw():
+    rng = np.random.default_rng(3)
+    while (inst := satisfied_instance(rng)).n_actions != 5:
+        pass
+    return inst
+
+
+@pytest.mark.parametrize("five_actions", [False, True], ids=["judge", "five-actions"])
+def test_audit_reads_each_scheme_once(five_actions, judge, monkeypatch):
+    # one scheme_stats per scheme; a margin read per sent signal through
+    # advantage() made 6 calls on judge and 10 on the five-action draw
+    inst = _first_five_action_draw() if five_actions else judge
+    scheme, _ = solve_classic(inst)
+    mixed = robustify(inst, scheme, 0.1)
+    calls = []
+    stats = model.scheme_stats
+
+    def spy(*args):
+        calls.append(args)
+        return stats(*args)
+
+    for module in (model, importlib.import_module("persuasion_lab.robustify")):
+        monkeypatch.setattr(module, "scheme_stats", spy, raising=False)
+    assert verify_robustification(inst, scheme, mixed, 0.1).ok()
+    assert len(calls) == 2
+    advantage(inst, mixed)
+    assert len(calls) == 3
