@@ -436,9 +436,8 @@ class TestBoundsReport:
         ids=["n_schemes-5", "n_schemes-1", "seed-None", "seed-1"],
     )
     def test_bad_candidate_draw_rejected_before_the_lp(self, judge, monkeypatch, given):
-        # a negative count once gave ok=True over zero candidates; seed=None
-        # drew from OS entropy, so no seed reproduced the report; a negative
-        # seed ended in numpy's ValueError
+        # a negative count would certify over no candidates, and a None seed
+        # draws from OS entropy, so no seed would reproduce the report
         def spy(instance):
             pytest.fail("solve_classic ran before the candidate draw was checked")
 

@@ -190,8 +190,7 @@ def _first_five_action_draw():
 
 @pytest.mark.parametrize("five_actions", [False, True], ids=["judge", "five-actions"])
 def test_audit_reads_each_scheme_once(five_actions, judge, monkeypatch):
-    # one scheme_stats per scheme; a margin read per sent signal through
-    # advantage() made 6 calls on judge and 10 on the five-action draw
+    # one scheme_stats per scheme, however many signals are sent
     inst = _first_five_action_draw() if five_actions else judge
     scheme, _ = solve_classic(inst)
     mixed = robustify(inst, scheme, 0.1)
