@@ -28,7 +28,6 @@ from .errors import (
     NoMassOnApproxSetError,
     ParseError,
     PersuasionError,
-    RadiusPreconditionError,
     ValidationError,
 )
 from .fixtures import BUILTIN_INSTANCES, builtin_instance
@@ -77,7 +76,7 @@ _EXIT_NUMERICAL = 3
 
 
 def _exit_code(exc: PersuasionError) -> int:
-    if isinstance(exc, (AssumptionViolatedError, HypothesisViolatedError, RadiusPreconditionError)):
+    if isinstance(exc, (AssumptionViolatedError, HypothesisViolatedError)):
         return _EXIT_ASSUMPTION
     if isinstance(exc, (LPError, NoMassOnApproxSetError)):
         return _EXIT_NUMERICAL

@@ -28,7 +28,7 @@ class DimensionMismatchError(ValidationError):
 
 
 class ZeroProbabilitySignalError(PersuasionError):
-    """Raised when a posterior or advantage is requested at a never-sent signal."""
+    """Raised when a posterior or response set is requested at a never-sent signal."""
 
     code = "ZERO_PROBABILITY_SIGNAL"
 
@@ -57,10 +57,6 @@ class HypothesisViolatedError(PersuasionError):
     """A precondition such as ``gamma/(mu_min * gap) < 1`` fails."""
 
     code = "HYPOTHESIS_VIOLATED"
-
-
-class RadiusPreconditionError(PersuasionError):
-    code = "RADIUS_PRECONDITION"
 
 
 class WrongInstanceError(PersuasionError):

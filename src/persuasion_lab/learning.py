@@ -26,17 +26,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    RadiusPreconditionError,
-    ValidationError,
-    WrongInstanceError,
-    ZeroProbabilitySignalError,
-)
+from .errors import ValidationError, WrongInstanceError
 from .model import (
     PersuasionInstance,
     SignalingScheme,
     check_scheme,
-    check_sent,
     profile_instance,
     scheme_stats,
 )
@@ -468,7 +462,7 @@ class SimulationTrace:
         for t in checkpoint_marks(self.rounds, every):
             radius = None
             if marginals is not None:
-                radii = _radii(self.instance, self.scheme, marginals, t)
+                radii = _radii(marginals, self.instance.n_actions, t)
                 radius = max((r for r in radii if r is not None), default=None)
             if direct:
                 window = self._obeyed(prev, t)
@@ -530,51 +524,24 @@ class SimulationTrace:
         return checkpoints
 
 
-def confidence_radius(
-    instance: PersuasionInstance,
-    scheme: SignalingScheme,
-    t: int,
-    signal: str | int,
-) -> float:
-    """High-probability bound on |v(a, empirical posterior) - v(a, posterior)|.
+def _radii(marginals: np.ndarray, n_actions: int, t: int) -> tuple[float | None, ...]:
+    """Per signal at ``t``, a high-probability bound on |v(a, empirical posterior) - v(a, posterior)|.
 
-    Valid once sqrt(3 log(2 S t) / (pi(s) t)) < 1/2; below that the
+    ``marginals`` are the scheme's.  A signal's radius is ``None`` when it is
+    never sent, or while sqrt(3 log(2 S t) / (pi(s) t)) >= 1/2, where its
     empirical conditional distribution is too undersampled to certify.
     """
-    s = scheme.signal_index(signal)
-    return _radius(instance, scheme, t, scheme_stats(instance, scheme).marginals, s)
-
-
-def _radius(
-    instance: PersuasionInstance, scheme: SignalingScheme, t: int, marginals: np.ndarray, s: int
-) -> float:
-    """``confidence_radius`` of the signal at index ``s``; ``marginals`` are the scheme's."""
     if t < 1:
         raise ValidationError("t must be at least 1")
-    check_sent(scheme.signals, marginals, s)
-    p = float(marginals[s])
-    S = scheme.n_signals
-    n = instance.n_actions
-    chern = math.sqrt(3.0 * math.log(2.0 * S * t) / (p * t))
-    if chern >= 0.5:
-        raise RadiusPreconditionError(
-            f"undersampled: sqrt(3 log(2 S t)/(pi(s) t)) = {chern:g} >= 1/2",
-            signal=scheme.signals[s],
-            t=t,
-        )
-    return 2.0 * chern + (2.0 / p) * math.sqrt(math.log(2.0 * S * n * t) / (2.0 * t))
-
-
-def _radii(
-    instance: PersuasionInstance, scheme: SignalingScheme, marginals: np.ndarray, t: int
-) -> tuple[float | None, ...]:
-    """``confidence_radius`` of every signal at ``t``; ``None`` if never sent or undersampled."""
+    S = len(marginals)
     out = []
-    for s in range(scheme.n_signals):
-        try:
-            out.append(_radius(instance, scheme, t, marginals, s))
-        except (RadiusPreconditionError, ZeroProbabilitySignalError):
-            out.append(None)
+    for p in marginals.tolist():
+        chern = math.inf if p <= 0.0 else math.sqrt(3.0 * math.log(2.0 * S * t) / (p * t))
+        out.append(
+            None
+            if chern >= 0.5
+            else 2.0 * chern + (2.0 / p) * math.sqrt(math.log(2.0 * S * n_actions * t) / (2.0 * t))
+        )
     return tuple(out)
 
 
@@ -807,7 +774,7 @@ def convergence_report(
         mean_avg = float(np.mean([r[1][k].running_avg for r in results]))
         mean_obe = float(np.mean([r[1][k].obedience_frequency for r in results]))
         g_t, d_t = exp_weights_certificate(instance.n_actions, min_signal_prob, max(t - 1, 1))
-        radii = _radii(instance, scheme, marginals, max(t - 1, 1))
+        radii = _radii(marginals, instance.n_actions, max(t - 1, 1))
         if any(radii[s] is None for s in sent):
             margin, ok = None, False
         else:

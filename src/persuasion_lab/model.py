@@ -409,25 +409,17 @@ def expected_utility(
     return float(np.sum(joint * per_pair.T))
 
 
-def advantage(
-    instance: PersuasionInstance,
-    scheme: SignalingScheme,
-    signal: str | int | None = None,
-) -> float:
-    """Margin by which following a recommendation beats the best deviation.
+def advantage(instance: PersuasionInstance, scheme: SignalingScheme) -> float:
+    """Smallest margin by which following a recommendation beats the best deviation.
 
-    Only defined for direct-revelation schemes.  With a single action the
-    margin is ``+inf``.  Without an explicit signal, returns the minimum
-    over signals with positive marginal.
+    Only defined for direct-revelation schemes.  The minimum is over the
+    signals with positive marginal; with a single action it is ``+inf``.
+    One signal's margin is ``obedience_margins`` of ``scheme_stats``'
+    receiver values at its index.
     """
     check_direct(instance, scheme)
     stats = scheme_stats(instance, scheme)
-    margins = obedience_margins(stats.receiver_values)
-    if signal is not None:
-        s = scheme.signal_index(signal)
-        check_sent(scheme.signals, stats.marginals, s)
-        return float(margins[s])
-    return float(margins[stats.marginals > 0.0].min())
+    return float(obedience_margins(stats.receiver_values)[stats.marginals > 0.0].min())
 
 
 def best_response_mask(

@@ -400,7 +400,6 @@ class BoundsReport:
     upper_ok: bool
     n_upper_violations: int
     knife_edge_schemes: int
-    seed: int
 
     @property
     def lower_bound(self) -> float:
@@ -519,7 +518,6 @@ def bounds_grid(
                     upper_ok=violations == 0,
                     n_upper_violations=violations,
                     knife_edge_schemes=knife,
-                    seed=seed,
                 )
             )
     return reports

@@ -13,13 +13,21 @@ from persuasion_lab import (
     approx_set,
     builtin_instance,
     load_scheme,
+    scheme_stats,
 )
+from persuasion_lab.model import obedience_margins
 
 
 def judge_optimal_scheme() -> SignalingScheme:
     """The classic solution of the judge instance, as a checked-in fixture."""
     path = Path(__file__).with_name("data") / "judge-optimal-scheme.json"
     return load_scheme(path, builtin_instance("judge"))
+
+
+def signal_margin(instance: PersuasionInstance, scheme: SignalingScheme, signal: str) -> float:
+    """The obedience margin of one signal of a direct scheme."""
+    margins = obedience_margins(scheme_stats(instance, scheme).receiver_values)
+    return float(margins[scheme.signal_index(signal)])
 
 
 def random_instance(

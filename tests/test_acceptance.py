@@ -11,7 +11,6 @@ import pytest
 
 from persuasion_lab import (
     approx_membership_mass,
-    confidence_radius,
     direct_scheme,
     empirical_conditional_utilities,
     evaluate_objective,
@@ -29,6 +28,7 @@ from persuasion_lab import (
     to_direct_revelation,
     verify_robustification,
 )
+from persuasion_lab import learning
 from persuasion_lab.repro import (
     reproduce_bounds_sweep,
     reproduce_convergence,
@@ -176,12 +176,13 @@ def concentration_coverage(instance, scheme, t: int, n_runs: int) -> float:
     signal's empirical values are in-radius."""
     stats = scheme_stats(instance, scheme)
     sent = np.flatnonzero(stats.marginals > 0.0)
-    radii = {int(s): confidence_radius(instance, scheme, t, int(s)) for s in sent}
+    radii = learning._radii(stats.marginals, instance.n_actions, t)
+    assert all(radii[s] is not None for s in sent)
     hits = 0
     for k in range(n_runs):
         visited, vhat = empirical_conditional_utilities(instance, scheme, t, k)
         hits += all(
-            visited[s] and not np.any(np.abs(vhat[s] - stats.receiver_values[s]) > radii[int(s)])
+            visited[s] and not np.any(np.abs(vhat[s] - stats.receiver_values[s]) > radii[s])
             for s in sent
         )
     return hits / n_runs

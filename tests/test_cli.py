@@ -32,7 +32,6 @@ from persuasion_lab.errors import (
     LPError,
     NoMassOnApproxSetError,
     ParseError,
-    RadiusPreconditionError,
     ValidationError,
 )
 from persuasion_lab.model import load_scheme
@@ -1007,7 +1006,6 @@ def test_exit_code_mapping():
     assert _exit_code(ParseError("x")) == 1
     assert _exit_code(AssumptionViolatedError("x")) == 2
     assert _exit_code(HypothesisViolatedError("x")) == 2
-    assert _exit_code(RadiusPreconditionError("x", signal="s", t=1)) == 2
     assert _exit_code(LPError("x")) == 3
     assert _exit_code(NoMassOnApproxSetError("x")) == 3
 

@@ -13,13 +13,11 @@ from persuasion_lab import (
     ExpWeights,
     FixedSchemePolicy,
     PersuasionInstance,
-    RadiusPreconditionError,
     SimulationTrace,
     ValidationError,
     WrongInstanceError,
     advantage,
     builtin_instance,
-    confidence_radius,
     convergence_report,
     empirical_br_probs,
     empirical_conditional_utilities,
@@ -540,6 +538,17 @@ class TestTraceCsv:
 CHECKPOINT_ROUNDS = 400
 
 
+def closed_form_radius(p: float, S: int, n: int, t: int) -> float | None:
+    """The concentration radius of a signal sent with probability ``p``.
+
+    ``None`` when the signal is never sent or still undersampled at ``t``.
+    """
+    chern = math.sqrt(3.0 * math.log(2.0 * S * t) / (p * t)) if p > 0 else math.inf
+    if chern >= 0.5:
+        return None
+    return 2.0 * chern + (2.0 / p) * math.sqrt(math.log(2.0 * S * n * t) / (2.0 * t))
+
+
 def oracle_checkpoints(trace, marks):
     """Checkpoint fields at ``marks``, counted round by round from the record.
 
@@ -552,11 +561,7 @@ def oracle_checkpoints(trace, marks):
     obeyed = [int(a == s) for a, s in zip(trace.actions.tolist(), trace.signals.tolist())]
     out, prev = [], 0
     for t in marks:
-        radii = []
-        for p in marginals:
-            chern = math.sqrt(3.0 * math.log(2.0 * S * t) / (p * t)) if p > 0 else math.inf
-            if chern < 0.5:
-                radii.append(2.0 * chern + (2.0 / p) * math.sqrt(math.log(2.0 * S * n * t) / (2.0 * t)))
+        radii = [r for p in marginals if (r := closed_form_radius(p, S, n, t)) is not None]
         out.append(
             (
                 t,
@@ -882,6 +887,11 @@ class TestSample:
         assert states.tolist() == [sample_oracle(cdf, x) for x in u]
 
 
+def judge_radius(judge, judge_opt, t: int, signal: str) -> float | None:
+    radii = learning._radii(scheme_stats(judge, judge_opt).marginals, judge.n_actions, t)
+    return radii[judge_opt.signal_index(signal)]
+
+
 class TestConfidenceRadius:
     def test_arithmetic(self, judge, judge_opt):
         # rebuilt from the formula at pi(s)=0.6, S=2, A=2, t=10^6
@@ -890,18 +900,42 @@ class TestConfidenceRadius:
         expect = 2 * math.sqrt(3 * math.log(4 * t) / (p * t)) + (2 / p) * math.sqrt(
             math.log(8 * t) / (2 * t)
         )
-        got = confidence_radius(judge, judge_opt, t, "convict")
+        got = judge_radius(judge, judge_opt, t, "convict")
         assert got == pytest.approx(expect, abs=1e-15)
 
     def test_decreasing_in_t(self, judge, judge_opt):
-        vals = [confidence_radius(judge, judge_opt, t, "acquit") for t in (10**4, 10**5, 10**6)]
+        vals = [judge_radius(judge, judge_opt, t, "acquit") for t in (10**4, 10**5, 10**6)]
         assert vals[0] > vals[1] > vals[2]
 
     def test_undersampled_raises(self, judge, judge_opt):
-        with pytest.raises(RadiusPreconditionError):
-            confidence_radius(judge, judge_opt, 10, "acquit")
-        with pytest.raises(ValidationError):
-            confidence_radius(judge, judge_opt, 0, "acquit")
+        # fewer than one round samples nothing
+        for t in (0, -3):
+            with pytest.raises(ValidationError, match="t must be at least 1"):
+                judge_radius(judge, judge_opt, t, "acquit")
+
+    def test_undersampled_is_none(self, judge, judge_opt):
+        assert judge_radius(judge, judge_opt, 10, "acquit") is None
+        assert judge_radius(judge, judge_opt, 10**4, "acquit") is not None
+
+    def test_radii_match_the_closed_form(self):
+        # random marginals with unsent signals, at horizons from 1 to 10^7
+        rng = np.random.default_rng(31)
+        unsent = undersampled = certified = 0
+        for _ in range(500):
+            S, n = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            weights = rng.random(S) * (rng.random(S) < 0.7)
+            weights[int(rng.integers(S))] += rng.random()
+            marginals = weights / weights.sum()
+            t = int(10 ** rng.uniform(0.0, 7.0))
+            got = learning._radii(marginals, n, t)
+            assert len(got) == S
+            for p, r in zip(marginals.tolist(), got):
+                want = closed_form_radius(p, S, n, t)
+                assert r == want and type(r) is type(want)
+                unsent += p == 0.0
+                undersampled += p > 0.0 and want is None
+                certified += want is not None
+        assert unsent and undersampled and certified
 
     @pytest.mark.parametrize("chunk", [7, learning.SIMULATE_CHUNK])
     def test_empirical_utilities_count_simulated_rounds(self, judge, judge_opt, monkeypatch, chunk):
@@ -923,8 +957,8 @@ class TestConfidenceRadius:
 
     def test_coverage_on_simulated_draws(self, judge, judge_opt):
         t = 100_000
-        rad = {s: confidence_radius(judge, judge_opt, t, s) for s in range(2)}
         stats = scheme_stats(judge, judge_opt)
+        rad = learning._radii(stats.marginals, judge.n_actions, t)
         hits = 0
         runs = 40
         for seed in range(runs):

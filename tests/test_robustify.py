@@ -21,6 +21,7 @@ from persuasion_lab import (
 )
 from persuasion_lab import model
 from persuasion_lab.sampling import satisfied_instance
+from support import signal_margin
 
 
 class TestJudgeArithmetic:
@@ -40,7 +41,7 @@ class TestJudgeArithmetic:
         mixed = robustify(judge, judge_opt, 0.1)
         post = posterior(judge, mixed, "convict")
         assert post[0] == pytest.approx(0.3 / 0.57, abs=1e-12)
-        assert advantage(judge, mixed, "convict") == pytest.approx(1 / 19, abs=1e-12)
+        assert signal_margin(judge, mixed, "convict") == pytest.approx(1 / 19, abs=1e-12)
 
     def test_report_values(self, judge, judge_opt):
         rep = verify_robustification(judge, judge_opt, robustify(judge, judge_opt, 0.1), 0.1)
