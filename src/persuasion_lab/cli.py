@@ -62,8 +62,7 @@ from .response import (
     quantal_strategy,
 )
 from .robustify import (
-    choose_alpha_lower,
-    choose_alpha_upper,
+    response_window,
     robustified_optimum,
     robustify,
     verify_robustification,
@@ -202,8 +201,9 @@ def _cmd_robustify(args) -> int:
         weight = {"alpha": args.alpha}
     elif args.gamma is not None:
         rule = _default(args.rule, "lower")
-        pick = choose_alpha_lower if rule == "lower" else choose_alpha_upper
-        weight = {"gamma": args.gamma, "rule": rule, "alpha": pick(inst, args.gamma, args.eps_num)}
+        window = response_window(inst, args.gamma, args.eps_num)
+        alpha = window.alpha if rule == "lower" else window.ratio
+        weight = {"gamma": args.gamma, "rule": rule, "alpha": alpha}
     else:
         raise ValidationError("robustify needs either --alpha or --gamma")
     config = _config(args, "instance", "scheme", "eps_num", **weight)

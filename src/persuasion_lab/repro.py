@@ -24,7 +24,7 @@ from .learning import (
 )
 from .model import full_revelation_scheme, posterior
 from .response import BOUNDS_TOLERANCE, DEFAULT_N_SCHEMES, bounds_grid, evaluate_objective
-from .robustify import choose_alpha_lower, robustify
+from .robustify import response_window
 from .sampling import satisfied_instance
 
 # The response-set width the judge target robustifies against.
@@ -54,8 +54,8 @@ def reproduce_judge() -> dict:
     scheme, opt = solve_classic(inst)
     post = posterior(inst, scheme, "convict")
     worst0 = evaluate_objective(inst, scheme, 0.0, 0.0, "worst").value
-    alpha = choose_alpha_lower(inst, JUDGE_GAMMA)
-    robust = robustify(inst, scheme, alpha)
+    window = response_window(inst, JUDGE_GAMMA)
+    robust = window.robustify(scheme)
     worst_r = evaluate_objective(inst, robust, JUDGE_GAMMA, 0.0, "worst").value
     checks = [
         _check("opt", opt, abs(opt - 0.6) <= 1e-8, "0.6 +/- 1e-8"),
@@ -73,7 +73,7 @@ def reproduce_judge() -> dict:
             ">= 0.5 after mixing against gamma",
         ),
     ]
-    return _finish("judge", {"instance": "judge", "gamma": JUDGE_GAMMA, "alpha": alpha}, checks)
+    return _finish("judge", {"instance": "judge", "gamma": JUDGE_GAMMA, "alpha": window.alpha}, checks)
 
 
 def reproduce_example_1() -> dict:

@@ -32,7 +32,7 @@ from .model import (
     index_of,
     scheme_stats,
 )
-from .robustify import choose_alpha_lower, choose_alpha_upper, robustify
+from .robustify import response_window
 from .sampling import random_scheme
 
 
@@ -469,17 +469,16 @@ def bounds_grid(
 
     The cells share the work that does not depend on them: the classic LP
     and the candidate schemes with their statistics (every cell scores the
-    same candidates).  The ratio gamma/(mu_min*gap), the mixing weight and
-    the robustified certificate are made once per gamma, each from the
-    instance profile at ``eps_num``.
+    same candidates).  Each gamma's ``response_window`` profiles the
+    instance once at ``eps_num`` and gives the ratio gamma/(mu_min*gap), the
+    mixing weight and the robustified certificate.
     """
     check_eps_num(eps_num)
     if n_schemes < 0:
         raise ValidationError(f"n_schemes must be at least 0, got {n_schemes}")
     if seed is None or seed < 0:  # None would draw a seed no run can repeat
         raise ValidationError(f"seed must be an integer at least 0, got {seed!r}")
-    ratios = [choose_alpha_upper(instance, gamma, eps_num) for gamma in gammas]
-    alphas = [choose_alpha_lower(instance, gamma, eps_num) for gamma in gammas]
+    windows = [response_window(instance, gamma, eps_num) for gamma in gammas]
     for gamma in gammas:
         for delta in deltas:
             _check_objective_args(gamma, delta, "worst")
@@ -490,8 +489,8 @@ def bounds_grid(
     cand_marginals, cand_rv, cand_sv = _stack_stats(instance, schemes)
 
     reports = []
-    for gamma, ratio, alpha in zip(gammas, ratios, alphas):
-        certificate = robustify(instance, opt_scheme, alpha, eps_num)
+    for gamma, window in zip(gammas, windows):
+        certificate = window.robustify(opt_scheme)
         cert_marginals, cert_rv, cert_sv = _stack_stats(instance, [certificate])
         cert_mask = best_response_mask(cert_rv, gamma, eps_num)
         cand_mask = best_response_mask(cand_rv, gamma, eps_num)
@@ -499,7 +498,7 @@ def bounds_grid(
             np.count_nonzero(_knife_edges(cand_marginals, cand_rv, gamma, eps_num).any(axis=1))
         )
         for delta in deltas:
-            slack = ratio + delta
+            slack = window.ratio + delta
             lower = float(_objective_core(cert_marginals, cert_sv, cert_mask, delta, "worst")[0][0])
             upper = _objective_core(cand_marginals, cand_sv, cand_mask, delta, "best")[0]
             violations = int(np.count_nonzero(upper > opt + slack + BOUNDS_TOLERANCE))
@@ -508,9 +507,9 @@ def bounds_grid(
                     opt=float(opt),
                     gamma=float(gamma),
                     delta=float(delta),
-                    ratio=float(ratio),
+                    ratio=float(window.ratio),
                     slack=float(slack),
-                    alpha=float(alpha),
+                    alpha=float(window.alpha),
                     tolerance=BOUNDS_TOLERANCE,
                     lower_certificate=lower,
                     lower_ok=lower >= opt - slack - BOUNDS_TOLERANCE,

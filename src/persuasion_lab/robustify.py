@@ -91,10 +91,13 @@ def robustify(
     """Blend ``scheme`` with the always-recommend-the-optimum scheme."""
     _check_alpha(alpha)
     check_direct(instance, scheme)
-    prof = _require_unique_optima(instance, eps_num)
+    return _mix(_require_unique_optima(instance, eps_num), scheme, alpha)
 
+
+def _mix(profile: InstanceProfile, scheme: SignalingScheme, alpha: float) -> SignalingScheme:
+    instance = profile.instance
     reveal = np.zeros((instance.n_states, instance.n_actions))
-    reveal[np.arange(instance.n_states), prof.optimal] = 1.0
+    reveal[np.arange(instance.n_states), profile.optimal] = 1.0
 
     mixed = (1.0 - alpha) * scheme.conditional + alpha * reveal
     return direct_scheme(instance, mixed)
@@ -193,26 +196,35 @@ def require_assumption(prof: InstanceProfile) -> InstanceProfile:
     return prof
 
 
-def choose_alpha_lower(
-    instance: PersuasionInstance,
-    gamma: float,
-    eps_num: float = DEFAULT_EPS,
-) -> float:
-    """Smallest mixing weight that pushes every obedience margin beyond gamma.
+@dataclass(frozen=True, eq=False)
+class ResponseWindow:
+    """Theorem 3.1's mixing weight for one gamma, with the profile it came from.
 
-    An extra 1e-6 turns the margin inequality strict, so after robustifying
-    the classic optimum the obedient action is the only gamma-best response
-    at every sent signal.
+    ``ratio`` = gamma/(mu_min*gap) is the mixing weight that restores plain
+    obedience (margin >= 0) exactly, and the window's half-width at delta = 0.
+    ``alpha`` is the smallest mixing weight that pushes every obedience margin
+    beyond gamma: an extra 1e-6 turns the margin inequality strict, so after
+    robustifying the classic optimum the obedient action is the only
+    gamma-best response at every sent signal.  ``profile`` has passed
+    ``require_assumption``.  Only ``response_window`` builds one.
     """
-    return min(choose_alpha_upper(instance, gamma, eps_num) + 1e-6, 1.0)
+
+    profile: InstanceProfile
+    ratio: float
+    alpha: float
+
+    def robustify(self, scheme: SignalingScheme) -> SignalingScheme:
+        """``scheme`` mixed with weight ``alpha``, from the window's own profile."""
+        check_direct(self.profile.instance, scheme)
+        return _mix(self.profile, scheme, self.alpha)
 
 
-def choose_alpha_upper(
+def response_window(
     instance: PersuasionInstance,
     gamma: float,
     eps_num: float = DEFAULT_EPS,
-) -> float:
-    """Mixing weight that restores plain obedience (margin >= 0) exactly."""
+) -> ResponseWindow:
+    """The ``ResponseWindow`` of ``instance`` at ``gamma``, profiled at ``eps_num``."""
     check_gamma(gamma)
     prof = require_assumption(profile_instance(instance, eps_num))
     denom = prof.mu_min * prof.gap
@@ -222,4 +234,13 @@ def choose_alpha_upper(
             f"gamma/(mu_min*gap) = {ratio:g} >= 1; no mixing weight can absorb it",
             ratio=ratio,
         )
-    return ratio
+    return ResponseWindow(prof, ratio, min(ratio + 1e-6, 1.0))
+
+
+def choose_alpha_lower(
+    instance: PersuasionInstance,
+    gamma: float,
+    eps_num: float = DEFAULT_EPS,
+) -> float:
+    """``response_window(instance, gamma, eps_num).alpha``."""
+    return response_window(instance, gamma, eps_num).alpha

@@ -141,12 +141,9 @@ def solve_standard_form(
     x = _basic_solution(n_vars, basis, tableau[: len(basis), -1])
     B = A[kept][:, basis]
     residual = _residual(A, x, b)
-    resolved = residual > _FEAS_TOL
-    if resolved:
+    if residual > _FEAS_TOL:
         # Rounding in the pivots drifted the tableau, right-hand side and
-        # cost row alike: solve for the final basis's values directly, and
-        # below check the basis's optimality from its own dual rather than
-        # from the tableau's cost row.
+        # cost row alike: solve for the final basis's values directly.
         try:
             x_basic = np.linalg.solve(B, b[kept])
         except np.linalg.LinAlgError as e:
@@ -162,11 +159,10 @@ def solve_standard_form(
         y_kept = np.linalg.solve(B.T, c[basis])
     except np.linalg.LinAlgError as e:
         raise LPError(f"singular final basis: {e}") from e
-    if resolved:
-        # the gap c.x - y.b vanishes for any basis; optimality is A^T y >= c
-        reduced = float(np.min(A[kept].T @ y_kept - c))
-        if reduced < -_FEAS_TOL:
-            raise LPError(f"final basis is not optimal: reduced cost {reduced:g}")
+    # the gap c.x - y.b vanishes for any basis; optimality is A^T y >= c
+    reduced = float(np.min(A[kept].T @ y_kept - c))
+    if reduced < -_FEAS_TOL:
+        raise LPError(f"final basis is not optimal: reduced cost {reduced:g}")
     dual = np.zeros(n_rows)
     dual[kept] = y_kept
     duality_gap = abs(objective - float(dual @ b))

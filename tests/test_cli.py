@@ -751,7 +751,7 @@ EPS_READERS = {
     "check-assumptions": (("check-assumptions", "--instance", "judge"), "profile_instance"),
     "robustify-alpha": (("robustify", "--instance", "judge", "--alpha", 0.1), "robustify"),
     "robustify-gamma": (
-        ("robustify", "--instance", "judge", "--gamma", 0.03), "choose_alpha_lower"
+        ("robustify", "--instance", "judge", "--gamma", 0.03), "response_window"
     ),
     "evaluate-worst": ((*EVALUATE, "--mode", "worst"), "evaluate_objective"),
     "evaluate-best": ((*EVALUATE, "--mode", "best"), "evaluate_objective"),
@@ -781,6 +781,24 @@ def test_eps_num_zero_is_recorded_and_read(tmp_path, monkeypatch, judge_opt, arg
     config = read_json(tmp_path / "out" / f"{argv[0]}.json")["config"]
     assert config["eps_num"] == 0.0
     assert seen and all(eps == 0.0 for eps in seen)
+
+
+# Theorem 3.1's window checks gamma, then the assumption, then the ratio;
+# bounds checks its delta after the window
+WINDOW_PRECEDENCE = {
+    "robustify-gamma": (("robustify", "--instance", "example-1", "--gamma", -0.01), 1),
+    "robustify-assumption": (("robustify", "--instance", "example-1", "--gamma", 0.01), 2),
+    "bounds-hypothesis-before-delta": (
+        ("bounds", "--instance", "judge", "--gamma", 0.4, "--delta", 1.5), 2
+    ),
+    "bounds-gamma": (("bounds", "--instance", "example-1", "--gamma", -0.01), 1),
+}
+
+
+@pytest.mark.parametrize("argv, code", WINDOW_PRECEDENCE.values(), ids=WINDOW_PRECEDENCE.keys())
+def test_window_error_precedence(tmp_path, argv, code):
+    assert run(*argv, "--output-dir", tmp_path) == code
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(

@@ -65,7 +65,7 @@ GUARDED = _exported_with("instance", "scheme")
 TOLERANT = _exported_with("eps_num")
 ROBUSTIFY = [
     "choose_alpha_lower",
-    "choose_alpha_upper",
+    "response_window",
     "robustified_optimum",
     "robustify",
     "verify_robustification",

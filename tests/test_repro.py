@@ -1,9 +1,10 @@
+import importlib
 import json
 
 import pytest
 
 from persuasion_lab import UnknownTargetError, ValidationError, reproduce
-from persuasion_lab.repro import TARGETS, reproduce_bounds_sweep
+from persuasion_lab.repro import TARGETS, reproduce_bounds_sweep, reproduce_judge
 
 
 def test_targets_frozen():
@@ -28,6 +29,20 @@ def test_fast_targets_pass_and_serialize(target):
     assert result["ok"] is True
     assert all(set(c) == {"name", "value", "ok", "expect"} for c in result["checks"])
     json.dumps(result)
+
+
+def test_judge_profiles_once(monkeypatch):
+    module = importlib.import_module("persuasion_lab.robustify")
+    original = module.profile_instance
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "profile_instance", spy)
+    assert reproduce_judge()["ok"] is True
+    assert len(calls) == 1
 
 
 def test_dispatch_forwards_overrides():

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -451,6 +452,20 @@ class TestBoundsReport:
             bounds_report(judge, 0.03, 0.0, **given)
         with pytest.raises(ValidationError, match=next(iter(given))):
             bounds_grid(judge, (0.01, 0.03), (0.0,), **given)
+
+    def test_grid_profiles_once_per_gamma(self, monkeypatch):
+        inst = satisfied_instance(np.random.default_rng(5), min_mu_delta=0.065)
+        module = importlib.import_module("persuasion_lab.robustify")
+        original = module.profile_instance
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "profile_instance", spy)
+        bounds_grid(inst, (0.01, 0.05), (0.0, 0.02), n_schemes=3)
+        assert len(calls) == 2
 
     def test_zero_candidates_accepted(self, judge):
         rep = bounds_report(judge, 0.03, 0.0, n_schemes=0)

@@ -7,13 +7,16 @@ from persuasion_lab import (
     AssumptionViolatedError,
     HypothesisViolatedError,
     NotDirectRevelationError,
+    PersuasionError,
     ValidationError,
     advantage,
+    bounds_report,
+    builtin_instance,
     choose_alpha_lower,
-    choose_alpha_upper,
     direct_scheme,
     make_scheme,
     posterior,
+    response_window,
     robustify,
     scheme_stats,
     solve_classic,
@@ -118,18 +121,18 @@ class TestAlphaSelection:
         assert choose_alpha_lower(judge, 0.03) == pytest.approx(0.100001, abs=1e-12)
 
     def test_upper_rule_on_judge(self, judge):
-        assert choose_alpha_upper(judge, 0.03) == pytest.approx(0.1, abs=1e-12)
+        assert response_window(judge, 0.03).ratio == pytest.approx(0.1, abs=1e-12)
 
     def test_gamma_zero_gives_eps_only(self, judge):
         assert choose_alpha_lower(judge, 0.0) == pytest.approx(1e-6, abs=1e-18)
-        assert choose_alpha_upper(judge, 0.0) == 0.0
+        assert response_window(judge, 0.0).ratio == 0.0
 
     def test_ratio_at_or_above_one_rejected(self, judge):
         # mu_min * gap = 0.3 on the judge instance
         with pytest.raises(HypothesisViolatedError):
             choose_alpha_lower(judge, 0.3)
         with pytest.raises(HypothesisViolatedError):
-            choose_alpha_upper(judge, 0.5)
+            response_window(judge, 0.5).ratio
 
     def test_negative_gamma_rejected(self, judge):
         with pytest.raises(ValidationError):
@@ -147,6 +150,31 @@ class TestAlphaSelection:
         star, _ = solve_classic(judge)
         mixed = robustify(judge, star, choose_alpha_lower(judge, gamma))
         assert advantage(judge, mixed) > gamma
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda inst, gamma: choose_alpha_lower(inst, gamma),
+        lambda inst, gamma: response_window(inst, gamma),
+        lambda inst, gamma: bounds_report(inst, gamma, 1.5),
+    ],
+    ids=["choose_alpha_lower", "response_window", "bounds_report"],
+)
+@pytest.mark.parametrize(
+    "name, gamma, error",
+    [
+        ("example-1", -0.01, ValidationError),
+        ("example-1", 0.01, AssumptionViolatedError),
+        ("judge", 0.4, HypothesisViolatedError),
+    ],
+    ids=["gamma", "assumption", "hypothesis"],
+)
+def test_window_error_precedence(call, name, gamma, error):
+    # gamma, then the assumption, then the ratio; bounds' bad delta comes last
+    with pytest.raises(PersuasionError) as err:
+        call(builtin_instance(name), gamma)
+    assert type(err.value) is error
 
 
 @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.5])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from persuasion_lab import simplex
-from persuasion_lab.errors import LPError, LPInfeasibleError
+from persuasion_lab.errors import LPError, LPInfeasibleError, LPIterationLimitError
 from persuasion_lab.simplex import solve_standard_form
 
 
@@ -170,6 +170,33 @@ def test_drifted_suboptimal_basis_raises(monkeypatch):
     monkeypatch.setattr(simplex, "_bland_iterate", stop_after_phase_1)
     with pytest.raises(LPError, match="not optimal"):
         solve_standard_form(A, b, c)
+    assert len(calls) == 2
+
+
+def test_suboptimal_basis_raises_without_drift(monkeypatch):
+    # stop phase 2 one pivot short of optimal on a sweep obedience LP; the
+    # tableau has not drifted, so only the reduced-cost check can catch it
+    from persuasion_lab.classic import build_obedience_lp
+    from persuasion_lab.repro import sweep_instances
+
+    inst, _ = next(sweep_instances(1, 0, 0.05))
+    lp = build_obedience_lp(inst)
+    real = simplex._bland_iterate
+    calls = []
+
+    def stop_one_pivot_early(tableau, basis, allowed, max_iter):
+        calls.append(1)
+        if len(calls) == 1:
+            return real(tableau, basis, allowed, max_iter)
+        pivots = real(tableau.copy(), basis.copy(), allowed, max_iter)
+        assert pivots >= 1
+        with pytest.raises(LPIterationLimitError):
+            real(tableau, basis, allowed, pivots - 1)
+        return pivots - 1
+
+    monkeypatch.setattr(simplex, "_bland_iterate", stop_one_pivot_early)
+    with pytest.raises(LPError, match="not optimal"):
+        solve_standard_form(lp.A, lp.b, lp.c)
     assert len(calls) == 2
 
 
