@@ -34,7 +34,7 @@ from .model import (
     profile_instance,
     scheme_stats,
 )
-from .response import softmax, softmax_certificate
+from .response import row_max, softmax, softmax_certificate
 from .robustify import margin_lift, require_assumption, robustified_optimum
 
 
@@ -47,12 +47,18 @@ def _sample(cdf: np.ndarray, u) -> np.ndarray:
     """Inverse-CDF draws: the first index whose CDF entry exceeds ``u``, else the last.
 
     ``cdf``'s last axis is a nondecreasing CDF, and ``u`` is a scalar or
-    one uniform per row of ``cdf``.  Counting the entries at or below ``u``
-    among all but the last caps the draw at the last index.  Many uniforms
-    against one shared CDF go through ``_draw_states``, whose binary search
-    makes no T x (m - 1) temporary.
+    one uniform per row of ``cdf``, or many uniforms against one shared
+    CDF.  Counting the entries at or below ``u`` among all but the last
+    caps the draw at the last index; the count runs column by column, as
+    numpy pays per row to reduce a short last axis.  Against one shared CDF
+    and 16,384 uniforms it beat ``np.searchsorted`` up to 40 entries (19
+    against 148 us at 2) and lost from 48 on (2-vCPU Xeon, numpy 2.4).
     """
-    return np.add.reduce(cdf[..., :-1] <= np.asarray(u)[..., None], axis=-1)
+    u = np.asarray(u)
+    idx = np.zeros(np.broadcast_shapes(cdf.shape[:-1], u.shape), dtype=np.int64)
+    for k in range(cdf.shape[-1] - 1):
+        idx += cdf[..., k] <= u
+    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +94,11 @@ def empirical_br_probs(counts: np.ndarray, utility: np.ndarray) -> np.ndarray:
     than by float tolerance.
     """
     scores = _scores(counts, utility)
-    ties = scores == scores.max(axis=1, keepdims=True)
-    return ties / ties.sum(axis=1, keepdims=True)
+    ties = scores == row_max(scores)
+    n_ties = np.zeros((ties.shape[0], 1), dtype=np.int64)
+    for k in range(ties.shape[1]):
+        n_ties += ties[:, k : k + 1]
+    return ties / n_ties
 
 
 def exp_weights_probs(counts: np.ndarray, utility: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -198,8 +207,10 @@ class _FullFeedbackReceiver:
             counts += self.counts[s]
             self.counts[s] = counts[-1]
             counts -= onehot  # counts before each visit
-            probs = self._probs(counts, idx + (t0 + 1.0))
-            actions[idx] = _sample(np.cumsum(probs, axis=1), u_actions[idx])
+            cdf = self._probs(counts, idx + (t0 + 1.0))
+            for k in range(1, cdf.shape[1]):  # np.cumsum's sequential sum, in place
+                cdf[:, k] += cdf[:, k - 1]
+            actions[idx] = _sample(cdf, u_actions[idx])
         return actions
 
 
@@ -545,13 +556,6 @@ def _radii(marginals: np.ndarray, n_actions: int, t: int) -> tuple[float | None,
     return tuple(out)
 
 
-def _draw_states(instance: PersuasionInstance, u_states: np.ndarray) -> np.ndarray:
-    """``_sample`` of each uniform against the prior's CDF, by binary search."""
-    cdf = np.cumsum(instance.prior)
-    idx = np.searchsorted(cdf, u_states, side="right")
-    return np.minimum(idx, instance.n_states - 1)
-
-
 # Rounds per step of ``simulate``: a seed holds its trace plus working
 # memory for this many rounds.  No output depends on it; 4096 ran about 8%
 # slower, 65536 no faster.
@@ -567,9 +571,10 @@ def _round_chunks(instance: PersuasionInstance, rounds: int, rngs: Sequence[np.r
     chunk as in one call.
     """
     state_rng, *others = rngs
+    prior_cdf = np.cumsum(instance.prior)
     for lo in range(0, rounds, SIMULATE_CHUNK):
         n = min(SIMULATE_CHUNK, rounds - lo)
-        yield lo, _draw_states(instance, state_rng.random(n)), *[rng.random(n) for rng in others]
+        yield lo, _sample(prior_cdf, state_rng.random(n)), *[rng.random(n) for rng in others]
 
 
 # Senders whose signals do not depend on the receiver's actions.

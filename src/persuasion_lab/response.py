@@ -242,9 +242,21 @@ def is_approx_best_responding(
 # behavioral receiver models
 
 
+def row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1, keepdims=True)``, column by column: numpy pays per row
+    to reduce a short last axis, and a maximum is exact in any order."""
+    top = x[..., :1].copy()
+    for k in range(1, x.shape[-1]):
+        np.maximum(top, x[..., k : k + 1], out=top)
+    return top
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis, in place: ``logits`` is overwritten and returned."""
-    logits -= logits.max(axis=-1, keepdims=True)
+    """Softmax along the last axis, in place: ``logits`` is overwritten and returned.
+
+    The denominator is numpy's sum; a column-by-column sum rounds differently
+    from 8 entries on."""
+    logits -= row_max(logits)
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=-1, keepdims=True)
     return logits

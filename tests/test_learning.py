@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import tracemalloc
 
@@ -36,6 +37,7 @@ from persuasion_lab import (
 from persuasion_lab import learning
 from persuasion_lab.model import best_response_mask
 from persuasion_lab.repro import alternating_stats
+from persuasion_lab.sampling import satisfied_instance
 from support import judge_optimal_scheme, random_instance
 
 
@@ -165,6 +167,21 @@ class TestEmpiricalBr:
         # guilty twice, innocent once: convict wins
         rec = fed(EmpiricalBestResponse(), judge, [(0, 0), (0, 0), (0, 1)])
         assert empirical_br_probs(rec.counts[:1], judge.receiver_utility).tolist() == [[1.0, 0.0]]
+
+    @pytest.mark.parametrize("n_actions", range(1, 13))
+    def test_is_the_axis_reduction_formula(self, n_actions):
+        # small integer utilities tie exactly and often; zero counts against
+        # negative utilities score -0.0, which ties 0.0
+        rng = np.random.default_rng(n_actions)
+        utility = rng.integers(-1, 3, size=(n_actions, 3)).astype(np.float64)
+        counts = rng.integers(0, 4, size=(300, 3)).astype(np.float64)
+        counts[:10] = 0.0
+        scores = learning._scores(counts, utility)
+        ties = scores == scores.max(axis=1, keepdims=True)
+        want = ties / ties.sum(axis=1, keepdims=True)
+        assert empirical_br_probs(counts, utility).tobytes() == want.tobytes()
+        if n_actions > 1:
+            assert (ties.sum(axis=1) > 1).any()
 
 
 class TestExpWeights:
@@ -407,6 +424,51 @@ class TestSimulate:
         for name in STORED_ARRAYS:
             with pytest.raises(ValueError):
                 getattr(tr, name)[0] = 0
+
+
+def wide_satisfied_instance():
+    """The first 6-state, 5-action ``satisfied_instance`` draw at seed 6, and its generator."""
+    rng = np.random.default_rng(6)
+    inst = satisfied_instance(rng)
+    while (inst.n_states, inst.n_actions) != (6, 5):
+        inst = satisfied_instance(rng)
+    return inst, rng
+
+
+def wide_random_instance():
+    """The first ``random_instance`` draw with 9 or more actions at seed 9, and its generator."""
+    rng = np.random.default_rng(9)
+    inst = random_instance(rng, max_states=6, max_actions=12)
+    while inst.n_actions < 9:
+        inst = random_instance(rng, max_states=6, max_actions=12)
+    return inst, rng
+
+
+# sha256 over the states, signals and actions of 20,000 rounds at seed 3,
+# which cross a ``SIMULATE_CHUNK`` boundary; the random instance has 4
+# states and 11 actions, where numpy sums a row in unrolled partial sums
+WIDE_TRACE_PINS = {
+    ("satisfied", "exp-weights"): "a4e7a9fb665323136753329febfd17c614f254190afcb6e6e7ce8011d801a3ab",
+    ("satisfied", "empirical-br"): "a25890abce971d453fe29bec1f99046ffbff2698121509835b9367e6be5d8799",
+    ("satisfied", "exp3"): "8af6e5de003fafacf43998e07b0a53cfb1c32169b7175b49ca121943357203ec",
+    ("random", "exp-weights"): "b4caea4dd144a195bb5e72adc7e4d402b2cede8c462e5eaca1363897b5780760",
+    ("random", "empirical-br"): "a41f6fbc6dffb745c9cac450becde2c4941ec21b6b30b37fbae0ebb1e26a6834",
+    ("random", "exp3"): "12de803a114331bb5f9f17aec03b6c1a3c1bbde3429ddcd77f17fd7cf2982316",
+}
+
+
+@pytest.mark.parametrize("draw, kind", sorted(WIDE_TRACE_PINS))
+def test_wide_traces_match_pins(draw, kind):
+    """Wide instances keep their traces: four signals drawn from a flat Dirichlet."""
+    make = {"satisfied": wide_satisfied_instance, "random": wide_random_instance}[draw]
+    inst, rng = make()
+    cond = rng.dirichlet(np.ones(4), size=inst.n_states)
+    scheme = make_scheme(inst, ("s0", "s1", "s2", "s3"), cond)
+    tr = simulate(inst, FixedSchemePolicy(scheme), make_receiver(kind), 20_000, 3)
+    digest = hashlib.sha256()
+    for name in STORED_ARRAYS:
+        digest.update(getattr(tr, name).tobytes())
+    assert digest.hexdigest() == WIDE_TRACE_PINS[draw, kind]
 
 
 class TestDerivedTrace:
@@ -850,7 +912,7 @@ class TestSample:
         + [np.random.default_rng(3).dirichlet(np.ones(50)).tolist()],
     )
     def test_state_draws_are_sample(self, prior):
-        """``_draw_states`` is ``_sample`` of each uniform against the prior's CDF."""
+        """``_round_chunks`` draws states by ``_sample`` of many uniforms against the prior's CDF."""
         m = len(prior)
         inst = PersuasionInstance(
             tuple(f"w{i}" for i in range(m)),
@@ -861,10 +923,13 @@ class TestSample:
         )
         cdf = np.cumsum(inst.prior)
         u = uniforms_for(cdf, np.random.default_rng(m))
-        got = learning._draw_states(inst, u)
+        got = learning._sample(cdf, u)
         assert got.dtype == np.int64
         assert got.tolist() == [int(learning._sample(cdf, x)) for x in u]
         assert got.tolist() == [sample_oracle(cdf, x) for x in u]
+        _, states = next(learning._round_chunks(inst, 5000, learning._spawn_rngs(11)[:1]))
+        stream = learning._spawn_rngs(11)[0].random(5000)
+        assert states.tolist() == [sample_oracle(cdf, x) for x in stream]
 
     @pytest.mark.parametrize("width", [1, 2, 3, 7])
     def test_one_row_per_uniform_matches_oracle(self, width):
@@ -879,12 +944,6 @@ class TestSample:
         got = learning._sample(cdf, u)
         assert got.dtype == np.int64
         assert got.tolist() == [sample_oracle(cdf[i], u[i]) for i in range(400)]
-
-    def test_state_draws_match_oracle(self, judge):
-        u = learning._spawn_rngs(11)[0].random(5000)
-        states = learning._draw_states(judge, u)
-        cdf = np.cumsum(judge.prior)
-        assert states.tolist() == [sample_oracle(cdf, x) for x in u]
 
 
 def judge_radius(judge, judge_opt, t: int, signal: str) -> float | None:

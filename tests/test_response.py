@@ -580,14 +580,22 @@ def quantal_softmax(logits):
     return rho
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (5, 2), (40, 7)])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (5, 2), (40, 7), (40, 8), (40, 9), (40, 12)])
 @pytest.mark.parametrize("scale", [0.0, 1.0, 50.0, 1e6])
 def test_softmax_is_both_formulas_in_place(shape, scale):
+    # from 8 entries numpy sums a row in unrolled partial sums, which a
+    # column-by-column sum does not reproduce
     logits = np.random.default_rng(shape[1]).standard_normal(shape) * scale
-    want = exp_weights_softmax(logits)
-    assert quantal_softmax(logits).tobytes() == want.tobytes()
-    given = logits.copy()
-    got = softmax(given)
+    if shape[0] > 1:
+        logits[1] = logits[1, 0]  # an exact tie across the row
+        logits[2, ::2] = -0.0
+        logits[3, -1] = -np.inf
+        logits[4, 0] = np.inf  # inf - inf: a NaN row
+    with np.errstate(invalid="ignore"):
+        want = exp_weights_softmax(logits)
+        assert quantal_softmax(logits).tobytes() == want.tobytes()
+        given = logits.copy()
+        got = softmax(given)
     assert got is given
     assert got.tobytes() == want.tobytes()
 
