@@ -29,13 +29,13 @@ class ObedienceLP:
 
     Columns 0..n_states*n_actions-1 are x(a|w) in state-major order; the
     remaining columns are surplus variables for the obedience inequalities.
+    The n_actions*(n_actions-1) obedience rows come first, then one
+    distribution row per state.
     """
 
     A: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    n_obedience_rows: int
-    n_simplex_rows: int
 
 
 def build_obedience_lp(instance: PersuasionInstance) -> ObedienceLP:
@@ -65,7 +65,7 @@ def build_obedience_lp(instance: PersuasionInstance) -> ObedienceLP:
     c = np.zeros(n_dec + n_ob)
     c[:n_dec] = (mu[:, None] * u.T).reshape(-1)  # mu(w) u(a,w), state-major
 
-    return ObedienceLP(A=A, b=b_vec, c=c, n_obedience_rows=n_ob, n_simplex_rows=m)
+    return ObedienceLP(A=A, b=b_vec, c=c)
 
 
 _GHOST_TOL = 1e-9

@@ -50,7 +50,7 @@ from .model import (
     scheme_stats,
     scheme_to_json,
 )
-from .repro import DRIVERS, TARGETS, reproduce
+from .repro import TARGETS, driver, reproduce
 from .response import (
     DEFAULT_N_SCHEMES,
     approx_membership_mass,
@@ -398,25 +398,20 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    overrides = {}
-    if args.rounds is not None:
-        overrides["rounds"] = args.rounds
-    if args.seeds is not None:
-        overrides["n_seeds"] = args.seeds
-    if args.instances is not None:
-        overrides["n_instances"] = args.instances
-    driver = DRIVERS.get(args.target)
-    params = inspect.signature(driver).parameters if driver else {}
-    if args.seed is not None:
+    # a driver takes the overrides its signature names
+    params = inspect.signature(driver(args.target)).parameters
+    given = {
+        "--rounds": ("rounds", args.rounds),
+        "--seeds": ("n_seeds", args.seeds),
+        "--instances": ("n_instances", args.instances),
         # the first replication seed, or the sweep's instance seed
-        overrides["seed" if "seed" in params else "base_seed"] = args.seed
-    # a driver takes the overrides its signature names; an unknown target
-    # takes none, and ``reproduce`` names it
-    extra = set(overrides) - set(params)
-    if extra:
-        raise ValidationError(
-            f"target {args.target!r} does not take overrides {sorted(extra)}"
-        )
+        "--seed": ("seed" if "seed" in params else "base_seed", args.seed),
+    }
+    given = {flag: pair for flag, pair in given.items() if pair[1] is not None}
+    untaken = [flag for flag, (keyword, _) in given.items() if keyword not in params]
+    if untaken:
+        raise ValidationError(f"target {args.target!r} does not take {', '.join(untaken)}")
+    overrides = dict(given.values())
     if "threads" in params:
         # the pool starts no more threads than there are seeds
         overrides["threads"] = _threads()

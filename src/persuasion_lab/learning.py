@@ -664,6 +664,8 @@ def run_replications(
     seeds = list(seeds)
     if not seeds:
         raise ValidationError("seeds must not be empty")
+    if threads < 1:
+        raise ValidationError(f"threads must be at least 1, got {threads}")
     policies = [policy_factory() for _ in seeds]
     receivers = [receiver_factory() for _ in seeds]
 

@@ -282,7 +282,12 @@ DRIVERS = {
 TARGETS = tuple(DRIVERS)
 
 
-def reproduce(name: str, **overrides) -> dict:
+def driver(name: str):
+    """The function that runs target ``name``."""
     if name not in DRIVERS:
         raise UnknownTargetError(f"unknown target {name!r}; available: {TARGETS}")
-    return DRIVERS[name](**overrides)
+    return DRIVERS[name]
+
+
+def reproduce(name: str, **overrides) -> dict:
+    return driver(name)(**overrides)

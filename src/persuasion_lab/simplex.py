@@ -20,11 +20,13 @@ _FEAS_TOL = 1e-7
 
 @dataclass(frozen=True)
 class SimplexResult:
+    """Optimal basic solution; column ``basis[k]`` is basic in kept row ``rows[k]``."""
+
     x: np.ndarray
     objective: float
     iterations: int
-    dual: np.ndarray
-    duality_gap: float
+    basis: np.ndarray
+    rows: np.ndarray
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -154,24 +156,20 @@ def solve_standard_form(
         residual = _residual(A, x, b)
     objective = float(c @ x)
 
-    # dual certificate from the final basis: y solves B^T y = c_B
+    # y solves B^T y = c_B; the final basis is optimal when A^T y >= c
     try:
-        y_kept = np.linalg.solve(B.T, c[basis])
+        y = np.linalg.solve(B.T, c[basis])
     except np.linalg.LinAlgError as e:
         raise LPError(f"singular final basis: {e}") from e
-    # the gap c.x - y.b vanishes for any basis; optimality is A^T y >= c
-    reduced = float(np.min(A[kept].T @ y_kept - c))
+    reduced = float(np.min(A[kept].T @ y - c))
     if reduced < -_FEAS_TOL:
         raise LPError(f"final basis is not optimal: reduced cost {reduced:g}")
-    dual = np.zeros(n_rows)
-    dual[kept] = y_kept
-    duality_gap = abs(objective - float(dual @ b))
-
     if residual > _FEAS_TOL:
         raise LPError(f"solution violates constraints by {residual:g}")
-    if duality_gap > _FEAS_TOL:
-        raise LPError(f"duality gap {duality_gap:g} exceeds {_FEAS_TOL:g}")
+    # c.x - y.b vanishes for any basis: it bounds how far the objective is
+    # from the final basis's own value, not how far from the optimum
+    gap = abs(objective - float(y @ b[kept]))
+    if gap > _FEAS_TOL:
+        raise LPError(f"objective is {gap:g} from the final basis's value")
 
-    return SimplexResult(
-        x=x, objective=objective, iterations=iters, dual=dual, duality_gap=duality_gap
-    )
+    return SimplexResult(x=x, objective=objective, iterations=iters, basis=basis, rows=kept)

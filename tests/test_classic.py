@@ -151,7 +151,8 @@ def test_constant_recommendation_is_feasible(judge, example1):
         lp = build_obedience_lp(inst)
         cond = np.zeros((inst.n_states, inst.n_actions))
         cond[:, int(np.argmax(inst.receiver_utility @ inst.prior))] = 1.0
-        rows = lp.A[: lp.n_obedience_rows, : cond.size] @ cond.reshape(-1)
+        n_ob = inst.n_actions * (inst.n_actions - 1)
+        rows = lp.A[:n_ob, : cond.size] @ cond.reshape(-1)
         sums = cond.sum(axis=1) - 1.0
         assert np.all(rows >= -1e-12)
         assert np.max(np.abs(sums)) <= 1e-12
@@ -160,11 +161,10 @@ def test_constant_recommendation_is_feasible(judge, example1):
 def test_lp_shapes(judge):
     lp = build_obedience_lp(judge)
     m, n = judge.n_states, judge.n_actions
-    assert lp.n_obedience_rows == n * (n - 1)
-    assert lp.n_simplex_rows == m
-    assert lp.A.shape == (n * (n - 1) + m, m * n + n * (n - 1))
-    assert lp.b[: lp.n_obedience_rows] == pytest.approx(np.zeros(lp.n_obedience_rows))
-    assert lp.b[lp.n_obedience_rows :] == pytest.approx(np.ones(m))
+    n_ob = n * (n - 1)
+    assert lp.A.shape == (n_ob + m, m * n + n_ob)
+    assert lp.b[:n_ob] == pytest.approx(np.zeros(n_ob))
+    assert lp.b[n_ob:] == pytest.approx(np.ones(m))
 
 
 def test_zero_prior_state_keeps_lp_solvable():

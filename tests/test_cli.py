@@ -574,8 +574,32 @@ class TestReproduce:
     @pytest.mark.parametrize("target", ["judge", "example-1"])
     def test_seed_rejected_where_not_taken(self, tmp_path, capsys, target):
         assert run("reproduce", target, "--seed", 3, "--output-dir", tmp_path) == 1
-        assert "does not take overrides" in capsys.readouterr().err
+        assert "does not take --seed" in capsys.readouterr().err
         assert not (tmp_path / f"reproduce-{target}.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (("judge", "--seed", 3), "--seed"),
+            (("example-1", "--rounds", 10, "--seed", 3), "--rounds, --seed"),
+            (("example-4-3", "--instances", 3), "--instances"),
+            (("theorem-3-1-sweep", "--seeds", 3), "--seeds"),
+            (("theorem-3-1-sweep", "--rounds", 5, "--seeds", 3), "--rounds, --seeds"),
+            (("theorem-4-1", "--instances", 3, "--seed", 1), "--instances"),
+        ],
+    )
+    def test_override_error_names_the_flag(self, tmp_path, capsys, argv, flags):
+        assert run("reproduce", *argv, "--output-dir", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert f"error[VALIDATION_ERROR]: target {argv[0]!r} does not take {flags}\n" == err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--seed", "--instances", "--seeds", "--rounds"])
+    def test_unknown_target_reported_before_overrides(self, tmp_path, capsys, flag):
+        assert run("reproduce", "nope", flag, 3, "--output-dir", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[UNKNOWN_TARGET]: unknown target 'nope'; available: (")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_eps_num_recorded(tmp_path):

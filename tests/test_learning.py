@@ -761,6 +761,19 @@ class TestReplications:
         assert serial == parallel
         assert [s for s, _ in serial] == [3, 1, 2]
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_rejected(self, judge, judge_opt, threads):
+        made = []
+
+        def receiver():
+            made.append(1)
+            return ExpWeights()
+
+        args = (judge, lambda: FixedSchemePolicy(judge_opt), receiver, 400, [0], lambda tr: tr.seed)
+        with pytest.raises(ValidationError, match=f"threads must be at least 1, got {threads}"):
+            run_replications(*args, threads=threads)
+        assert made == []
+
 
 def checkpoint_fields(trace, every):
     return [
@@ -1135,6 +1148,15 @@ class TestConvergencePipeline:
         with pytest.raises(AssumptionViolatedError) as err:
             convergence_report(example1, 0.2, 100, seeds=[0])
         assert err.value.details["reasons"] == profile_instance(example1).reasons
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_rejected(self, judge, monkeypatch, threads):
+        made = []
+        monkeypatch.setattr(learning, "ExpWeights", lambda: made.append("receiver"))
+        monkeypatch.setattr(learning, "FixedSchemePolicy", lambda s: made.append("policy"))
+        with pytest.raises(ValidationError, match="threads must be at least 1"):
+            convergence_report(judge, 0.2, 100, seeds=[0], threads=threads)
+        assert made == []
 
     def test_one_shot_seed_iterable(self, judge):
         rep = convergence_report(judge, 0.2, 2_000, seeds=(s for s in [0, 1]))

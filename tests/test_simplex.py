@@ -3,9 +3,19 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from persuasion_lab import simplex
+from persuasion_lab import BUILTIN_INSTANCES, builtin_instance, simplex
+from persuasion_lab.classic import build_obedience_lp, solve_classic
 from persuasion_lab.errors import LPError, LPInfeasibleError, LPIterationLimitError
+from persuasion_lab.repro import SWEEP_GAMMAS, sweep_instances
 from persuasion_lab.simplex import solve_standard_form
+from support import exact_basis_violations
+
+
+def certified_solve(A, b, c):
+    """Solve, then check the returned basis exactly in rationals."""
+    res = solve_standard_form(A, b, c)
+    assert exact_basis_violations(A, b, c, res.basis, res.rows, res.objective) == []
+    return res
 
 
 def brute_force_optimum(A, b, c):
@@ -57,8 +67,10 @@ def test_redundant_rows_are_tolerated():
     A = np.array([[1.0, 1.0], [2.0, 2.0]])
     b = np.array([1.0, 2.0])
     c = np.array([1.0, 0.0])
-    res = solve_standard_form(A, b, c)
+    res = certified_solve(A, b, c)
     assert res.objective == pytest.approx(1.0, abs=1e-9)
+    assert res.rows.tolist() == [0]
+    assert res.basis.tolist() == [0]
 
 
 def test_degenerate_pivoting_terminates():
@@ -76,15 +88,35 @@ def test_degenerate_pivoting_terminates():
     assert res.objective == pytest.approx(0.05, abs=1e-9)
 
 
-def test_dual_certificate_and_gap():
+def test_final_basis_certified_exactly():
+    # max x1 + x2 s.t. x1 + 2 x2 <= 4, 3 x1 + x2 <= 6: optimum 2.8 at (1.6, 1.2)
     A = np.array([[1.0, 2.0, 1.0, 0.0], [3.0, 1.0, 0.0, 1.0]])
     b = np.array([4.0, 6.0])
     c = np.array([1.0, 1.0, 0.0, 0.0])
-    res = solve_standard_form(A, b, c)
-    assert res.duality_gap <= 1e-7
-    assert res.dual @ b == pytest.approx(res.objective, abs=1e-7)
-    # dual feasibility: reduced costs of all columns are nonpositive
-    assert np.all(c - res.dual @ A <= 1e-7)
+    res = certified_solve(A, b, c)
+    assert sorted(res.basis.tolist()) == [0, 1]
+    assert res.rows.tolist() == [0, 1]
+    assert res.objective == pytest.approx(2.8, abs=1e-12)
+    # the check rejects an objective off the basis's value, and a basis
+    # that is feasible but not optimal
+    off = exact_basis_violations(A, b, c, res.basis, res.rows, res.objective + 1e-11)
+    assert [v.split(" ")[0] for v in off] == ["objective"]
+    slack = exact_basis_violations(A, b, c, np.array([2, 3]), np.array([0, 1]), 0.0)
+    assert [v.split(":")[0] for v in slack] == ["A^T y >= c fails"]
+
+
+@pytest.mark.parametrize("name", BUILTIN_INSTANCES)
+def test_builtin_lps_certified_exactly(name):
+    lp = build_obedience_lp(builtin_instance(name))
+    certified_solve(lp.A, lp.b, lp.c)
+
+
+@pytest.mark.parametrize("seed", [2024, 20])
+def test_sweep_lps_certified_exactly(seed):
+    # the default sweep seed, and seed 20, whose instance 16 drifts
+    for inst, _ in sweep_instances(25, seed, max(SWEEP_GAMMAS)):
+        lp = build_obedience_lp(inst)
+        certified_solve(lp.A, lp.b, lp.c)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -100,7 +132,7 @@ def test_matches_vertex_enumeration(seed):
         A[b < 0] *= -1.0
         b = np.abs(b)
     c = rng.normal(size=n)
-    res = solve_standard_form(A, b, c)
+    res = certified_solve(A, b, c)
     oracle = brute_force_optimum(A, b, c)
     assert oracle is not None
     assert res.objective == pytest.approx(oracle, abs=1e-7)
@@ -124,9 +156,6 @@ def drifting_sweep_lp():
     Its 16 x 28 tableau drifts by 8e-4 in the right-hand side over the
     pivots; the final basis itself is optimal.
     """
-    from persuasion_lab.classic import build_obedience_lp
-    from persuasion_lab.repro import sweep_instances
-
     inst, _ = list(sweep_instances(17, 20, 0.05))[16]
     return build_obedience_lp(inst)
 
@@ -134,10 +163,9 @@ def drifting_sweep_lp():
 def test_drifted_tableau_resolved_from_final_basis():
     lp = drifting_sweep_lp()
     assert lp.A.shape == (16, 28)
-    res = solve_standard_form(lp.A, lp.b, lp.c)
+    res = certified_solve(lp.A, lp.b, lp.c)
     assert np.max(np.abs(lp.A @ res.x - lp.b)) <= 1e-12
     assert res.x.min() >= 0.0
-    assert res.duality_gap <= 1e-12
     assert res.objective == pytest.approx(0.61975100640451, abs=1e-12)
 
 
@@ -176,13 +204,11 @@ def test_drifted_suboptimal_basis_raises(monkeypatch):
 def test_suboptimal_basis_raises_without_drift(monkeypatch):
     # stop phase 2 one pivot short of optimal on a sweep obedience LP; the
     # tableau has not drifted, so only the reduced-cost check can catch it
-    from persuasion_lab.classic import build_obedience_lp
-    from persuasion_lab.repro import sweep_instances
-
     inst, _ = next(sweep_instances(1, 0, 0.05))
     lp = build_obedience_lp(inst)
     real = simplex._bland_iterate
     calls = []
+    short = []
 
     def stop_one_pivot_early(tableau, basis, allowed, max_iter):
         calls.append(1)
@@ -192,6 +218,7 @@ def test_suboptimal_basis_raises_without_drift(monkeypatch):
         assert pivots >= 1
         with pytest.raises(LPIterationLimitError):
             real(tableau, basis, allowed, pivots - 1)
+        short.append(basis.copy())
         return pivots - 1
 
     monkeypatch.setattr(simplex, "_bland_iterate", stop_one_pivot_early)
@@ -199,14 +226,19 @@ def test_suboptimal_basis_raises_without_drift(monkeypatch):
         solve_standard_form(lp.A, lp.b, lp.c)
     assert len(calls) == 2
 
+    # the exact check rejects that basis for its reduced costs alone
+    (basis,) = short
+    rows = np.arange(lp.A.shape[0])
+    assert basis.size == rows.size  # no row was dropped
+    value = float(lp.c[basis] @ np.linalg.solve(lp.A[:, basis], lp.b))
+    violations = exact_basis_violations(lp.A, lp.b, lp.c, basis, rows, value)
+    assert [v.split(":")[0] for v in violations] == ["A^T y >= c fails"]
+
 
 def test_sweep_optima_match_highs():
     # the bound sweep solves one classic LP per instance and reuses it in
     # every (gamma, delta) cell; check those optima against HiGHS
     optimize = pytest.importorskip("scipy.optimize")
-    from persuasion_lab.classic import build_obedience_lp, solve_classic
-    from persuasion_lab.repro import sweep_instances
-
     for inst, _ in sweep_instances(25, 0, 0.05):
         lp = build_obedience_lp(inst)
         ref = optimize.linprog(
