@@ -263,16 +263,12 @@ def _cmd_evaluate(args) -> int:
         read.update(gamma=_default(args.gamma, 0.0), delta=_default(args.delta, 0.0))
     if kind == "perturbed":
         read.update(seed=_default(args.seed, 0))
-    if kind != "obedient":
-        read.update(eps_num=_default(args.eps_num, DEFAULT_EPS))
     config = _config(args, "instance", "scheme", "mode", **read)
     inst = _resolve_instance(args.instance)
     scheme = load_scheme(Path(args.scheme), inst)
     report = {"config": config}
     if kind in ("worst", "best"):
-        est = evaluate_objective(
-            inst, scheme, config["gamma"], config["delta"], kind, config["eps_num"]
-        )
+        est = evaluate_objective(inst, scheme, config["gamma"], config["delta"], kind)
         report.update(
             value=est.value,
             knife_edge_signals=list(est.knife_edge_signals),
@@ -296,9 +292,7 @@ def _cmd_evaluate(args) -> int:
             {name: param},
             value=value,
             certificate={"gamma": _finite_or_none(cert[0]), "delta": _finite_or_none(cert[1])},
-            membership_mass=approx_membership_mass(
-                inst, scheme, strat, cert[0], config["eps_num"]
-            ),
+            membership_mass=approx_membership_mass(inst, scheme, strat, cert[0]),
             strategy=strat.action_distribution.tolist(),
         )
     path = _write_json(args.output_dir, "evaluate.json", report)
@@ -440,16 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--output-dir", type=Path, default=Path("out"), help="artifact directory (default: ./out)"
     )
     seed = _option("--seed", type=int, default=0, help="base RNG seed (default: 0)")
-    eps_help = (
-        "tie tolerance of the instance profile and slack of the response sets; "
-        "at least 0 (default: 1e-9)"
-    )
+    eps_help = "tie tolerance of the instance profile; at least 0 (default: 1e-9)"
     eps = _option("--eps-num", type=float, default=DEFAULT_EPS, help=eps_help)
-    # where a mode or sender may not read an option, it parses to None when
-    # left out, and the command resolves its default (see _config)
-    eps_unread = _option(
-        "--eps-num", type=float, help=eps_help + "; not every mode or sender reads it"
-    )
     parser = argparse.ArgumentParser(
         prog="persuasion-lab",
         description="Optimal persuasion schemes, robustification, bound checks, and learning simulations.",
@@ -474,9 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_robustify)
 
-    p = sub.add_parser(
-        "evaluate", parents=[out, eps_unread], help="sender value under a response model"
-    )
+    # where a mode or sender may not read an option, it parses to None when
+    # left out, and the command resolves its default (see _config)
+    p = sub.add_parser("evaluate", parents=[out], help="sender value under a response model")
     p.add_argument("--instance", required=True)
     p.add_argument("--scheme", required=True)
     p.add_argument("--seed", type=int, help="RNG seed of perturbed:EPS (default: 0)")
@@ -498,15 +484,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser(
-        "simulate", parents=[out, seed, eps_unread], help="repeated play against a learner"
-    )
+    p = sub.add_parser("simulate", parents=[out, seed], help="repeated play against a learner")
     p.add_argument("--instance", required=True)
     p.add_argument(
         "--sender",
         required=True,
         help="fixed:<scheme.json>|robustified:<C>|alternating",
     )
+    p.add_argument("--eps-num", type=float, help=eps_help + "; read by robustified:<C> only")
     p.add_argument("--receiver", required=True, help="empirical-br|exp-weights|exp3")
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--seeds", type=int, default=1, help="number of replications")

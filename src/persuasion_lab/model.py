@@ -28,7 +28,12 @@ from .errors import (
     ZeroProbabilitySignalError,
 )
 
+# Default tie tolerance of ``profile_instance``.
 DEFAULT_EPS = 1e-9
+# Float slack of every response set: an action within gamma + RESPONSE_SLACK
+# of the best is a member.  Utilities lie in [0, 1], so one absolute slack
+# suits every instance.
+RESPONSE_SLACK = 1e-9
 _SUM_TOL = 1e-12
 
 # reason-code templates for InstanceProfile
@@ -422,18 +427,15 @@ def advantage(instance: PersuasionInstance, scheme: SignalingScheme) -> float:
     return float(obedience_margins(stats.receiver_values)[stats.marginals > 0.0].min())
 
 
-def best_response_mask(
-    receiver_values: np.ndarray, gamma: float, eps_num: float = DEFAULT_EPS
-) -> np.ndarray:
+def best_response_mask(receiver_values: np.ndarray, gamma: float) -> np.ndarray:
     """Boolean mask of actions within ``gamma`` of the best, row per signal.
 
-    The last axis indexes actions; any leading axes (signals, a batch of
-    schemes) are kept.
+    ``RESPONSE_SLACK`` absorbs float error at the cutoff.  The last axis
+    indexes actions; any leading axes (signals, a batch of schemes) are kept.
     """
     check_gamma(gamma)
-    check_eps_num(eps_num)
     best = receiver_values.max(axis=-1, keepdims=True)
-    return receiver_values >= best - gamma - eps_num
+    return receiver_values >= best - gamma - RESPONSE_SLACK
 
 
 def project_strategy(
@@ -441,7 +443,6 @@ def project_strategy(
     scheme: SignalingScheme,
     strategy: ReceiverStrategy,
     gamma: float,
-    eps_num: float = DEFAULT_EPS,
 ) -> ReceiverStrategy:
     """Condition each signal's action distribution on the near-best set.
 
@@ -451,7 +452,7 @@ def project_strategy(
     """
     check_strategy(instance, scheme, strategy)
     stats = scheme_stats(instance, scheme)
-    mask = best_response_mask(stats.receiver_values, gamma, eps_num)
+    mask = best_response_mask(stats.receiver_values, gamma)
     rho = np.array(strategy.action_distribution)
     for s in np.flatnonzero(stats.marginals > 0.0):
         mass = float(rho[s, mask[s]].sum())

@@ -20,6 +20,7 @@ from .classic import solve_classic
 from .errors import StrategyNotDeterministicError, ValidationError
 from .model import (
     DEFAULT_EPS,
+    RESPONSE_SLACK,
     PersuasionInstance,
     ReceiverStrategy,
     SignalingScheme,
@@ -57,13 +58,10 @@ class ApproxResponseSet:
 
 
 def approx_set(
-    instance: PersuasionInstance,
-    scheme: SignalingScheme,
-    gamma: float,
-    eps_num: float = DEFAULT_EPS,
+    instance: PersuasionInstance, scheme: SignalingScheme, gamma: float
 ) -> ApproxResponseSet:
     stats = scheme_stats(instance, scheme)
-    mask = best_response_mask(stats.receiver_values, gamma, eps_num)
+    mask = best_response_mask(stats.receiver_values, gamma)
     mask[stats.marginals <= 0.0] = False
     return ApproxResponseSet(
         gamma=float(gamma),
@@ -80,7 +78,7 @@ class ObjectiveEstimate:
 
     ``witness_strategy`` attains ``value`` exactly and satisfies the
     membership constraint it was optimized under.  ``knife_edge_signals``
-    lists signals where some action sits within 10 tolerance units of the
+    lists signals where some action sits within 10 ``RESPONSE_SLACK`` of the
     response-set boundary, i.e. where set membership is numerically fragile.
     """
 
@@ -125,17 +123,15 @@ def _check_objective_args(gamma: float, delta: float, mode: str) -> None:
     check_gamma(gamma)
 
 
-def _knife_edges(
-    marginals: np.ndarray, receiver_values: np.ndarray, gamma: float, eps_num: float
-) -> np.ndarray:
-    """Flags of the sent signals where some margin lies within 10 eps_num of gamma.
+def _knife_edges(marginals: np.ndarray, receiver_values: np.ndarray, gamma: float) -> np.ndarray:
+    """Flags of the sent signals where some margin lies within 10 RESPONSE_SLACK of gamma.
 
     Near-cutoff margins make set membership arithmetic-sensitive; the
     canonical argmax has margin 0 by construction and is never at risk.
     """
     margins = receiver_values.max(axis=-1, keepdims=True) - receiver_values
     np.put_along_axis(margins, margins.argmin(axis=-1)[..., None], np.inf, axis=-1)
-    near = np.any(np.abs(margins - gamma) <= 10.0 * eps_num, axis=-1)
+    near = np.any(np.abs(margins - gamma) <= 10.0 * RESPONSE_SLACK, axis=-1)
     return near & (marginals > 0.0)
 
 
@@ -175,7 +171,6 @@ def evaluate_objective(
     gamma: float,
     delta: float,
     mode: str,
-    eps_num: float = DEFAULT_EPS,
 ) -> ObjectiveEstimate:
     """Closed-form inner optimum over (gamma, delta)-responding strategies.
 
@@ -186,7 +181,7 @@ def evaluate_objective(
     """
     _check_objective_args(gamma, delta, mode)
     marginals, receiver_values, sender_values = _stack_stats(instance, [scheme])
-    mask = best_response_mask(receiver_values, gamma, eps_num)
+    mask = best_response_mask(receiver_values, gamma)
     values, inner, outer, in_set = _objective_core(marginals, sender_values, mask, delta, mode)
 
     n = instance.n_actions
@@ -196,7 +191,7 @@ def evaluate_objective(
     rho[sent] = 0.0
     rho[sent, inner[0, sent]] = np.where(keep, 0.0, 1.0 - delta)
     rho[sent, outer[0, sent]] += np.where(keep, 1.0, delta)
-    knife = _knife_edges(marginals, receiver_values, gamma, eps_num)[0]
+    knife = _knife_edges(marginals, receiver_values, gamma)[0]
 
     return ObjectiveEstimate(
         value=float(values[0]),
@@ -217,11 +212,10 @@ def approx_membership_mass(
     scheme: SignalingScheme,
     strategy: ReceiverStrategy,
     gamma: float,
-    eps_num: float = DEFAULT_EPS,
 ) -> float:
     """Minimum over sent signals of the strategy mass on the gamma-best set."""
     check_strategy(instance, scheme, strategy)
-    members = approx_set(instance, scheme, gamma, eps_num)
+    members = approx_set(instance, scheme, gamma)
     masses = np.where(members.member_mask, strategy.action_distribution, 0.0).sum(axis=1)
     return float(masses[members.marginals > 0.0].min())
 
@@ -232,10 +226,9 @@ def is_approx_best_responding(
     strategy: ReceiverStrategy,
     gamma: float,
     delta: float = 0.0,
-    eps_num: float = DEFAULT_EPS,
 ) -> bool:
-    mass = approx_membership_mass(instance, scheme, strategy, gamma, eps_num)
-    return mass >= 1.0 - delta - eps_num
+    mass = approx_membership_mass(instance, scheme, strategy, gamma)
+    return mass >= 1.0 - delta - RESPONSE_SLACK
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +276,8 @@ def quantal_certificate(instance: PersuasionInstance, lam: float) -> tuple[float
 
     Meaningful once ``lam > 1/n_actions``; below that delta is vacuous.
     """
-    if not lam > 0:  # NaN fails too
-        raise ValidationError("certificate requires lam > 0")
+    if not 0 < lam < math.inf:  # NaN fails too; the strategy at inf has NaN rows
+        raise ValidationError("certificate requires a finite lam > 0")
     return softmax_certificate(instance.n_actions, lam)
 
 
@@ -317,6 +310,11 @@ def _tv_step(mu: np.ndarray, epsilon: float, rng: np.random.Generator) -> np.nda
     return out / out.sum()
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not epsilon >= 0:  # NaN fails too
+        raise ValidationError("epsilon must be nonnegative")
+
+
 def perturbed_posterior_strategy(
     instance: PersuasionInstance,
     scheme: SignalingScheme,
@@ -329,8 +327,7 @@ def perturbed_posterior_strategy(
     posterior, so the resulting deterministic strategy is a (2 epsilon, 0)
     member.  Unsent signals best-respond to the prior.
     """
-    if not epsilon >= 0:  # NaN fails too
-        raise ValidationError("epsilon must be nonnegative")
+    _check_epsilon(epsilon)
     stats = scheme_stats(instance, scheme)
     v = instance.receiver_utility
     rho = np.zeros((scheme.n_signals, instance.n_actions))
@@ -345,6 +342,7 @@ def perturbed_posterior_strategy(
 
 
 def perturbed_posterior_certificate(epsilon: float) -> tuple[float, float]:
+    _check_epsilon(epsilon)
     return 2.0 * epsilon, 0.0
 
 
@@ -356,7 +354,6 @@ def to_direct_revelation(
     instance: PersuasionInstance,
     scheme: SignalingScheme,
     strategy: ReceiverStrategy,
-    eps_num: float = DEFAULT_EPS,
 ) -> SignalingScheme:
     """Collapse (scheme, deterministic strategy) into a recommendation scheme.
 
@@ -365,10 +362,9 @@ def to_direct_revelation(
     response the obedient strategy is one for the new scheme.
     """
     check_strategy(instance, scheme, strategy)
-    check_eps_num(eps_num)
     rho = strategy.action_distribution
     top = rho.max(axis=1)
-    if np.any(top < 1.0 - eps_num):
+    if np.any(top < 1.0 - RESPONSE_SLACK):
         bad = scheme.signals[int(np.argmin(top))]
         raise StrategyNotDeterministicError(
             f"strategy row for signal {bad!r} is not a point mass"
@@ -504,10 +500,10 @@ def bounds_grid(
     for gamma, window in zip(gammas, windows):
         certificate = window.robustify(opt_scheme)
         cert_marginals, cert_rv, cert_sv = _stack_stats(instance, [certificate])
-        cert_mask = best_response_mask(cert_rv, gamma, eps_num)
-        cand_mask = best_response_mask(cand_rv, gamma, eps_num)
-        knife = int(_knife_edges(cert_marginals, cert_rv, gamma, eps_num).any()) + int(
-            np.count_nonzero(_knife_edges(cand_marginals, cand_rv, gamma, eps_num).any(axis=1))
+        cert_mask = best_response_mask(cert_rv, gamma)
+        cand_mask = best_response_mask(cand_rv, gamma)
+        knife = int(_knife_edges(cert_marginals, cert_rv, gamma).any()) + int(
+            np.count_nonzero(_knife_edges(cand_marginals, cand_rv, gamma).any(axis=1))
         )
         for delta in deltas:
             slack = window.ratio + delta

@@ -38,22 +38,16 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _bland_iterate(
-    tableau: np.ndarray,
-    basis: np.ndarray,
-    allowed: np.ndarray,
-    max_iter: int,
-) -> int:
+def _bland_iterate(tableau: np.ndarray, basis: np.ndarray, max_iter: int) -> int:
     """Run simplex iterations (minimization tableau) until optimal.
 
-    ``allowed`` masks the columns that may enter the basis.  Entering column:
-    smallest-index allowed column with negative reduced cost.  Leaving row:
-    minimum ratio, ties broken by smallest basis variable index.
+    Entering column: smallest-index column with negative reduced cost.
+    Leaving row: minimum ratio, ties broken by smallest basis variable index.
     """
     n_rows = tableau.shape[0] - 1
     for it in range(max_iter):
         reduced = tableau[-1, :-1]
-        candidates = np.flatnonzero((reduced < -_PIVOT_TOL) & allowed)
+        candidates = np.flatnonzero(reduced < -_PIVOT_TOL)
         if candidates.size == 0:
             return it
         col = int(candidates[0])
@@ -105,8 +99,7 @@ def solve_standard_form(
     tableau[-1, :n_vars] = -A.sum(axis=0)
     tableau[-1, -1] = -b.sum()
 
-    allowed = np.ones(n_vars + n_rows, dtype=bool)
-    iters = _bland_iterate(tableau, basis, allowed, max_iter)
+    iters = _bland_iterate(tableau, basis, max_iter)
     if -tableau[-1, -1] > _FEAS_TOL:
         raise LPInfeasibleError(
             f"phase-1 optimum {-tableau[-1, -1]:g} > 0; constraints are infeasible"
@@ -137,8 +130,7 @@ def solve_standard_form(
     tableau[-1, -1] = 0.0
     for r, var in enumerate(basis):
         tableau[-1] -= cost[var] * tableau[r]
-    allowed = np.ones(n_vars, dtype=bool)
-    iters += _bland_iterate(tableau, basis, allowed, max_iter)
+    iters += _bland_iterate(tableau, basis, max_iter)
 
     x = _basic_solution(n_vars, basis, tableau[: len(basis), -1])
     B = A[kept][:, basis]

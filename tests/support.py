@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 
 from persuasion_lab import (
-    DEFAULT_EPS,
     PersuasionInstance,
     ReceiverStrategy,
     SignalingScheme,
@@ -56,10 +55,9 @@ def approx_responding_strategy(
     scheme: SignalingScheme,
     gamma: float,
     delta: float,
-    eps_num: float = DEFAULT_EPS,
 ) -> ReceiverStrategy:
     """A strategy keeping at least 1-delta mass inside each signal's set."""
-    aset = approx_set(instance, scheme, gamma, eps_num)
+    aset = approx_set(instance, scheme, gamma)
     S, n = aset.member_mask.shape
     rho = np.zeros((S, n))
     for s in range(S):
@@ -80,10 +78,9 @@ def deterministic_responding_strategy(
     instance: PersuasionInstance,
     scheme: SignalingScheme,
     gamma: float,
-    eps_num: float = DEFAULT_EPS,
 ) -> ReceiverStrategy:
     """Point mass per signal, drawn uniformly from the gamma-best set."""
-    aset = approx_set(instance, scheme, gamma, eps_num)
+    aset = approx_set(instance, scheme, gamma)
     S, n = aset.member_mask.shape
     rho = np.zeros((S, n))
     for s in range(S):

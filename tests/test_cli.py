@@ -620,11 +620,13 @@ SIMULATE = ("simulate", "--instance", "judge", "--sender", "robustified:0.2", "-
         ("solve-classic", "--instance", "judge", "--seed", 7),
         ("solve-classic", "--instance", "judge", "--eps-num", 0.3),
         ("robustify", "--instance", "judge", "--alpha", 0.1, "--seed", 7),
+        # response sets take a fixed float slack, so no mode of evaluate reads it
+        ("evaluate", "--instance", "judge", "--scheme", "s", "--mode", "worst", "--eps-num", 0.1),
         ("reproduce", "judge", "--eps-num", 0.5),
     ],
     ids=[
         "check-assumptions-seed", "solve-classic-seed", "solve-classic-eps-num",
-        "robustify-seed", "reproduce-eps-num",
+        "robustify-seed", "evaluate-eps-num", "reproduce-eps-num",
     ],
 )
 def test_option_a_command_does_not_read_exit_2(tmp_path, capsys, argv):
@@ -651,7 +653,7 @@ EPS = {"eps_num": DEFAULT_EPS}
         (
             ("evaluate", "--instance", "judge", "--scheme", "s", "--mode", "worst"),
             {"instance": "judge", "scheme": "s", "mode": "worst", "gamma": None, "delta": None,
-             "seed": None, "eps_num": None},
+             "seed": None},
         ),
         (
             ("bounds", "--instance", "judge", "--gamma", 0.1),
@@ -701,7 +703,6 @@ UNREAD = {
     "obedient-gamma": (*EVALUATE, "--mode", "obedient", "--gamma", 0),
     "obedient-delta": (*EVALUATE, "--mode", "obedient", "--delta", 0.2),
     "obedient-seed": (*EVALUATE, "--mode", "obedient", "--seed", 7),
-    "obedient-eps-num": (*EVALUATE, "--mode", "obedient", "--eps-num", 0.4),
     "quantal-gamma": (*EVALUATE, "--mode", "quantal:10", "--gamma", 0.3),
     "quantal-delta": (*EVALUATE, "--mode", "quantal:10", "--delta", 0.2),
     "quantal-seed": (*EVALUATE, "--mode", "quantal:10", "--seed", 7),
@@ -741,15 +742,11 @@ CONFIG_KEYS = {
         ("robustify", "--instance", "judge", "--gamma", 0.03),
         {"command", "instance", "scheme", "gamma", "rule", "alpha", "eps_num"},
     ),
-    "evaluate-worst": (
-        (*EVALUATE, "--mode", "worst"), EVALUATE_KEYS | {"gamma", "delta", "eps_num"}
-    ),
-    "evaluate-best": ((*EVALUATE, "--mode", "best"), EVALUATE_KEYS | {"gamma", "delta", "eps_num"}),
+    "evaluate-worst": ((*EVALUATE, "--mode", "worst"), EVALUATE_KEYS | {"gamma", "delta"}),
+    "evaluate-best": ((*EVALUATE, "--mode", "best"), EVALUATE_KEYS | {"gamma", "delta"}),
     "evaluate-obedient": ((*EVALUATE, "--mode", "obedient"), EVALUATE_KEYS),
-    "evaluate-quantal": ((*EVALUATE, "--mode", "quantal:10"), EVALUATE_KEYS | {"eps_num"}),
-    "evaluate-perturbed": (
-        (*EVALUATE, "--mode", "perturbed:0.1"), EVALUATE_KEYS | {"seed", "eps_num"}
-    ),
+    "evaluate-quantal": ((*EVALUATE, "--mode", "quantal:10"), EVALUATE_KEYS),
+    "evaluate-perturbed": ((*EVALUATE, "--mode", "perturbed:0.1"), EVALUATE_KEYS | {"seed"}),
     "bounds": (
         ("bounds", "--instance", "judge", "--gamma", 0.03, "--samples", 5),
         {"command", "instance", "gamma", "delta", "samples", "seed", "eps_num"},
@@ -777,10 +774,6 @@ EPS_READERS = {
     "robustify-gamma": (
         ("robustify", "--instance", "judge", "--gamma", 0.03), "response_window"
     ),
-    "evaluate-worst": ((*EVALUATE, "--mode", "worst"), "evaluate_objective"),
-    "evaluate-best": ((*EVALUATE, "--mode", "best"), "evaluate_objective"),
-    "evaluate-quantal": ((*EVALUATE, "--mode", "quantal:10"), "approx_membership_mass"),
-    "evaluate-perturbed": ((*EVALUATE, "--mode", "perturbed:0.1"), "approx_membership_mass"),
     "bounds": (("bounds", "--instance", "judge", "--gamma", 0.03, "--samples", 5), "bounds_report"),
     "simulate-robustified": ((*SIMULATE, "--rounds", 10), "robustified_optimum"),
 }
@@ -856,8 +849,8 @@ def test_counts_below_one_exit_1(tmp_path, capsys, argv):
         (("robustify", "--instance", "judge", "--gamma", "nan"), "--gamma must be finite"),
         (("bounds", "--instance", "judge", "--gamma", "inf"), "--gamma must be finite"),
         ((*SIMULATE[:4], "robustified:nan", *SIMULATE[5:], "--rounds", 10), "bad numeric parameter in sender"),
-        # a negative tolerance empties every response set and drops ties
-        ((*EVALUATE, "--mode", "worst", "--eps-num", "-1"), "--eps-num must be at least 0"),
+        # a negative tie tolerance would profile every tie as a unique optimum
+        (("bounds", "--instance", "judge", "--gamma", 0.05, "--eps-num", "-1"), "--eps-num must be at least 0"),
         (("check-assumptions", "--instance", "example-1", "--eps-num", "-1"), "--eps-num must be at least 0"),
         # numpy's generators take no negative seed
         ((*SIMULATE, "--rounds", 10, "--seed", -1), "--seed must be at least 0"),
@@ -884,6 +877,7 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys, judge_opt, argv, message):
         ("robustify", "--instance", "judge", "--gamma", 0.01),
         ("robustify", "--instance", "judge", "--alpha", 0.1),
         (*SIMULATE, "--rounds", 10),
+        ("bounds", "--instance", "judge", "--gamma", 0.01, "--samples", 10),
     ],
 )
 def test_eps_num_reaches_the_profile(tmp_path, argv):
@@ -893,6 +887,14 @@ def test_eps_num_reaches_the_profile(tmp_path, argv):
     assert run("check-assumptions", "--instance", "judge", *tie, "--output-dir", tmp_path) == 2
     assert run(*argv, *tie, "--output-dir", tmp_path / "out") == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_bounds_window_holds_at_a_wide_eps_num(tmp_path, capsys):
+    # below judge's gap of 1 the tie tolerance moves no response set; when it
+    # also widened them, this run certified 0.0 and exited 3
+    argv = ("bounds", "--instance", "judge", "--gamma", 0.01, "--delta", 0.02, "--samples", 10)
+    assert run(*argv, "--eps-num", 0.1, "--output-dir", tmp_path) == 0
+    assert "certificate = 0.578199706; ok=True" in capsys.readouterr().out
 
 
 def test_nan_instance_file_exit_1(tmp_path, judge):

@@ -7,7 +7,9 @@ from ``ARGS``, keyed by parameter name, so a new such function is covered
 as soon as it is exported.  A mismatched scheme or strategy must raise a
 ``PersuasionError``: a returned value or any other exception fails.  The
 same walk finds every callable with an ``eps_num`` tolerance, which must
-reject a negative or non-finite one.
+reject a negative or non-finite one.  That tolerance is the instance
+profile's tie tolerance, so only the profile's readers take it; response
+sets take the fixed ``RESPONSE_SLACK``.
 """
 
 import inspect
@@ -137,7 +139,10 @@ def test_all_is_the_public_surface():
 def test_walk_finds_the_guarded_calls():
     assert {"advantage", "expected_utility", "robustify", "to_direct_revelation"} <= set(GUARDED)
     assert "empirical_conditional_utilities" in GUARDED
-    assert {"profile_instance", "evaluate_objective", "bounds_grid", *ROBUSTIFY} <= set(TOLERANT)
+
+
+def test_eps_num_is_read_by_the_profile_readers_only():
+    assert TOLERANT == sorted(["profile_instance", "bounds_grid", "bounds_report", *ROBUSTIFY])
 
 
 @pytest.mark.parametrize("name", GUARDED)

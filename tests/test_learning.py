@@ -1077,7 +1077,7 @@ class TestSchedule:
             gamma_s = math.log(2 * lam) / lam
             delta_s = 1.0 / lam
             vhat = (judge.receiver_utility @ rec.counts[s]) / T_s
-            mask = best_response_mask(vhat[None, :], gamma_s, 1e-12)[0]
+            mask = best_response_mask(vhat[None, :], gamma_s)[0]
             probs = exp_weights_probs(rec.counts[s : s + 1], judge.receiver_utility, np.array([float(T)]))[0]
             assert probs[mask].sum() >= 1.0 - delta_s
 
@@ -1128,6 +1128,21 @@ class TestConvergencePipeline:
         assert last.threshold_ok
         assert last.threshold_margin > 0
         assert last.budget_ok
+
+    def test_threshold_undefined_while_a_radius_is(self, judge):
+        # the radii of judge's two sent signals are undefined up to t = 150
+        # of 500 rounds: the margin is None there and the threshold fails
+        rep = convergence_report(judge, 0.2, 500, seeds=[0])
+        marginals = scheme_stats(judge, robustified_optimum(judge, 0.2)[0]).marginals
+        undefined = []
+        for c in rep.checkpoints:
+            radii = learning._radii(marginals, judge.n_actions, max(c.t - 1, 1))
+            assert (c.threshold_margin is None) == (None in radii)
+            if c.threshold_margin is None:
+                assert not c.threshold_ok
+                undefined.append(c.t)
+        assert undefined == [50, 100, 150]
+        assert rep.to_dict()["checkpoints"][0]["threshold_margin"] is None
 
     def test_trivial_constant_at_opt(self, judge):
         rep = convergence_report(judge, 0.7, 3_000, seeds=[1])

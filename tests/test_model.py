@@ -378,12 +378,12 @@ class TestAdvantage:
 class TestProjection:
     def test_mask_judge_gamma_zero(self, judge, judge_opt):
         stats = scheme_stats(judge, judge_opt)
-        mask = best_response_mask(stats.receiver_values, 0.0, 1e-9)
+        mask = best_response_mask(stats.receiver_values, 0.0)
         assert mask.tolist() == [[True, True], [False, True]]
 
     def test_mask_widens_with_gamma(self, judge, judge_opt):
         stats = scheme_stats(judge, judge_opt)
-        mask = best_response_mask(stats.receiver_values, 1.0, 1e-9)
+        mask = best_response_mask(stats.receiver_values, 1.0)
         assert mask.all()
 
     def test_projection_renormalizes_onto_set(self, judge, judge_opt):

@@ -34,7 +34,7 @@ from persuasion_lab import (
     scheme_stats,
     solve_classic,
 )
-from persuasion_lab.model import DEFAULT_EPS
+from persuasion_lab.model import RESPONSE_SLACK
 from persuasion_lab.response import _knife_edges, _objective_core, _stack_stats
 from persuasion_lab.sampling import random_scheme, satisfied_instance
 from support import random_instance
@@ -83,7 +83,7 @@ def per_signal_value(instance, scheme, gamma, delta, mode):
     bit, which pins the order in which signal values are summed.
     """
     stats = scheme_stats(instance, scheme)
-    mask = best_response_mask(stats.receiver_values, gamma, DEFAULT_EPS)
+    mask = best_response_mask(stats.receiver_values, gamma)
     sign = 1.0 if mode == "worst" else -1.0
     value = 0.0
     for s in range(scheme.n_signals):
@@ -120,7 +120,7 @@ def brute_force_value(instance, scheme, gamma, delta, mode):
         post = [j / marginal for j in joint]
         rv = [sum(post[w] * v[a][w] for w in range(m)) for a in range(n)]
         sv = [sum(post[w] * u[a][w] for w in range(m)) for a in range(n)]
-        cutoff = max(rv) - gamma - DEFAULT_EPS
+        cutoff = max(rv) - gamma - RESPONSE_SLACK
         # membership a rounding error away from the cutoff is not decidable
         assume(all(abs(r - cutoff) > 1e-12 for r in rv))
         inside = [a for a in range(n) if rv[a] >= cutoff]
@@ -140,9 +140,9 @@ def test_batch_rows_equal_single_evaluation(data, gamma, delta, mode):
     for batch_order in (range(len(schemes)), order):
         batch = [schemes[i] for i in batch_order]
         marginals, receiver_values, sender_values = _stack_stats(inst, batch)
-        mask = best_response_mask(receiver_values, gamma, DEFAULT_EPS)
+        mask = best_response_mask(receiver_values, gamma)
         values = _objective_core(marginals, sender_values, mask, delta, mode)[0]
-        knife = _knife_edges(marginals, receiver_values, gamma, DEFAULT_EPS)
+        knife = _knife_edges(marginals, receiver_values, gamma)
         for row, i in enumerate(batch_order):
             assert values[row] == singles[i].value
             flagged = tuple(schemes[i].signals[s] for s in np.flatnonzero(knife[row]))
@@ -155,7 +155,7 @@ def test_value_matches_brute_force(data, gamma, delta, mode):
     inst = data.draw(tie_instances())
     schemes = data.draw(scheme_lists(inst))
     marginals, receiver_values, sender_values = _stack_stats(inst, schemes)
-    mask = best_response_mask(receiver_values, gamma, DEFAULT_EPS)
+    mask = best_response_mask(receiver_values, gamma)
     values = _objective_core(marginals, sender_values, mask, delta, mode)[0]
     for value, scheme in zip(values, schemes):
         assert value == per_signal_value(inst, scheme, gamma, delta, mode)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from persuasion_lab import UnknownTargetError, ValidationError, reproduce
+from persuasion_lab import UnknownTargetError, ValidationError, builtin_instance, reproduce
 from persuasion_lab.repro import TARGETS, reproduce_bounds_sweep, reproduce_judge
 
 
@@ -20,6 +20,11 @@ def test_targets_frozen():
 def test_unknown_target():
     with pytest.raises(UnknownTargetError):
         reproduce("example-2")
+
+
+def test_unknown_builtin_instance():
+    with pytest.raises(UnknownTargetError, match="unknown instance 'nope'"):
+        builtin_instance("nope")
 
 
 @pytest.mark.parametrize("target", ["example-1", "judge"])

@@ -188,10 +188,10 @@ def test_drifted_suboptimal_basis_raises(monkeypatch):
     real = simplex._bland_iterate
     calls = []
 
-    def stop_after_phase_1(tableau, basis, allowed, max_iter):
+    def stop_after_phase_1(tableau, basis, max_iter):
         calls.append(1)
         if len(calls) == 1:
-            return real(tableau, basis, allowed, max_iter)
+            return real(tableau, basis, max_iter)
         tableau[0, -1] += 1e-3
         return 0
 
@@ -210,14 +210,14 @@ def test_suboptimal_basis_raises_without_drift(monkeypatch):
     calls = []
     short = []
 
-    def stop_one_pivot_early(tableau, basis, allowed, max_iter):
+    def stop_one_pivot_early(tableau, basis, max_iter):
         calls.append(1)
         if len(calls) == 1:
-            return real(tableau, basis, allowed, max_iter)
-        pivots = real(tableau.copy(), basis.copy(), allowed, max_iter)
+            return real(tableau, basis, max_iter)
+        pivots = real(tableau.copy(), basis.copy(), max_iter)
         assert pivots >= 1
         with pytest.raises(LPIterationLimitError):
-            real(tableau, basis, allowed, pivots - 1)
+            real(tableau, basis, pivots - 1)
         short.append(basis.copy())
         return pivots - 1
 
