@@ -361,10 +361,21 @@ class SchemeStats(NamedTuple):
 
 def scheme_stats(instance: PersuasionInstance, scheme: SignalingScheme) -> SchemeStats:
     check_scheme(instance, scheme)
-    joint = instance.prior[:, None] * scheme.conditional  # (m, S)
-    marginals = joint.sum(axis=0)
+    return _conditional_stats(instance, scheme.conditional)
+
+
+def _conditional_stats(instance: PersuasionInstance, conditional: np.ndarray) -> SchemeStats:
+    """``scheme_stats`` of an unchecked conditional ``(m, S)`` or stack ``(B, m, S)``.
+
+    A stack gets a leading batch axis on every field.  numpy's matmul runs
+    one product of S rows per scheme of the stack, so each scheme's values
+    are those of the scheme alone, bit for bit; a product over more rows
+    may round differently.
+    """
+    joint = instance.prior[:, None] * conditional  # (..., m, S)
+    marginals = joint.sum(axis=-2)
     safe = np.where(marginals > 0.0, marginals, 1.0)
-    posteriors = (joint / safe).T
+    posteriors = np.swapaxes(joint / safe[..., None, :], -1, -2)
     posteriors[marginals <= 0.0] = 0.0
     receiver_values = posteriors @ instance.receiver_utility.T
     sender_values = posteriors @ instance.sender_utility.T

@@ -24,9 +24,11 @@ from .model import (
     PersuasionInstance,
     ReceiverStrategy,
     SignalingScheme,
+    _conditional_stats,
     best_response_mask,
     check_eps_num,
     check_gamma,
+    check_scheme,
     check_sent,
     check_strategy,
     direct_scheme,
@@ -34,7 +36,7 @@ from .model import (
     scheme_stats,
 )
 from .robustify import response_window
-from .sampling import random_scheme
+from .sampling import random_conditional
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,27 +93,30 @@ class ObjectiveEstimate:
 
 
 def _stack_stats(
-    instance: PersuasionInstance, schemes: list[SignalingScheme]
+    instance: PersuasionInstance, conditionals: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``scheme_stats`` of several schemes along a leading batch axis.
+    """``scheme_stats`` of several checked conditionals along a leading batch axis.
 
     Returns ``(marginals, receiver_values, sender_values)`` of shapes
     ``(B, S)``, ``(B, S, n)`` and ``(B, S, n)``.  A scheme with fewer signals
     than the widest one is padded with signals of zero marginal, which every
     quantifier over signals skips.
     """
-    # one scheme_stats per scheme: a product over the whole stack would let
-    # a row's last bits depend on the rest of the batch
-    stats = [scheme_stats(instance, scheme) for scheme in schemes]
-    width = max((st.marginals.size for st in stats), default=1)
-    marginals = np.zeros((len(stats), width))
-    receiver_values = np.zeros((len(stats), width, instance.n_actions))
+    # one kernel call per signal count: a stack of equal widths keeps each
+    # scheme's matmul to its own S rows, so every row has the bits of the
+    # scheme alone, while a padded or flattened product would not
+    by_width: dict[int, list[int]] = {}
+    for k, cond in enumerate(conditionals):
+        by_width.setdefault(cond.shape[1], []).append(k)
+    width = max(by_width, default=1)
+    marginals = np.zeros((len(conditionals), width))
+    receiver_values = np.zeros((len(conditionals), width, instance.n_actions))
     sender_values = np.zeros_like(receiver_values)
-    for k, st in enumerate(stats):
-        S = st.marginals.size
-        marginals[k, :S] = st.marginals
-        receiver_values[k, :S] = st.receiver_values
-        sender_values[k, :S] = st.sender_values
+    for S, rows in by_width.items():
+        st = _conditional_stats(instance, np.stack([conditionals[k] for k in rows]))
+        marginals[rows, :S] = st.marginals
+        receiver_values[rows, :S] = st.receiver_values
+        sender_values[rows, :S] = st.sender_values
     return marginals, receiver_values, sender_values
 
 
@@ -180,7 +185,8 @@ def evaluate_objective(
     response set the whole mass goes there.
     """
     _check_objective_args(gamma, delta, mode)
-    marginals, receiver_values, sender_values = _stack_stats(instance, [scheme])
+    check_scheme(instance, scheme)
+    marginals, receiver_values, sender_values = _stack_stats(instance, [scheme.conditional])
     mask = best_response_mask(receiver_values, gamma)
     values, inner, outer, in_set = _objective_core(marginals, sender_values, mask, delta, mode)
 
@@ -313,6 +319,8 @@ def _tv_step(mu: np.ndarray, epsilon: float, rng: np.random.Generator) -> np.nda
 def _check_epsilon(epsilon: float) -> None:
     if not epsilon >= 0:  # NaN fails too
         raise ValidationError("epsilon must be nonnegative")
+    if not math.isfinite(2.0 * epsilon):  # the certificate's gamma and the step's L1 size
+        raise ValidationError(f"epsilon = {epsilon!r} overflows the perturbation step")
 
 
 def perturbed_posterior_strategy(
@@ -477,7 +485,8 @@ def bounds_grid(
 
     The cells share the work that does not depend on them: the classic LP
     and the candidate schemes with their statistics (every cell scores the
-    same candidates).  Each gamma's ``response_window`` profiles the
+    same candidates).  Sampled candidates stay bare conditionals
+    (``random_conditional``); they are never built as schemes.  Each gamma's ``response_window`` profiles the
     instance once at ``eps_num`` and gives the ratio gamma/(mu_min*gap), the
     mixing weight and the robustified certificate.
     """
@@ -493,13 +502,17 @@ def bounds_grid(
     opt_scheme, opt = solve_classic(instance)
     if schemes is None:
         rng = np.random.default_rng(seed)
-        schemes = [random_scheme(rng, instance) for _ in range(n_schemes)]
-    cand_marginals, cand_rv, cand_sv = _stack_stats(instance, schemes)
+        conditionals = [random_conditional(rng, instance) for _ in range(n_schemes)]
+    else:
+        for scheme in schemes:
+            check_scheme(instance, scheme)
+        conditionals = [scheme.conditional for scheme in schemes]
+    cand_marginals, cand_rv, cand_sv = _stack_stats(instance, conditionals)
 
     reports = []
     for gamma, window in zip(gammas, windows):
         certificate = window.robustify(opt_scheme)
-        cert_marginals, cert_rv, cert_sv = _stack_stats(instance, [certificate])
+        cert_marginals, cert_rv, cert_sv = _stack_stats(instance, [certificate.conditional])
         cert_mask = best_response_mask(cert_rv, gamma)
         cand_mask = best_response_mask(cand_rv, gamma)
         knife = int(_knife_edges(cert_marginals, cert_rv, gamma).any()) + int(

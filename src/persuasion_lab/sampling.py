@@ -54,8 +54,14 @@ def satisfied_instance(
     raise ValidationError(f"could not sample a satisfying instance in {max_tries} tries")
 
 
-def random_scheme(rng: np.random.Generator, instance: PersuasionInstance) -> SignalingScheme:
-    """Scheme with 1 to n_actions + 2 signals, each state's row drawn from a flat Dirichlet."""
+def random_conditional(rng: np.random.Generator, instance: PersuasionInstance) -> np.ndarray:
+    """Conditional ``(n_states, S)`` with S from 1 to n_actions + 2, each
+    state's row drawn from a flat Dirichlet."""
     n_signals = int(rng.integers(1, instance.n_actions + 3))
-    cond = rng.dirichlet(np.ones(n_signals), size=instance.n_states)
-    return make_scheme(instance, tuple(f"s{k}" for k in range(n_signals)), cond)
+    return rng.dirichlet(np.ones(n_signals), size=instance.n_states)
+
+
+def random_scheme(rng: np.random.Generator, instance: PersuasionInstance) -> SignalingScheme:
+    """The scheme of ``random_conditional``, with signals ``s0, s1, ...``."""
+    cond = random_conditional(rng, instance)
+    return make_scheme(instance, tuple(f"s{k}" for k in range(cond.shape[1])), cond)

@@ -6,7 +6,9 @@ both ``instance`` and ``scheme``; their other arguments come
 from ``ARGS``, keyed by parameter name, so a new such function is covered
 as soon as it is exported.  A mismatched scheme or strategy must raise a
 ``PersuasionError``: a returned value or any other exception fails.  The
-same walk finds every callable with an ``eps_num`` tolerance, which must
+bound reports take their candidates as ``schemes=``, outside that walk, so
+they and ``evaluate_objective`` are checked by name as well.  The same walk
+finds every callable with an ``eps_num`` tolerance, which must
 reject a negative or non-finite one.  That tolerance is the instance
 profile's tie tolerance, so only the profile's readers take it; response
 sets take the fixed ``RESPONSE_SLACK``.
@@ -22,6 +24,7 @@ import persuasion_lab
 from persuasion_lab import (
     DEFAULT_EPS,
     AssumptionViolatedError,
+    DimensionMismatchError,
     FixedSchemePolicy,
     NotDirectRevelationError,
     PersuasionError,
@@ -156,6 +159,16 @@ def test_scheme_for_other_states_raises(name, n_states, judge):
     scheme = SignalingScheme(judge.actions, np.full((n_states, judge.n_actions), 0.5))
     with pytest.raises(PersuasionError):
         call(name, judge, scheme)
+
+
+@pytest.mark.parametrize("n_states", [1, 3])
+@pytest.mark.parametrize("name", ["bounds_grid", "bounds_report", "evaluate_objective"])
+def test_scored_scheme_for_other_states_raises_mismatch(name, n_states, judge, judge_opt):
+    # the statistics kernel broadcasts a one-state conditional against the
+    # prior, so the scorers check each scheme, supplied candidates included
+    other = SignalingScheme(judge.actions, np.full((n_states, judge.n_actions), 0.5))
+    with pytest.raises(DimensionMismatchError):
+        call(name, judge, other, schemes=[judge_opt, other])
 
 
 @pytest.mark.parametrize("shape", [(1, 2), (3, 2), (2, 1), (2, 3)])

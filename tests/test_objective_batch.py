@@ -1,7 +1,10 @@
-"""Oracle tests for the batched objective core and the bound grid.
+"""Oracle tests for the batched statistics, the objective core and the bound grid.
 
-``response._objective_core`` scores a stack of schemes at once, padding
-narrow schemes with unsent signals.  Three properties pin it down:
+``response._stack_stats`` computes the statistics of a list of
+conditionals, one kernel call per signal count, and pads narrow schemes
+with unsent signals; each row must be that scheme's own ``scheme_stats``,
+bit for bit.  ``response._objective_core`` scores such a stack at once.
+Three properties pin it down:
 
 * each batch row is bit-identical to ``evaluate_objective`` on that scheme
   alone, whatever else shares the batch and in whatever order;
@@ -46,9 +49,9 @@ MODES = st.sampled_from(["worst", "best"])
 
 
 @st.composite
-def tie_instances(draw):
+def tie_instances(draw, max_states=4):
     rng = np.random.default_rng(draw(SEEDS))
-    base = random_instance(rng, max_states=4, max_actions=4)
+    base = random_instance(rng, max_states=max_states, max_actions=4)
     u = np.array(base.sender_utility)
     v = np.array(base.receiver_utility)
     if draw(st.booleans()):
@@ -130,6 +133,41 @@ def brute_force_value(instance, scheme, gamma, delta, mode):
     return total
 
 
+def same_bits(a, b):
+    """Equal shapes and bytes: a -0.0 differs from 0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_stack_rows_are_each_schemes_own_stats(data):
+    # up to 12 states: past 8 terms numpy sums a contiguous axis pairwise,
+    # as it does the state axis of a one-signal conditional
+    inst = data.draw(tie_instances(max_states=12))
+    schemes = data.draw(scheme_lists(inst, max_size=10))
+    order = data.draw(st.permutations(range(len(schemes))))
+    width = max(sch.n_signals for sch in schemes)
+    stack = _stack_stats(inst, [sch.conditional for sch in schemes])
+    n = inst.n_actions
+    assert [a.shape for a in stack] == [(len(schemes), width), *[(len(schemes), width, n)] * 2]
+    for row, scheme in enumerate(schemes):
+        stats = scheme_stats(inst, scheme)
+        S = scheme.n_signals
+        for got, want in zip(stack, (stats.marginals, stats.receiver_values, stats.sender_values)):
+            assert same_bits(got[row, :S], want)
+            assert same_bits(got[row, S:], np.zeros_like(got[row, S:]))
+    # a reordered list gives the same rows, reordered
+    moved = _stack_stats(inst, [schemes[i].conditional for i in order])
+    for got, want in zip(moved, stack):
+        assert same_bits(got, want[list(order)])
+
+
+def test_empty_stack_keeps_its_shapes(judge):
+    marginals, receiver_values, sender_values = _stack_stats(judge, [])
+    assert marginals.shape == (0, 1)
+    assert receiver_values.shape == sender_values.shape == (0, 1, judge.n_actions)
+
+
 @given(data=st.data(), gamma=GAMMAS, delta=DELTAS, mode=MODES)
 @settings(max_examples=150, deadline=None)
 def test_batch_rows_equal_single_evaluation(data, gamma, delta, mode):
@@ -139,7 +177,9 @@ def test_batch_rows_equal_single_evaluation(data, gamma, delta, mode):
     singles = [evaluate_objective(inst, sch, gamma, delta, mode) for sch in schemes]
     for batch_order in (range(len(schemes)), order):
         batch = [schemes[i] for i in batch_order]
-        marginals, receiver_values, sender_values = _stack_stats(inst, batch)
+        marginals, receiver_values, sender_values = _stack_stats(
+            inst, [sch.conditional for sch in batch]
+        )
         mask = best_response_mask(receiver_values, gamma)
         values = _objective_core(marginals, sender_values, mask, delta, mode)[0]
         knife = _knife_edges(marginals, receiver_values, gamma)
@@ -154,7 +194,8 @@ def test_batch_rows_equal_single_evaluation(data, gamma, delta, mode):
 def test_value_matches_brute_force(data, gamma, delta, mode):
     inst = data.draw(tie_instances())
     schemes = data.draw(scheme_lists(inst))
-    marginals, receiver_values, sender_values = _stack_stats(inst, schemes)
+    conditionals = [sch.conditional for sch in schemes]
+    marginals, receiver_values, sender_values = _stack_stats(inst, conditionals)
     mask = best_response_mask(receiver_values, gamma)
     values = _objective_core(marginals, sender_values, mask, delta, mode)[0]
     for value, scheme in zip(values, schemes):

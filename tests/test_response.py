@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -333,6 +334,19 @@ class TestPerturbedPosterior:
         # an infinite step would make a NaN belief, whose argmax is action 0
         with pytest.raises(ValidationError, match="overflows the perturbation step"):
             _tv_step(np.array([0.5, 0.5]), eps, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("eps", [1e308, math.inf])
+    def test_overflowing_epsilon_rejected_by_strategy_and_certificate(self, eps, judge, judge_opt):
+        # a certificate of gamma = inf would certify a strategy that cannot be built
+        with pytest.raises(ValidationError, match="overflows the perturbation step"):
+            perturbed_posterior_strategy(judge, judge_opt, eps, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="overflows the perturbation step"):
+            perturbed_posterior_certificate(eps)
+
+    def test_largest_finite_certificate(self):
+        # half the largest float doubles back to it exactly
+        eps = sys.float_info.max / 2.0
+        assert perturbed_posterior_certificate(eps) == (sys.float_info.max, 0.0)
 
 
 class TestDirectRevelationConversion:
