@@ -11,8 +11,9 @@ Determinism contract: a run is driven by three independent substreams
 consumed as one uniform per round through inverse-CDF sampling.  Identical
 (instance, policy, receiver, rounds, seed) give bit-identical traces; the
 bulk path reproduces the per-round loop exactly.  ``simulate`` draws and
-plays ``SIMULATE_CHUNK`` rounds at a time, so a run holds its trace plus one
-chunk of working memory, and no output depends on the chunk size.
+plays ``SIMULATE_CHUNK`` rounds at a time, so a run holds its trace, one byte
+per index for up to 128 states, signals and actions, plus one chunk of
+working memory, and no output depends on the chunk size.
 """
 
 from __future__ import annotations
@@ -406,9 +407,12 @@ def _csv_cells(rows) -> list[str]:
 class SimulationTrace:
     """Full per-round record of one run: the state, signal and action indices drawn.
 
-    ``scheme`` is the fixed sender's committed scheme, ``None`` for any
-    other sender.  Each read of ``sender_utils`` or ``running_avg`` computes
-    a full-horizon array; checkpoint diagnostics are computed on demand.
+    ``simulate`` stores each index array in the smallest signed integer
+    dtype that holds every index, int8 for up to 128 states, signals and
+    actions.  ``scheme`` is the fixed sender's committed scheme, ``None``
+    for any other sender.  Each read of ``sender_utils`` or ``running_avg``
+    computes a full-horizon float array; ``final_average``, the checkpoint
+    diagnostics and ``to_csv`` read the running average one chunk at a time.
     """
 
     instance: PersuasionInstance
@@ -427,16 +431,42 @@ class SimulationTrace:
     def sender_utils(self) -> np.ndarray:
         return self.instance.sender_utility[self.actions, self.states]
 
+    def _running_avg_chunks(self, size: int | None = None):
+        """The running average as ``(lo, avg)``, ``avg`` for rounds ``lo + 1 ..``, ``size`` at a time.
+
+        ``size`` defaults to ``SIMULATE_CHUNK``.  The running sum is carried
+        from chunk to chunk and round 1 gets no addend, so every value has
+        the bits of one ``np.cumsum`` over the horizon, -0.0 included.
+        """
+        size = size or SIMULATE_CHUNK
+        total = 0.0
+        for lo in range(0, self.rounds, size):
+            hi = min(lo + size, self.rounds)
+            avg = self.instance.sender_utility[self.actions[lo:hi], self.states[lo:hi]]
+            if lo:
+                avg[0] += total
+            np.cumsum(avg, out=avg)
+            total = avg[-1]
+            avg /= np.arange(lo + 1, hi + 1)
+            yield lo, avg
+
+    def _running_avg_at(self, marks: Sequence[int]) -> list[float]:
+        """``running_avg[t - 1]`` for each of the ascending rounds ``marks``."""
+        idx = np.asarray(marks) - 1
+        out = []
+        for lo, avg in self._running_avg_chunks():
+            a, b = np.searchsorted(idx, (lo, lo + avg.size))
+            out += avg[idx[a:b] - lo].tolist()
+        return out
+
     @property
     def running_avg(self) -> np.ndarray:
-        """Mean sender utility over rounds 1..t; round 1 gets no addend, so -0.0 stays."""
-        avg = np.cumsum(self.sender_utils)
-        avg /= np.arange(1, self.rounds + 1)
-        return avg
+        """Mean sender utility over rounds 1..t, for every round t."""
+        return np.concatenate([avg for _, avg in self._running_avg_chunks()])
 
     @property
     def final_average(self) -> float:
-        return float(self.running_avg[-1])
+        return self._running_avg_at([self.rounds])[0]
 
     def _obeyed(self, start: int, stop: int | None) -> int:
         """Number of rounds ``[start:stop]`` whose action index is the signal's."""
@@ -467,10 +497,10 @@ class SimulationTrace:
         """
         marginals = None if self.scheme is None else scheme_stats(self.instance, self.scheme).marginals
         direct = self.signal_ids == self.instance.actions
-        running_avg = self.running_avg
+        marks = checkpoint_marks(self.rounds, every)
         out = []
         prev = obeyed = 0
-        for t in checkpoint_marks(self.rounds, every):
+        for t, running_avg in zip(marks, self._running_avg_at(marks)):
             radius = None
             if marginals is not None:
                 radii = _radii(marginals, self.instance.n_actions, t)
@@ -481,7 +511,7 @@ class SimulationTrace:
             out.append(
                 Checkpoint(
                     t=t,
-                    running_avg=float(running_avg[t - 1]),
+                    running_avg=running_avg,
                     obedience_frequency=obeyed / t if direct else None,
                     window_obedience=window / (t - prev) if direct else None,
                     max_radius=radius,
@@ -498,7 +528,8 @@ class SimulationTrace:
         floats as ``repr``.  ``u`` and ``v`` are the instance's utilities at
         (action, state), so each name and each (action, state) cell is
         formatted once per trace; only ``running_avg`` is formatted per row.
-        Rows are written ``TRACE_CHUNK`` at a time.
+        Rows are written ``TRACE_CHUNK`` at a time, their indices widened to
+        int64 before they are combined into cell codes.
         """
         inst = self.instance
         W, S = inst.n_states, len(self.signal_ids)
@@ -509,17 +540,18 @@ class SimulationTrace:
             for i, a in enumerate(inst.actions)
             for w in range(W)
         )
-        running_avg = self.running_avg
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write("t,state,signal,action,u,v,running_avg\r\n")
-            for lo in range(0, self.rounds, TRACE_CHUNK):
-                hi = min(lo + TRACE_CHUNK, self.rounds)
-                states = self.states[lo:hi]
+            for lo, running_avg in self._running_avg_chunks(TRACE_CHUNK):
+                hi = lo + running_avg.size
+                states, signals, actions = (
+                    x[lo:hi].astype(np.int64) for x in (self.states, self.signals, self.actions)
+                )
                 rows = zip(
                     range(lo + 1, hi + 1),
-                    (states * S + self.signals[lo:hi]).tolist(),
-                    (self.actions[lo:hi] * W + states).tolist(),
-                    running_avg[lo:hi].tolist(),
+                    (states * S + signals).tolist(),
+                    (actions * W + states).tolist(),
+                    running_avg.tolist(),
                 )
                 lines = [f"{t},{state_signal[i]}{action_uv[j]}{r!r}\r\n" for t, i, j, r in rows]
                 fh.write("".join(lines))
@@ -595,11 +627,12 @@ def simulate(
     The receiver only ever sees (signal, round index, its own uniform draw)
     before acting; states and payoffs reach it through feedback after the
     action is fixed.  Rounds are drawn and played ``SIMULATE_CHUNK`` at a
-    time into the preallocated trace.  With ``fast=True`` a built-in sender
-    and receiver play each chunk in bulk, through ``signals_for_states`` and
-    ``bulk_actions``; the result and the receiver's final state are
-    identical either way.  Types are tested exactly: a subclass may override
-    ``act``, ``feed`` or ``round_cdf``, none of which the bulk path calls.
+    time, in int64, into the preallocated trace of narrow index arrays.
+    With ``fast=True`` a built-in sender and receiver play each chunk in
+    bulk, through ``signals_for_states`` and ``bulk_actions``; the result
+    and the receiver's final state are identical either way.  Types are
+    tested exactly: a subclass may override ``act``, ``feed`` or
+    ``round_cdf``, none of which the bulk path calls.
     """
     if rounds < 1:
         raise ValidationError("rounds must be positive")
@@ -612,15 +645,18 @@ def simulate(
     bulk = fast and type(policy) in _BULK_SENDERS and type(receiver) in _RECEIVERS.values()
     v = instance.receiver_utility
 
-    states = np.empty(rounds, dtype=np.int64)
-    signals = np.empty(rounds, dtype=np.int64)
-    actions = np.empty(rounds, dtype=np.int64)
+    # the smallest signed dtype that holds every index: int8 up to 128 of each
+    dtype = np.min_scalar_type(-max(instance.n_states, len(signal_ids), instance.n_actions))
+    states = np.empty(rounds, dtype=dtype)
+    signals = np.empty(rounds, dtype=dtype)
+    actions = np.empty(rounds, dtype=dtype)
     for lo, w, u_signals, u_actions in _round_chunks(instance, rounds, _spawn_rngs(seed)):
         hi = lo + w.size
         states[lo:hi] = w
         if bulk:
-            signals[lo:hi] = policy.signals_for_states(w, u_signals)
-            actions[lo:hi] = receiver.bulk_actions(w, signals[lo:hi], u_actions, lo)
+            s = policy.signals_for_states(w, u_signals)
+            signals[lo:hi] = s
+            actions[lo:hi] = receiver.bulk_actions(w, s, u_actions, lo)
         else:
             for i, state in enumerate(w.tolist()):
                 t = lo + i + 1
@@ -816,37 +852,3 @@ def convergence_report(
         last_decile_obedience=tail_obedience,
         checkpoints=tuple(checkpoints),
     )
-
-
-# ---------------------------------------------------------------------------
-# concentration of empirical conditional utilities
-
-
-def empirical_conditional_utilities(
-    instance: PersuasionInstance,
-    scheme: SignalingScheme,
-    t: int,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw t rounds under a fixed scheme; per-signal empirical action values.
-
-    Returns (visited mask over signals, matrix of v(a, empirical posterior)).
-    Rows for unvisited signals are zero.  The states and signals are
-    ``simulate``'s, drawn through the same ``_round_chunks``.
-    """
-    if t < 1:
-        raise ValidationError("t must be positive")
-    check_scheme(instance, scheme)
-    policy = FixedSchemePolicy(scheme)
-    S, m = scheme.n_signals, instance.n_states
-    counts = np.zeros(S * m, dtype=np.int64)
-    for _, states, u_signals in _round_chunks(instance, t, _spawn_rngs(seed)[:2]):
-        signals = policy.signals_for_states(states, u_signals)
-        counts += np.bincount(signals * m + states, minlength=S * m)
-    counts = counts.reshape(S, m)
-    totals = counts.sum(axis=1)
-    visited = totals > 0
-    freq = counts / np.where(visited, totals, 1)[:, None]
-    vhat = freq @ instance.receiver_utility.T
-    vhat[~visited] = 0.0
-    return visited, vhat

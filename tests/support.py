@@ -1,6 +1,7 @@
 """Test inputs and oracles the library does not ship: unconstrained random
 instances, strategies drawn from a response set, the judge's optimal scheme,
-and an exact rational check of a simplex basis."""
+empirical conditional utilities drawn as ``simulate`` draws them, an exact
+rational check of a simplex basis, and Example 4.3's summary gathered whole."""
 
 from fractions import Fraction
 from pathlib import Path
@@ -8,15 +9,19 @@ from pathlib import Path
 import numpy as np
 
 from persuasion_lab import (
+    FixedSchemePolicy,
     PersuasionInstance,
     ReceiverStrategy,
     SignalingScheme,
+    ValidationError,
     approx_set,
     builtin_instance,
     load_scheme,
     scheme_stats,
 )
-from persuasion_lab.model import obedience_margins
+from persuasion_lab.learning import _round_chunks, _spawn_rngs
+from persuasion_lab.model import check_scheme, obedience_margins
+from persuasion_lab.repro import AlternatingStats
 
 
 def judge_optimal_scheme() -> SignalingScheme:
@@ -91,6 +96,36 @@ def deterministic_responding_strategy(
     return ReceiverStrategy(rho)
 
 
+def empirical_conditional_utilities(
+    instance: PersuasionInstance,
+    scheme: SignalingScheme,
+    t: int,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw t rounds under a fixed scheme; per-signal empirical action values.
+
+    Returns (visited mask over signals, matrix of v(a, empirical posterior)).
+    Rows for unvisited signals are zero.  The states and signals are
+    ``simulate``'s, drawn through the same ``_round_chunks``.
+    """
+    if t < 1:
+        raise ValidationError("t must be positive")
+    check_scheme(instance, scheme)
+    policy = FixedSchemePolicy(scheme)
+    S, m = scheme.n_signals, instance.n_states
+    counts = np.zeros(S * m, dtype=np.int64)
+    for _, states, u_signals in _round_chunks(instance, t, _spawn_rngs(seed)[:2]):
+        signals = policy.signals_for_states(states, u_signals)
+        counts += np.bincount(signals * m + states, minlength=S * m)
+    counts = counts.reshape(S, m)
+    totals = counts.sum(axis=1)
+    visited = totals > 0
+    freq = counts / np.where(visited, totals, 1)[:, None]
+    vhat = freq @ instance.receiver_utility.T
+    vhat[~visited] = 0.0
+    return visited, vhat
+
+
 def _solve_exact(M: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
     """Solve ``M z = rhs`` by Gauss-Jordan elimination; None when singular."""
     n = len(M)
@@ -145,3 +180,22 @@ def exact_basis_violations(
     if abs(Fraction(objective) - value) > 1e-12:
         violations.append(f"objective {objective!r} is not within 1e-12 of {float(value)!r}")
     return violations
+
+
+def whole_alternating_stats(trace) -> AlternatingStats:
+    """Example 4.3's summary from whole-horizon gathers: ``np.mean`` over every round of a signal."""
+    s1 = trace.signals == 0
+    s1_states = trace.states[s1]
+    utils = trace.sender_utils
+
+    def mean(values):
+        return float(values.mean()) if values.size else None
+
+    return AlternatingStats(
+        seed=trace.seed,
+        overall_avg=float(np.cumsum(utils)[-1] / trace.rounds),
+        s1_fraction=float(s1.mean()),
+        s1_mean=mean(utils[s1]),
+        s2_mean=mean(utils[~s1]),
+        alternation_ok=bool(np.all(s1_states[0::2] == 0) and np.all(s1_states[1::2] == 1)),
+    )

@@ -12,7 +12,6 @@ import pytest
 from persuasion_lab import (
     approx_membership_mass,
     direct_scheme,
-    empirical_conditional_utilities,
     evaluate_objective,
     expected_utility,
     full_revelation_scheme,
@@ -38,6 +37,7 @@ from persuasion_lab.sampling import random_scheme, satisfied_instance
 from support import (
     approx_responding_strategy,
     deterministic_responding_strategy,
+    empirical_conditional_utilities,
     random_instance,
 )
 

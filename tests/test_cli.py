@@ -350,13 +350,13 @@ class TestSimulate:
     def test_running_average_derived_twice_per_seed(self, tmp_path, monkeypatch):
         # once for the trace CSV, once for the checkpoints, whose last is the final average
         derived = []
-        running_avg = SimulationTrace.running_avg.fget
+        chunks = SimulationTrace._running_avg_chunks
 
-        def spy(trace):
+        def spy(trace, *args):
             derived.append(trace.seed)
-            return running_avg(trace)
+            return chunks(trace, *args)
 
-        monkeypatch.setattr(SimulationTrace, "running_avg", property(spy))
+        monkeypatch.setattr(SimulationTrace, "_running_avg_chunks", spy)
         argv = (*SIMULATE, "--rounds", 200, "--seeds", 2, "--output-dir", tmp_path)
         assert run(*argv) == 0
         assert sorted(derived) == [0, 0, 1, 1]

@@ -1,7 +1,7 @@
 """Every public call on an (instance, scheme) pair checks the pair first.
 
 The callables are found by walking ``persuasion_lab.__all__``, and the
-test generators that draw a strategy from a pair, for a signature with
+test helpers in ``support`` that read a pair, for a signature with
 both ``instance`` and ``scheme``; their other arguments come
 from ``ARGS``, keyed by parameter name, so a new such function is covered
 as soon as it is exported.  A mismatched scheme or strategy must raise a
@@ -42,12 +42,18 @@ from persuasion_lab import (
 from support import (
     approx_responding_strategy,
     deterministic_responding_strategy,
+    empirical_conditional_utilities,
     judge_optimal_scheme,
 )
 
-# the package's exports, and the test generators that read a pair through them
+# the package's exports, and the test helpers that read a pair through them
 CALLABLES = {name: getattr(persuasion_lab, name) for name in persuasion_lab.__all__} | {
-    fn.__name__: fn for fn in (approx_responding_strategy, deterministic_responding_strategy)
+    fn.__name__: fn
+    for fn in (
+        approx_responding_strategy,
+        deterministic_responding_strategy,
+        empirical_conditional_utilities,
+    )
 }
 
 

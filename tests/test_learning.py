@@ -1,7 +1,10 @@
 import csv
+import dataclasses
+import gc
 import hashlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from persuasion_lab import (
     ExpWeights,
     FixedSchemePolicy,
     PersuasionInstance,
+    SignalingScheme,
     SimulationTrace,
     ValidationError,
     WrongInstanceError,
@@ -21,7 +25,6 @@ from persuasion_lab import (
     builtin_instance,
     convergence_report,
     empirical_br_probs,
-    empirical_conditional_utilities,
     exp3_act,
     exp_weights_certificate,
     exp_weights_probs,
@@ -34,11 +37,16 @@ from persuasion_lab import (
     simulate,
     solve_classic,
 )
-from persuasion_lab import learning
+from persuasion_lab import cli, learning, repro
 from persuasion_lab.model import best_response_mask
 from persuasion_lab.repro import alternating_stats
 from persuasion_lab.sampling import satisfied_instance
-from support import judge_optimal_scheme, random_instance
+from support import (
+    empirical_conditional_utilities,
+    judge_optimal_scheme,
+    random_instance,
+    whole_alternating_stats,
+)
 
 
 class FirstActionExpWeights(ExpWeights):
@@ -445,7 +453,8 @@ def wide_random_instance():
 
 
 # sha256 over the states, signals and actions of 20,000 rounds at seed 3,
-# which cross a ``SIMULATE_CHUNK`` boundary; the random instance has 4
+# which cross a ``SIMULATE_CHUNK`` boundary, each hashed as little-endian
+# int64 whatever dtype the trace stores it in; the random instance has 4
 # states and 11 actions, where numpy sums a row in unrolled partial sums
 WIDE_TRACE_PINS = {
     ("satisfied", "exp-weights"): "a4e7a9fb665323136753329febfd17c614f254190afcb6e6e7ce8011d801a3ab",
@@ -467,8 +476,86 @@ def test_wide_traces_match_pins(draw, kind):
     tr = simulate(inst, FixedSchemePolicy(scheme), make_receiver(kind), 20_000, 3)
     digest = hashlib.sha256()
     for name in STORED_ARRAYS:
-        digest.update(getattr(tr, name).tobytes())
+        digest.update(np.asarray(getattr(tr, name), dtype="<i8").tobytes())
     assert digest.hexdigest() == WIDE_TRACE_PINS[draw, kind]
+
+
+def wide_index_trace(rounds: int = 5000, dtype=np.int8) -> SimulationTrace:
+    """A hand-built trace of 12 states, signals and actions with non-dyadic utilities.
+
+    Both cell codes ``to_csv`` forms, ``state * 12 + signal`` and ``action *
+    12 + state``, run up to 143, past int8's 127.
+    """
+    rng = np.random.default_rng(12)
+    inst = PersuasionInstance(
+        tuple(f"w{k}" for k in range(12)),
+        tuple(f"a{k}" for k in range(12)),
+        rng.dirichlet(np.ones(12)),
+        rng.random((12, 12)),
+        rng.random((12, 12)),
+    )
+    indices = [rng.integers(0, 12, rounds).astype(dtype) for _ in STORED_ARRAYS]
+    return SimulationTrace(inst, tuple(f"s{k}" for k in range(12)), *indices, seed=0, scheme=None)
+
+
+def widened(trace: SimulationTrace, dtype) -> SimulationTrace:
+    """The trace with its index arrays cast to ``dtype``."""
+    return dataclasses.replace(
+        trace, **{name: getattr(trace, name).astype(dtype) for name in STORED_ARRAYS}
+    )
+
+
+def one_wide_axis(axis: str, n: int) -> tuple[PersuasionInstance, SignalingScheme]:
+    """An instance and scheme with ``n`` states, signals or actions and 2 of the others."""
+    rng = np.random.default_rng(n)
+    m, k, a = (n if axis == name else 2 for name in STORED_ARRAYS)
+    inst = PersuasionInstance(
+        tuple(f"w{i}" for i in range(m)),
+        tuple(f"a{i}" for i in range(a)),
+        rng.dirichlet(np.ones(m)),
+        rng.random((a, m)),
+        rng.random((a, m)),
+    )
+    return inst, make_scheme(inst, tuple(f"s{i}" for i in range(k)), rng.dirichlet(np.ones(k), m))
+
+
+class TestNarrowIndices:
+    @pytest.mark.parametrize("n, dtype", [(2, np.int8), (128, np.int8), (129, np.int16)])
+    @pytest.mark.parametrize("axis", STORED_ARRAYS)
+    @pytest.mark.parametrize("receiver_cls", [ExpWeights, Exp3])
+    def test_simulate_stores_the_narrowest_dtype(self, axis, n, dtype, receiver_cls):
+        # the widest of the three axes decides, on both paths
+        inst, scheme = one_wide_axis(axis, n)
+        traces = [
+            simulate(inst, FixedSchemePolicy(scheme), receiver_cls(), 300, 1, fast=fast)
+            for fast in (True, False)
+        ]
+        for trace in traces:
+            assert [getattr(trace, name).dtype for name in STORED_ARRAYS] == [dtype] * 3
+        assert_same_trace(*traces)
+
+    def test_cell_codes_past_int8_match_the_oracle(self, tmp_path):
+        trace = wide_index_trace()
+        assert trace.states.dtype == np.int8
+        wide = widened(trace, np.int64)
+        assert (wide.states * 12 + wide.signals).max() > 127
+        assert (wide.actions * 12 + wide.states).max() > 127
+        TestTraceCsv().assert_oracle_bytes(trace, tmp_path)
+
+    @pytest.mark.parametrize("source", ["hand-built", "simulated"])
+    def test_int64_trace_writes_the_narrow_bytes(self, judge, judge_opt, tmp_path, source):
+        if source == "hand-built":
+            wide = wide_index_trace(dtype=np.int64)
+        else:
+            wide = widened(simulate(judge, FixedSchemePolicy(judge_opt), Exp3(), 5000, 3), np.int64)
+        narrow = widened(wide, np.int8)
+        for label, trace in (("wide", wide), ("narrow", narrow)):
+            trace.to_csv(tmp_path / f"{label}.csv")
+            trace.checkpoints_to_csv(tmp_path / f"{label}-diagnostics.csv", 700)
+        for name in ("", "-diagnostics"):
+            assert (tmp_path / f"wide{name}.csv").read_bytes() == (
+                tmp_path / f"narrow{name}.csv"
+            ).read_bytes()
 
 
 class TestDerivedTrace:
@@ -1102,6 +1189,132 @@ class TestAlternatingLongRun:
         s1_states = tr.states[tr.signals == 0]
         assert np.all(s1_states[0::2] == 0)
         assert np.all(s1_states[1::2] == 1)
+
+
+def two_signal_trace(rounds: int) -> SimulationTrace:
+    """A hand-built trace of two signals, s1 on about a third of the rounds, with non-dyadic utilities."""
+    rng = np.random.default_rng(43)
+    inst = random_instance(rng, max_states=5, max_actions=4)
+    return SimulationTrace(
+        inst,
+        ("s1", "s2"),
+        states=rng.integers(0, inst.n_states, rounds).astype(np.int8),
+        signals=(rng.random(rounds) > 0.3).astype(np.int8),
+        actions=rng.integers(0, inst.n_actions, rounds).astype(np.int8),
+        seed=5,
+        scheme=None,
+    )
+
+
+# beyond the trace arrays, a per-seed summary holds a chunk or two of
+# working memory; a full-horizon float64 temporary at 800k rounds is 6.4 MB
+SUMMARY_ROUNDS = 800_000
+SUMMARY_BOUND = 3_000_000
+
+
+def summary_peaks(monkeypatch, run) -> list[int]:
+    """The tracemalloc peak of each per-seed summary that ``run()`` makes, each trace already made."""
+    peaks = []
+    run_replications = learning.run_replications
+
+    def measured(instance, policy_factory, receiver_factory, rounds, seeds, summarize, **kwargs):
+        def one(trace):
+            tracemalloc.start()
+            try:
+                out = summarize(trace)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return out
+
+        return run_replications(instance, policy_factory, receiver_factory, rounds, seeds, one, **kwargs)
+
+    for module in (learning, repro, cli):
+        monkeypatch.setattr(module, "run_replications", measured)
+    run()
+    return peaks
+
+
+class TestChunkedSummaries:
+    ROUNDS = 2 * learning.SIMULATE_CHUNK + 1234
+
+    @pytest.mark.parametrize("chunk", [7, 1000, learning.SIMULATE_CHUNK])
+    def test_alternating_stats_match_whole_gathers(self, monkeypatch, chunk):
+        trace = two_signal_trace(self.ROUNDS)
+        want = whole_alternating_stats(trace)
+        monkeypatch.setattr(learning, "SIMULATE_CHUNK", chunk)
+        assert repr(alternating_stats(trace)) == repr(want)
+        # the order of the additions shows in the bits: one sequential sum differs
+        s1 = trace.signals == 0
+        sequential = float(np.cumsum(trace.sender_utils[s1])[-1] / np.count_nonzero(s1))
+        assert sequential != want.s1_mean
+
+    def test_alternating_stats_of_a_simulated_run(self, mismatch):
+        trace = simulate(
+            mismatch, AlternatingSignalPolicy(mismatch), EmpiricalBestResponse(), self.ROUNDS, 2
+        )
+        assert repr(alternating_stats(trace)) == repr(whole_alternating_stats(trace))
+
+    def test_trace_is_freed_without_the_cycle_collector(self, mismatch):
+        # a reference cycle through the summary would hold each seed's trace
+        # until a collection, and peak RSS would grow with every seed
+        trace = simulate(mismatch, AlternatingSignalPolicy(mismatch), EmpiricalBestResponse(), 5000, 1)
+        freed = weakref.ref(trace)
+        gc.disable()
+        try:
+            alternating_stats(trace)
+            trace.checkpoints()
+            del trace
+            assert freed() is None
+        finally:
+            gc.enable()
+
+    def test_unsent_signal_has_no_mean(self):
+        trace = dataclasses.replace(two_signal_trace(500), signals=np.ones(500, dtype=np.int8))
+        stats = alternating_stats(trace)
+        assert stats.s1_mean is None and stats.s1_fraction == 0.0
+        assert repr(stats) == repr(whole_alternating_stats(trace))
+
+    @pytest.mark.parametrize("every", [None, 1, 997])
+    @pytest.mark.parametrize("chunk, rounds", [(7, 450), (learning.SIMULATE_CHUNK, ROUNDS)])
+    def test_checkpoints_read_the_running_average(
+        self, judge, judge_opt, monkeypatch, every, chunk, rounds
+    ):
+        monkeypatch.setattr(learning, "SIMULATE_CHUNK", chunk)
+        trace = simulate(judge, FixedSchemePolicy(judge_opt), ExpWeights(), rounds, 6)
+        running_avg = trace.running_avg
+        got = trace.checkpoints(every)
+        assert [c.t for c in got] == learning.checkpoint_marks(rounds, every)
+        for c in got:
+            assert repr(c.running_avg) == repr(float(running_avg[c.t - 1]))
+        assert repr(trace.final_average) == repr(float(running_avg[-1]))
+
+    @pytest.mark.parametrize("summary", ["alternating_stats", "convergence_report", "cli simulate"])
+    def test_summaries_hold_no_full_horizon_array(self, judge, monkeypatch, tmp_path, summary):
+        runs = {
+            "alternating_stats": lambda: repro.reproduce_example_4_3(SUMMARY_ROUNDS, n_seeds=1),
+            "convergence_report": lambda: convergence_report(judge, 0.2, SUMMARY_ROUNDS, [0]),
+            "cli simulate": lambda: cli.main(
+                [
+                    "simulate", "--instance", "judge", "--sender", "robustified:0.2",
+                    "--receiver", "exp-weights", "--rounds", str(SUMMARY_ROUNDS),
+                    "--output-dir", str(tmp_path),
+                ]
+            ),
+        }
+        peaks = summary_peaks(monkeypatch, runs[summary])
+        assert len(peaks) == 1 and peaks[0] < SUMMARY_BOUND, peaks
+
+    def test_a_full_horizon_temporary_fails_the_bound(self, judge, judge_opt, monkeypatch):
+        run = lambda: learning.run_replications(
+            judge,
+            lambda: FixedSchemePolicy(judge_opt),
+            ExpWeights,
+            SUMMARY_ROUNDS,
+            [0],
+            lambda trace: float(trace.sender_utils[-1]),
+        )
+        assert summary_peaks(monkeypatch, run)[0] >= SUMMARY_BOUND
 
 
 class TestConvergencePipeline:
