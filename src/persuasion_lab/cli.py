@@ -107,8 +107,18 @@ def _resolve_instance(ref: str):
     return load_instance(path)
 
 
+def _make_dir(outdir: Path) -> None:
+    """Create ``outdir`` and its parents; a path that cannot be one is a validation error."""
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(
+            f"--output-dir {str(outdir)!r} cannot be made: {exc.strerror or exc}"
+        ) from exc
+
+
 def _write_text(outdir: Path, name: str, text: str) -> Path:
-    outdir.mkdir(parents=True, exist_ok=True)
+    _make_dir(outdir)
     path = outdir / name
     path.write_text(text)
     return path
@@ -364,7 +374,7 @@ def _cmd_simulate(args) -> int:
 
     def write_seed(trace) -> dict:
         """Write one seed's files as it finishes; keep only its report row."""
-        out.mkdir(parents=True, exist_ok=True)
+        _make_dir(out)
         trace.to_csv(out / f"trace-seed{trace.seed}.csv")
         diagnostics = out / f"diagnostics-seed{trace.seed}.csv"
         last = trace.checkpoints_to_csv(diagnostics, checkpoint_every)[-1]  # at t = rounds

@@ -403,6 +403,22 @@ def _csv_cells(rows) -> list[str]:
     return out
 
 
+def carried_cumsum(values: np.ndarray, total: np.float64 | None) -> np.float64 | None:
+    """Turn ``values`` in place into running sums that continue ``total``, and return the last.
+
+    ``total`` is the last sum of the parts before, ``None`` before the first
+    value, which gets no addend.  So sums carried part to part have the bits
+    of one ``np.cumsum`` over the parts joined, -0.0 included.  An empty
+    part returns ``total``.
+    """
+    if not values.size:
+        return total
+    if total is not None:
+        values[0] += total
+    np.cumsum(values, out=values)
+    return values[-1]
+
+
 @dataclass(frozen=True, eq=False)
 class SimulationTrace:
     """Full per-round record of one run: the state, signal and action indices drawn.
@@ -411,8 +427,9 @@ class SimulationTrace:
     dtype that holds every index, int8 for up to 128 states, signals and
     actions.  ``scheme`` is the fixed sender's committed scheme, ``None``
     for any other sender.  Each read of ``sender_utils`` or ``running_avg``
-    computes a full-horizon float array; ``final_average``, the checkpoint
-    diagnostics and ``to_csv`` read the running average one chunk at a time.
+    computes a full-horizon float array; ``chunks`` reads the trace one chunk
+    at a time, and ``final_average``, the checkpoint diagnostics and
+    ``to_csv`` read the running average through it.
     """
 
     instance: PersuasionInstance
@@ -431,30 +448,33 @@ class SimulationTrace:
     def sender_utils(self) -> np.ndarray:
         return self.instance.sender_utility[self.actions, self.states]
 
-    def _running_avg_chunks(self, size: int | None = None):
-        """The running average as ``(lo, avg)``, ``avg`` for rounds ``lo + 1 ..``, ``size`` at a time.
+    def chunks(self, size: int | None = None):
+        """The trace ``size`` rounds at a time, as ``(lo, states, signals, actions, utils)``.
 
-        ``size`` defaults to ``SIMULATE_CHUNK``.  The running sum is carried
-        from chunk to chunk and round 1 gets no addend, so every value has
-        the bits of one ``np.cumsum`` over the horizon, -0.0 included.
+        Each chunk covers rounds ``lo + 1 ..``; ``utils`` is a new array of
+        the sender's utilities in those rounds, the rest are views.  ``size``
+        defaults to ``SIMULATE_CHUNK``.
         """
         size = size or SIMULATE_CHUNK
-        total = 0.0
         for lo in range(0, self.rounds, size):
-            hi = min(lo + size, self.rounds)
-            avg = self.instance.sender_utility[self.actions[lo:hi], self.states[lo:hi]]
-            if lo:
-                avg[0] += total
-            np.cumsum(avg, out=avg)
-            total = avg[-1]
-            avg /= np.arange(lo + 1, hi + 1)
-            yield lo, avg
+            states, signals, actions = (
+                x[lo : lo + size] for x in (self.states, self.signals, self.actions)
+            )
+            yield lo, states, signals, actions, self.instance.sender_utility[actions, states]
+
+    def _running_avg_chunks(self, size: int | None = None):
+        """``chunks(size)`` with each chunk's ``utils`` turned in place into the running average."""
+        total = None
+        for lo, states, signals, actions, avg in self.chunks(size):
+            total = carried_cumsum(avg, total)
+            avg /= np.arange(lo + 1, lo + avg.size + 1)
+            yield lo, states, signals, actions, avg
 
     def _running_avg_at(self, marks: Sequence[int]) -> list[float]:
         """``running_avg[t - 1]`` for each of the ascending rounds ``marks``."""
         idx = np.asarray(marks) - 1
         out = []
-        for lo, avg in self._running_avg_chunks():
+        for lo, *_, avg in self._running_avg_chunks():
             a, b = np.searchsorted(idx, (lo, lo + avg.size))
             out += avg[idx[a:b] - lo].tolist()
         return out
@@ -462,7 +482,7 @@ class SimulationTrace:
     @property
     def running_avg(self) -> np.ndarray:
         """Mean sender utility over rounds 1..t, for every round t."""
-        return np.concatenate([avg for _, avg in self._running_avg_chunks()])
+        return np.concatenate([chunk[-1] for chunk in self._running_avg_chunks()])
 
     @property
     def final_average(self) -> float:
@@ -542,13 +562,10 @@ class SimulationTrace:
         )
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write("t,state,signal,action,u,v,running_avg\r\n")
-            for lo, running_avg in self._running_avg_chunks(TRACE_CHUNK):
-                hi = lo + running_avg.size
-                states, signals, actions = (
-                    x[lo:hi].astype(np.int64) for x in (self.states, self.signals, self.actions)
-                )
+            for lo, *indices, running_avg in self._running_avg_chunks(TRACE_CHUNK):
+                states, signals, actions = (x.astype(np.int64) for x in indices)
                 rows = zip(
-                    range(lo + 1, hi + 1),
+                    range(lo + 1, lo + running_avg.size + 1),
                     (states * S + signals).tolist(),
                     (actions * W + states).tolist(),
                     running_avg.tolist(),

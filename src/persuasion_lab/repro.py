@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import learning
 from .classic import solve_classic
 from .errors import UnknownTargetError, ValidationError
 from .fixtures import builtin_instance
@@ -20,6 +19,7 @@ from .learning import (
     AlternatingSignalPolicy,
     EmpiricalBestResponse,
     SimulationTrace,
+    carried_cumsum,
     convergence_report,
     run_replications,
 )
@@ -100,6 +100,14 @@ def reproduce_example_1() -> dict:
 
 @dataclass(frozen=True)
 class AlternatingStats:
+    """Example 4.3's summary of one seed.
+
+    Each mean is the sequential sum of the sender's utilities over its
+    rounds, carried chunk to chunk as the running average carries it, over
+    their count, so ``overall_avg`` is the trace's ``final_average``.  An
+    unsent signal's mean is ``None``.
+    """
+
     seed: int
     overall_avg: float
     s1_fraction: float
@@ -109,71 +117,31 @@ class AlternatingStats:
 
 
 def alternating_stats(trace: SimulationTrace) -> AlternatingStats:
-    """Example 4.3's summary of one alternating-sender trace; an unsent signal's mean is None."""
-    s1 = trace.signals == 0
-    n1 = int(np.count_nonzero(s1))
-    s1_states = trace.states[s1]
-    alternation = bool(np.all(s1_states[0::2] == 0) and np.all(s1_states[1::2] == 1))
-    del s1, s1_states
+    """Example 4.3's summary of one alternating-sender trace, in one pass over its chunks.
+
+    The alternation holds when the k-th s1 round, counted from 0 across
+    the whole trace, has state ``k % 2``.
+    """
+    total = s1_total = s2_total = None
+    n1, alternation = 0, True
+    for _, states, signals, _, utils in trace.chunks():
+        s1 = signals == 0
+        s1_states = states[s1]
+        alternation &= bool(np.all(s1_states == np.arange(n1, n1 + s1_states.size) % 2))
+        n1 += s1_states.size
+        s1_total = carried_cumsum(utils[s1], s1_total)
+        s2_total = carried_cumsum(utils[~s1], s2_total)
+        total = carried_cumsum(utils, total)
+    n2 = trace.rounds - n1
     return AlternatingStats(
         seed=trace.seed,
-        overall_avg=trace.final_average,
+        overall_avg=float(total / trace.rounds),
         # a count over a length is the float np.mean gives for the mask
         s1_fraction=n1 / trace.rounds,
-        s1_mean=_sender_mean(trace, True, n1),
-        s2_mean=_sender_mean(trace, False, trace.rounds - n1),
+        s1_mean=float(s1_total / n1) if n1 else None,
+        s2_mean=float(s2_total / n2) if n2 else None,
         alternation_ok=alternation,
     )
-
-
-def _sender_mean(trace: SimulationTrace, s1: bool, n: int) -> float | None:
-    """``np.mean`` of the sender's utilities over the ``n`` rounds that sent s1, or did not.
-
-    The utilities are gathered ``SIMULATE_CHUNK`` rounds at a time and
-    copied part by part into one buffer for ``_pairwise_sum``, so the mean
-    has the bits of one ``np.mean`` over the whole gather without holding
-    it.  ``None`` when ``n`` is 0.
-    """
-    if not n:
-        return None
-    chunk = learning.SIMULATE_CHUNK
-
-    def gathers():
-        for lo in range(0, trace.rounds, chunk):
-            keep = (trace.signals[lo : lo + chunk] == 0) == s1
-            yield trace.instance.sender_utility[
-                trace.actions[lo : lo + chunk][keep], trace.states[lo : lo + chunk][keep]
-            ]
-
-    pieces, part, rest = gathers(), np.empty(max(chunk, 128)), np.empty(0)
-
-    def take(k: int) -> np.ndarray:
-        nonlocal rest
-        filled = 0
-        while filled < k:
-            if not rest.size:
-                rest = next(pieces)
-            m = min(k - filled, rest.size)
-            part[filled : filled + m] = rest[:m]
-            rest, filled = rest[m:], filled + m
-        return part[:k]
-
-    return float(_pairwise_sum(take, n, part.size) / n)
-
-
-def _pairwise_sum(take, n: int, most: int) -> np.float64:
-    """``np.add.reduce`` of the next ``n`` floats of ``take(k)``, bit for bit, ``most`` at a time.
-
-    numpy sums a contiguous float64 array pairwise: past 128 values it sums
-    the first ``n // 2``, rounded down to a multiple of 8, and the rest
-    apart, then adds the two.  Splitting the same way until a part has at
-    most ``most >= 128`` values and reducing each part with numpy builds the
-    same tree.
-    """
-    if n > most:
-        half = n // 2 - (n // 2) % 8
-        return _pairwise_sum(take, half, most) + _pairwise_sum(take, n - half, most)
-    return np.add.reduce(take(n))
 
 
 def _seed_mean(values: list) -> float | None:

@@ -183,17 +183,17 @@ def exact_basis_violations(
 
 
 def whole_alternating_stats(trace) -> AlternatingStats:
-    """Example 4.3's summary from whole-horizon gathers: ``np.mean`` over every round of a signal."""
+    """Example 4.3's summary from whole-horizon gathers: one ``np.cumsum`` over every round of a signal."""
     s1 = trace.signals == 0
     s1_states = trace.states[s1]
     utils = trace.sender_utils
 
     def mean(values):
-        return float(values.mean()) if values.size else None
+        return float(np.cumsum(values)[-1] / values.size) if values.size else None
 
     return AlternatingStats(
         seed=trace.seed,
-        overall_avg=float(np.cumsum(utils)[-1] / trace.rounds),
+        overall_avg=mean(utils),
         s1_fraction=float(s1.mean()),
         s1_mean=mean(utils[s1]),
         s2_mean=mean(utils[~s1]),

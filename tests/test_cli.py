@@ -1054,6 +1054,31 @@ def test_exit_code_mapping():
     assert _exit_code(NoMassOnApproxSetError("x")) == 3
 
 
+@pytest.mark.parametrize(
+    "argv, under",
+    [
+        (["solve-classic", "--instance", "judge"], "x"),
+        (
+            [
+                "simulate", "--instance", "judge", "--sender", "robustified:0.2",
+                "--receiver", "exp-weights", "--rounds", "50",
+            ],
+            None,
+        ),
+    ],
+    ids=["solve-classic", "simulate"],
+)
+def test_unusable_output_dir_exit_1(tmp_path, capsys, argv, under):
+    # a regular file where the directory, or one of its parents, should be
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / under if under else blocker
+    assert run(*argv, "--output-dir", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[VALIDATION_ERROR]: --output-dir") and str(out) in err
+    assert blocker.read_text() == ""
+
+
 def _console_script_command():
     """The `persuasion-lab` command: the installed script when it is on the
     PATH, else the `[project.scripts]` entry point run through the wrapper

@@ -616,6 +616,8 @@ def oracle_csv(trace, path):
         states = trace.instance.states
         actions = trace.instance.actions
         v = trace.instance.receiver_utility
+        u = trace.sender_utils
+        running_avg = trace.running_avg
         for i in range(trace.rounds):
             w.writerow(
                 [
@@ -623,9 +625,9 @@ def oracle_csv(trace, path):
                     states[trace.states[i]],
                     trace.signal_ids[trace.signals[i]],
                     actions[trace.actions[i]],
-                    repr(float(trace.sender_utils[i])),
+                    repr(float(u[i])),
                     repr(float(v[trace.actions[i], trace.states[i]])),
-                    repr(float(trace.running_avg[i])),
+                    repr(float(running_avg[i])),
                 ]
             )
 
@@ -1244,16 +1246,45 @@ class TestChunkedSummaries:
         want = whole_alternating_stats(trace)
         monkeypatch.setattr(learning, "SIMULATE_CHUNK", chunk)
         assert repr(alternating_stats(trace)) == repr(want)
-        # the order of the additions shows in the bits: one sequential sum differs
-        s1 = trace.signals == 0
-        sequential = float(np.cumsum(trace.sender_utils[s1])[-1] / np.count_nonzero(s1))
-        assert sequential != want.s1_mean
+        # the order of the additions shows in the bits: numpy's pairwise sum differs
+        assert float(trace.sender_utils[trace.signals == 0].mean()) != want.s1_mean
 
     def test_alternating_stats_of_a_simulated_run(self, mismatch):
         trace = simulate(
             mismatch, AlternatingSignalPolicy(mismatch), EmpiricalBestResponse(), self.ROUNDS, 2
         )
         assert repr(alternating_stats(trace)) == repr(whole_alternating_stats(trace))
+
+    def test_alternation_is_counted_across_chunks(self, mismatch, monkeypatch):
+        # three s1 rounds in each chunk of 7: the s1 states alternate across
+        # the chunk edges, so a parity that restarted in each chunk would fail
+        monkeypatch.setattr(learning, "SIMULATE_CHUNK", 7)
+        signals = np.tile(np.array([0, 1, 0, 1, 1, 0, 1], dtype=np.int8), 5)
+        states = np.zeros(signals.size, dtype=np.int8)
+        states[signals == 0] = np.arange(15) % 2
+        trace = SimulationTrace(
+            mismatch, ("s1", "s2"), states, signals, signals.copy(), seed=0, scheme=None
+        )
+        assert alternating_stats(trace).alternation_ok
+        for lo in range(0, signals.size, 7):
+            flipped = states.copy()
+            flipped[lo] ^= 1  # the chunk's first s1 round
+            trace = dataclasses.replace(trace, states=flipped)
+            assert not alternating_stats(trace).alternation_ok
+
+    @pytest.mark.parametrize("utility", ["two-signal", "-0.0"])
+    def test_overall_average_is_the_final_average(self, monkeypatch, utility):
+        monkeypatch.setattr(learning, "SIMULATE_CHUNK", 7)
+        trace = two_signal_trace(500)
+        if utility == "-0.0":
+            inst = dataclasses.replace(
+                trace.instance, sender_utility=np.full_like(trace.instance.sender_utility, -0.0)
+            )
+            trace = dataclasses.replace(trace, instance=inst)
+        stats = alternating_stats(trace)
+        assert repr(stats.overall_avg) == repr(trace.final_average)
+        if utility == "-0.0":
+            assert repr((stats.overall_avg, stats.s1_mean, stats.s2_mean)) == "(-0.0, -0.0, -0.0)"
 
     def test_trace_is_freed_without_the_cycle_collector(self, mismatch):
         # a reference cycle through the summary would hold each seed's trace
