@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -107,6 +108,9 @@ def _resolve_instance(ref: str):
     return load_instance(path)
 
 
+T = TypeVar("T")
+
+
 def _make_dir(outdir: Path) -> None:
     """Create ``outdir`` and its parents; a path that cannot be one is a validation error."""
     try:
@@ -117,10 +121,21 @@ def _make_dir(outdir: Path) -> None:
         ) from exc
 
 
+def _write_file(path: Path, write: Callable[[Path], T]) -> T:
+    """Make ``path``'s directory, then return ``write(path)``; a report file
+    that cannot be written, such as an existing directory, is a validation error."""
+    _make_dir(path.parent)
+    try:
+        return write(path)
+    except OSError as exc:
+        raise ValidationError(
+            f"report file {str(path)!r} cannot be written: {exc.strerror or exc}"
+        ) from exc
+
+
 def _write_text(outdir: Path, name: str, text: str) -> Path:
-    _make_dir(outdir)
     path = outdir / name
-    path.write_text(text)
+    _write_file(path, lambda p: p.write_text(text))
     return path
 
 
@@ -374,10 +389,12 @@ def _cmd_simulate(args) -> int:
 
     def write_seed(trace) -> dict:
         """Write one seed's files as it finishes; keep only its report row."""
-        _make_dir(out)
-        trace.to_csv(out / f"trace-seed{trace.seed}.csv")
-        diagnostics = out / f"diagnostics-seed{trace.seed}.csv"
-        last = trace.checkpoints_to_csv(diagnostics, checkpoint_every)[-1]  # at t = rounds
+        _write_file(out / f"trace-seed{trace.seed}.csv", trace.to_csv)
+        checkpoints = _write_file(
+            out / f"diagnostics-seed{trace.seed}.csv",
+            lambda p: trace.checkpoints_to_csv(p, checkpoint_every),
+        )
+        last = checkpoints[-1]  # at t = rounds
         return {
             "seed": trace.seed,
             "final_average": last.running_avg,

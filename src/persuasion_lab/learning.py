@@ -70,19 +70,24 @@ def _sample(cdf: np.ndarray, u) -> np.ndarray:
 # batch of one, ``bulk_actions`` every visit of a signal.  Exp3's estimates
 # change every round, so its rule takes one plain-float row and draws the
 # action too.  A receiver's ``act`` and ``bulk_actions`` call the same rule
-# function, which keeps the two paths bit-identical.
+# function, which keeps the two paths bit-identical.  numpy pays per row to
+# broadcast over a short last axis, so the rules work on the transposed
+# views of state-major counts and action-major scores, and each op runs
+# along the batch axis; every float is the same in either layout.
 
 
 def _scores(counts: np.ndarray, utility: np.ndarray) -> np.ndarray:
-    """``counts @ utility.T``, accumulated state by state.
+    """``counts @ utility.T``, accumulated state by state into an
+    ``(n_actions, B)`` array whose transposed view is returned.
 
     A BLAS product blocks rows by batch size, so a row's last bits could
     depend on the rest of the batch; this fixed order cannot.
     """
-    scores = counts[:, :1] * utility[:, 0]
-    for k in range(1, counts.shape[1]):
-        scores += counts[:, k : k + 1] * utility[:, k]
-    return scores
+    columns = counts.T
+    scores = utility[:, :1] * columns[0]
+    for k in range(1, columns.shape[0]):
+        scores += utility[:, k : k + 1] * columns[k]
+    return scores.T
 
 
 def empirical_br_probs(counts: np.ndarray, utility: np.ndarray) -> np.ndarray:
@@ -109,7 +114,9 @@ def exp_weights_probs(counts: np.ndarray, utility: np.ndarray, t: np.ndarray) ->
     indices at which each row acts.
     """
     eta = np.sqrt(np.log(utility.shape[0]) / t)
-    return softmax(eta[:, None] * _scores(counts, utility))
+    scores = _scores(counts, utility)
+    scores *= eta[:, None]
+    return softmax(scores)
 
 
 @dataclass(frozen=True)
@@ -194,21 +201,25 @@ class _FullFeedbackReceiver:
 
         The states do not depend on the actions, so every visit's counts are
         the signal's counts after round ``t0`` plus a prefix sum over its
-        earlier visits here; the counts are integers, so this is exact.
-        ``counts`` ends as the per-round loop leaves it.
+        earlier visits here, one ``np.cumsum`` per state into a state-major
+        ``(n_states, visits)`` array; the counts are integers, so this is
+        exact.  ``counts`` ends as the per-round loop leaves it.
         """
         actions = np.empty(states.size, dtype=np.int64)
+        n_states = self.counts.shape[1]
         for s in range(self.counts.shape[0]):
             idx = np.flatnonzero(signals == s)
             if idx.size == 0:
                 continue
-            onehot = np.zeros((idx.size, self.counts.shape[1]))
-            onehot[np.arange(idx.size), states[idx]] = 1.0
-            counts = np.cumsum(onehot, axis=0)
-            counts += self.counts[s]
-            self.counts[s] = counts[-1]
-            counts -= onehot  # counts before each visit
-            cdf = self._probs(counts, idx + (t0 + 1.0))
+            visited = states[idx]
+            counts = np.empty((n_states, idx.size))  # state-major: one row per state
+            for k in range(n_states):
+                seen = visited == k
+                np.cumsum(seen, out=counts[k])
+                counts[k] += self.counts[s, k]
+                self.counts[s, k] = counts[k, -1]
+                counts[k] -= seen  # counts before each visit
+            cdf = self._probs(counts.T, idx + (t0 + 1.0))
             for k in range(1, cdf.shape[1]):  # np.cumsum's sequential sum, in place
                 cdf[:, k] += cdf[:, k - 1]
             actions[idx] = _sample(cdf, u_actions[idx])

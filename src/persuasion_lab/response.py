@@ -253,11 +253,20 @@ def row_max(x: np.ndarray) -> np.ndarray:
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax along the last axis, in place: ``logits`` is overwritten and returned.
 
-    The denominator is numpy's sum; a column-by-column sum rounds differently
-    from 8 entries on."""
+    The denominator has the bits of numpy's row sum in either layout, C-ordered
+    or the transposed view of an action-major array: below 8 entries numpy's
+    pairwise sum is sequential, so the columns are added in order; from 8 on
+    it adds 8 interleaved partial sums, which neither a column sum nor a sum
+    over strided rows makes, so it is numpy's sum of a C-ordered copy."""
     logits -= row_max(logits)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
+    if logits.shape[-1] < 8:
+        total = logits[..., :1].copy()
+        for k in range(1, logits.shape[-1]):
+            total += logits[..., k : k + 1]
+    else:
+        total = np.ascontiguousarray(logits).sum(axis=-1, keepdims=True)
+    logits /= total
     return logits
 
 

@@ -1079,6 +1079,31 @@ def test_unusable_output_dir_exit_1(tmp_path, capsys, argv, under):
     assert blocker.read_text() == ""
 
 
+SIMULATE_ARGV = [
+    "simulate", "--instance", "judge", "--sender", "robustified:0.2",
+    "--receiver", "exp-weights", "--rounds", "50",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, blocked",
+    [
+        (["solve-classic", "--instance", "judge"], "optimal-scheme.json"),
+        (SIMULATE_ARGV, "trace-seed0.csv"),
+        (SIMULATE_ARGV, "diagnostics-seed0.csv"),
+    ],
+    ids=["solve-classic", "simulate-trace", "simulate-diagnostics"],
+)
+def test_unwritable_report_file_exit_1(tmp_path, capsys, argv, blocked):
+    # the directory exists, but a report file's name is taken by a directory
+    (tmp_path / blocked).mkdir()
+    assert run(*argv, "--output-dir", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[VALIDATION_ERROR]: report file")
+    assert str(tmp_path / blocked) in err and "Traceback" not in err
+    assert not any((tmp_path / blocked).iterdir())
+
+
 def _console_script_command():
     """The `persuasion-lab` command: the installed script when it is on the
     PATH, else the `[project.scripts]` entry point run through the wrapper

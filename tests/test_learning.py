@@ -954,15 +954,22 @@ class TestExp3FastPath:
 
 
 class TestRuleBatches:
-    def test_rows_match_one_row_calls(self):
-        # each rule's rows do not depend on the rest of the batch
+    @pytest.mark.parametrize("n_actions, n_states", [(11, 3), (5, 6)])
+    @pytest.mark.parametrize("layout", ["C", "state-major"])
+    def test_rows_match_one_row_calls(self, n_actions, n_states, layout):
+        # each rule's rows do not depend on the rest of the batch, nor on
+        # whether the counts come C-ordered or, as ``bulk_actions`` passes
+        # them, as the transposed view of a state-major array
         rng = np.random.default_rng(8)
-        utility = rng.random((11, 3))
-        counts = rng.integers(0, 40, size=(6, 3)).astype(np.float64)
+        utility = rng.random((n_actions, n_states))
+        counts = rng.integers(0, 40, size=(6, n_states)).astype(np.float64)
+        counts[0] = 0.0  # the cold start: every action ties
         t = rng.integers(1, 500, size=6).astype(np.float64)
+        given = counts if layout == "C" else np.ascontiguousarray(counts.T).T
+        assert np.array_equal(given, counts)
         batched = (
-            empirical_br_probs(counts, utility),
-            exp_weights_probs(counts, utility, t),
+            empirical_br_probs(given, utility),
+            exp_weights_probs(given, utility, t),
         )
         for b in range(6):
             one = (
@@ -970,7 +977,7 @@ class TestRuleBatches:
                 exp_weights_probs(counts[b : b + 1], utility, t[b : b + 1]),
             )
             for full, row in zip(batched, one):
-                assert np.array_equal(full[b], row[0])
+                assert full[b].tobytes() == row[0].tobytes()
 
     def test_exp3_matches_numpy_reference(self):
         rng = np.random.default_rng(8)
@@ -983,6 +990,58 @@ class TestRuleBatches:
                 a, p = exp3_act(cumulative, cfg, u)
                 assert a == sample_oracle(np.cumsum(p_ref), u)
                 assert p == pytest.approx(p_ref[a], rel=1e-14)
+
+
+class TestPrefixCounts:
+    """``bulk_actions`` builds each signal's counts before every visit as
+    state-major prefix sums carried from chunk to chunk."""
+
+    ROUNDS = 200
+
+    @staticmethod
+    def rounds():
+        # three states and three signals: signal 1 never meets state 2,
+        # and signal 2 is sent only from round 120 on
+        rng = np.random.default_rng(4)
+        states = rng.integers(0, 3, TestPrefixCounts.ROUNDS)
+        signals = rng.integers(0, 2, TestPrefixCounts.ROUNDS)
+        signals[states == 2] = 0
+        signals[120:][rng.random(80) < 0.3] = 2
+        return states, signals, rng.random(TestPrefixCounts.ROUNDS)
+
+    @staticmethod
+    def instance():
+        rng = np.random.default_rng(5)
+        return PersuasionInstance(
+            ("w0", "w1", "w2"),
+            ("a0", "a1", "a2", "a3"),
+            np.full(3, 1.0 / 3.0),
+            rng.random((4, 3)),
+            rng.random((4, 3)),
+        )
+
+    @pytest.mark.parametrize("receiver_cls", [EmpiricalBestResponse, ExpWeights])
+    @pytest.mark.parametrize("chunk", [1, 7, 64, ROUNDS])
+    def test_chunks_match_the_per_round_loop(self, receiver_cls, chunk):
+        inst = self.instance()
+        states, signals, u = self.rounds()
+        assert not (states[signals == 1] == 2).any() and not (signals[:120] == 2).any()
+        loop, bulk = receiver_cls(), receiver_cls()
+        loop.reset(3, inst, self.ROUNDS)
+        bulk.reset(3, inst, self.ROUNDS)
+        want = []
+        for t, (w, s, x) in enumerate(zip(states.tolist(), signals.tolist(), u), 1):
+            a = loop.act(s, t, x)
+            loop.feed(s, a, w, inst.receiver_utility[a, w], t)
+            want.append(a)
+        got = []
+        for lo in range(0, self.ROUNDS, chunk):
+            part = slice(lo, lo + chunk)
+            got.append(bulk.bulk_actions(states[part], signals[part], u[part], lo))
+        assert np.concatenate(got).tolist() == want
+        assert_same_state(bulk, loop)
+        assert bulk.counts[1, 2] == 0.0
+        assert bulk.counts.sum() == self.ROUNDS
 
 
 # CDF rows with the awkward cases: one entry, zero-probability entries that

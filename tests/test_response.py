@@ -613,11 +613,13 @@ def quantal_softmax(logits):
     return rho
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (5, 2), (40, 7), (40, 8), (40, 9), (40, 12)])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (5, 2)] + [(40, n) for n in range(1, 13)])
 @pytest.mark.parametrize("scale", [0.0, 1.0, 50.0, 1e6])
-def test_softmax_is_both_formulas_in_place(shape, scale):
+@pytest.mark.parametrize("layout", ["C", "action-major"])
+def test_softmax_is_both_formulas_in_place(shape, scale, layout):
     # from 8 entries numpy sums a row in unrolled partial sums, which a
-    # column-by-column sum does not reproduce
+    # column-by-column sum does not reproduce, nor does numpy's own sum over
+    # the strided rows of an action-major array's transposed view
     logits = np.random.default_rng(shape[1]).standard_normal(shape) * scale
     if shape[0] > 1:
         logits[1] = logits[1, 0]  # an exact tie across the row
@@ -627,7 +629,8 @@ def test_softmax_is_both_formulas_in_place(shape, scale):
     with np.errstate(invalid="ignore"):
         want = exp_weights_softmax(logits)
         assert quantal_softmax(logits).tobytes() == want.tobytes()
-        given = logits.copy()
+        given = logits.copy() if layout == "C" else np.ascontiguousarray(logits.T).T
+        assert given.flags.c_contiguous == (layout == "C" or shape[0] == 1 or shape[1] == 1)
         got = softmax(given)
     assert got is given
     assert got.tobytes() == want.tobytes()
