@@ -74,6 +74,13 @@ def _sample(cdf: np.ndarray, u) -> np.ndarray:
 # broadcast over a short last axis, so the rules work on the transposed
 # views of state-major counts and action-major scores, and each op runs
 # along the batch axis; every float is the same in either layout.
+#
+# A per-chunk path gathers by one flat ``take`` and splits by ``compress``,
+# never by a boolean mask or a gather over two index arrays.  At 16,384
+# rounds (2-vCPU Xeon, numpy 2.4): ``u.compress(m)`` 21-26 us against 83 us
+# for ``u[m]``; ``utility.ravel().take(a * n_states + w)`` 21-45 us against
+# 76-114 us for ``utility[a, w]``; a signal-major CDF's ``take(states,
+# axis=1)`` with ``_sample`` 42 us against 210 us for ``cdf[states]``.
 
 
 def _scores(counts: np.ndarray, utility: np.ndarray) -> np.ndarray:
@@ -309,19 +316,21 @@ class FixedSchemePolicy:
     def __init__(self, scheme: SignalingScheme):
         self.scheme = scheme
         self.signals = scheme.signals
-        self._cdf = np.cumsum(scheme.conditional, axis=1)
+        # signal-major: one row per signal, so a chunk's CDF rows are one
+        # gather along the states and ``_sample`` reads contiguous columns
+        self._cdf_by_signal = np.cumsum(scheme.conditional, axis=1).T.copy()
 
     def reset(self) -> None:
         pass
 
     def round_cdf(self, t: int) -> np.ndarray:
-        return self._cdf
+        return self._cdf_by_signal.T
 
     def observe(self, t: int, state: int, signal: int, action: int) -> None:
         pass
 
     def signals_for_states(self, states: np.ndarray, u_signals: np.ndarray) -> np.ndarray:
-        return _sample(self._cdf[states], u_signals)
+        return _sample(self._cdf_by_signal.take(states, axis=1).T, u_signals)
 
 
 class AlternatingSignalPolicy:
@@ -414,6 +423,20 @@ def _csv_cells(rows) -> list[str]:
     return out
 
 
+def _cell_index(rows: np.ndarray, cols: np.ndarray, n_cols: int) -> np.ndarray:
+    """Flat indices of the ``(rows, cols)`` cells of a C-ordered table with ``n_cols`` columns.
+
+    The indices are widened before they are combined: int8 products
+    overflow past 127.
+    """
+    return rows.astype(np.intp) * n_cols + cols
+
+
+def _sender_utils(utility: np.ndarray, actions: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """``utility[actions, states]``, gathered by one flat ``take``."""
+    return utility.ravel().take(_cell_index(actions, states, utility.shape[1]))
+
+
 def carried_cumsum(values: np.ndarray, total: np.float64 | None) -> np.float64 | None:
     """Turn ``values`` in place into running sums that continue ``total``, and return the last.
 
@@ -457,37 +480,58 @@ class SimulationTrace:
 
     @property
     def sender_utils(self) -> np.ndarray:
-        return self.instance.sender_utility[self.actions, self.states]
+        return _sender_utils(self.instance.sender_utility, self.actions, self.states)
 
     def chunks(self, size: int | None = None):
         """The trace ``size`` rounds at a time, as ``(lo, states, signals, actions, utils)``.
 
         Each chunk covers rounds ``lo + 1 ..``; ``utils`` is a new array of
         the sender's utilities in those rounds, the rest are views.  ``size``
-        defaults to ``SIMULATE_CHUNK``.
+        defaults to ``SIMULATE_CHUNK``; any other size must be an integer of
+        at least 1.
         """
-        size = size or SIMULATE_CHUNK
-        for lo in range(0, self.rounds, size):
-            states, signals, actions = (
-                x[lo : lo + size] for x in (self.states, self.signals, self.actions)
-            )
-            yield lo, states, signals, actions, self.instance.sender_utility[actions, states]
+        if size is None:
+            size = SIMULATE_CHUNK
+        elif isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+            raise ValidationError(f"chunk size must be an integer of at least 1, got {size!r}")
+        utility = self.instance.sender_utility
+
+        def read():
+            for lo in range(0, self.rounds, size):
+                states, signals, actions = (
+                    x[lo : lo + size] for x in (self.states, self.signals, self.actions)
+                )
+                yield lo, states, signals, actions, _sender_utils(utility, actions, states)
+
+        return read()
+
+    def _running_sums(self, size: int | None = None):
+        """``chunks(size)`` with each chunk's ``utils`` turned in place into running sums.
+
+        The sums are carried chunk to chunk by ``carried_cumsum``.
+        """
+        total = None
+        for lo, states, signals, actions, sums in self.chunks(size):
+            total = carried_cumsum(sums, total)
+            yield lo, states, signals, actions, sums
 
     def _running_avg_chunks(self, size: int | None = None):
         """``chunks(size)`` with each chunk's ``utils`` turned in place into the running average."""
-        total = None
-        for lo, states, signals, actions, avg in self.chunks(size):
-            total = carried_cumsum(avg, total)
+        for lo, states, signals, actions, avg in self._running_sums(size):
             avg /= np.arange(lo + 1, lo + avg.size + 1)
             yield lo, states, signals, actions, avg
 
     def _running_avg_at(self, marks: Sequence[int]) -> list[float]:
-        """``running_avg[t - 1]`` for each of the ascending rounds ``marks``."""
+        """``running_avg[t - 1]`` for each of the ascending rounds ``marks``.
+
+        Only the marked sums are divided, each by the same count as in
+        ``_running_avg_chunks``, so the floats are the same.
+        """
         idx = np.asarray(marks) - 1
         out = []
-        for lo, *_, avg in self._running_avg_chunks():
-            a, b = np.searchsorted(idx, (lo, lo + avg.size))
-            out += avg[idx[a:b] - lo].tolist()
+        for lo, *_, sums in self._running_sums():
+            a, b = np.searchsorted(idx, (lo, lo + sums.size))
+            out += (sums[idx[a:b] - lo] / (idx[a:b] + 1)).tolist()
         return out
 
     @property
@@ -559,8 +603,8 @@ class SimulationTrace:
         floats as ``repr``.  ``u`` and ``v`` are the instance's utilities at
         (action, state), so each name and each (action, state) cell is
         formatted once per trace; only ``running_avg`` is formatted per row.
-        Rows are written ``TRACE_CHUNK`` at a time, their indices widened to
-        int64 before they are combined into cell codes.
+        Rows are written ``TRACE_CHUNK`` at a time, their indices combined
+        into cell codes by ``_cell_index``.
         """
         inst = self.instance
         W, S = inst.n_states, len(self.signal_ids)
@@ -573,12 +617,13 @@ class SimulationTrace:
         )
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write("t,state,signal,action,u,v,running_avg\r\n")
-            for lo, *indices, running_avg in self._running_avg_chunks(TRACE_CHUNK):
-                states, signals, actions = (x.astype(np.int64) for x in indices)
+            for lo, states, signals, actions, running_avg in self._running_avg_chunks(
+                TRACE_CHUNK
+            ):
                 rows = zip(
                     range(lo + 1, lo + running_avg.size + 1),
-                    (states * S + signals).tolist(),
-                    (actions * W + states).tolist(),
+                    _cell_index(states, signals, S).tolist(),
+                    _cell_index(actions, states, W).tolist(),
                     running_avg.tolist(),
                 )
                 lines = [f"{t},{state_signal[i]}{action_uv[j]}{r!r}\r\n" for t, i, j, r in rows]

@@ -126,11 +126,13 @@ def alternating_stats(trace: SimulationTrace) -> AlternatingStats:
     n1, alternation = 0, True
     for _, states, signals, _, utils in trace.chunks():
         s1 = signals == 0
-        s1_states = states[s1]
-        alternation &= bool(np.all(s1_states == np.arange(n1, n1 + s1_states.size) % 2))
+        s1_states = states.compress(s1)
+        alternation &= bool(
+            np.all(s1_states[::2] == n1 % 2) and np.all(s1_states[1::2] == (n1 + 1) % 2)
+        )
         n1 += s1_states.size
-        s1_total = carried_cumsum(utils[s1], s1_total)
-        s2_total = carried_cumsum(utils[~s1], s2_total)
+        s1_total = carried_cumsum(utils.compress(s1), s1_total)
+        s2_total = carried_cumsum(utils.compress(~s1), s2_total)
         total = carried_cumsum(utils, total)
     n2 = trace.rounds - n1
     return AlternatingStats(

@@ -348,15 +348,16 @@ class TestSimulate:
         assert len(diag) == 2 and diag[1].startswith("50,")
 
     def test_running_average_derived_twice_per_seed(self, tmp_path, monkeypatch):
-        # once for the trace CSV, once for the checkpoints, whose last is the final average
+        # once for the trace CSV, once for the checkpoints, whose last is the
+        # final average; both read the one generator of the carried sums
         derived = []
-        chunks = SimulationTrace._running_avg_chunks
+        sums = SimulationTrace._running_sums
 
         def spy(trace, *args):
             derived.append(trace.seed)
-            return chunks(trace, *args)
+            return sums(trace, *args)
 
-        monkeypatch.setattr(SimulationTrace, "_running_avg_chunks", spy)
+        monkeypatch.setattr(SimulationTrace, "_running_sums", spy)
         argv = (*SIMULATE, "--rounds", 200, "--seeds", 2, "--output-dir", tmp_path)
         assert run(*argv) == 0
         assert sorted(derived) == [0, 0, 1, 1]

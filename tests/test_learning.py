@@ -542,6 +542,19 @@ class TestNarrowIndices:
         assert (wide.actions * 12 + wide.states).max() > 127
         TestTraceCsv().assert_oracle_bytes(trace, tmp_path)
 
+    def test_utilities_past_int8_match_the_2d_gather(self):
+        # actions * 12 + states reaches 143: combined before widening, the
+        # int8 codes wrap negative and gather other cells
+        trace = wide_index_trace()
+        assert trace.actions.dtype == np.int8
+        assert (trace.actions.astype(np.int64) * 12 + trace.states).max() > 127
+        want = trace.instance.sender_utility[trace.actions, trace.states]
+        assert trace.sender_utils.tobytes() == want.tobytes()
+        chunks = list(trace.chunks(1000))
+        assert np.concatenate([c[-1] for c in chunks]).tobytes() == want.tobytes()
+        for lo, states, _, actions, utils in chunks:
+            assert utils.tobytes() == trace.instance.sender_utility[actions, states].tobytes()
+
     @pytest.mark.parametrize("source", ["hand-built", "simulated"])
     def test_int64_trace_writes_the_narrow_bytes(self, judge, judge_opt, tmp_path, source):
         if source == "hand-built":
@@ -588,6 +601,19 @@ class TestDerivedTrace:
         want = chunked_running_avg(tr.sender_utils, chunk)
         assert tr.running_avg.tobytes() == want.tobytes()
         assert tr.final_average == want[-1]
+
+    @pytest.mark.parametrize("size", [0, -5, 2.0, 2.5, "7", True])
+    def test_chunk_size_must_be_a_positive_integer(self, fields, size):
+        with pytest.raises(ValidationError, match="chunk size"):
+            SimulationTrace(**fields).chunks(size)
+
+    @pytest.mark.parametrize("size", [None, 1, np.int64(7), ROUNDS + 5])
+    def test_chunk_sizes_cover_the_trace(self, fields, size):
+        tr = SimulationTrace(**fields)
+        chunks = list(tr.chunks(size))
+        step = learning.SIMULATE_CHUNK if size is None else int(size)
+        assert [c[0] for c in chunks] == list(range(0, self.ROUNDS, step))
+        assert np.concatenate([c[-1] for c in chunks]).tobytes() == tr.sender_utils.tobytes()
 
     @pytest.mark.parametrize("name", ["sender_utils", "running_avg"])
     def test_derived_values_not_accepted(self, fields, name):
@@ -1107,6 +1133,32 @@ class TestSample:
         assert got.tolist() == [sample_oracle(cdf[i], u[i]) for i in range(400)]
 
 
+@pytest.mark.parametrize("n_signals", [1, 2, 7])
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_signal_draws_are_per_round_samples(n_signals, dtype):
+    """``FixedSchemePolicy.signals_for_states`` draws each round as ``_sample`` of its CDF row."""
+    rng = np.random.default_rng(n_signals)
+    inst = random_instance(rng)
+    probs = rng.random((inst.n_states, n_signals)) * (rng.random((inst.n_states, n_signals)) < 0.7)
+    probs[:, 0] += 1e-3
+    scheme = make_scheme(
+        inst, tuple(f"s{k}" for k in range(n_signals)), probs / probs.sum(axis=1, keepdims=True)
+    )
+    policy = FixedSchemePolicy(scheme)
+    states = rng.integers(0, inst.n_states, 600).astype(dtype)
+    u = rng.random(600)
+    # a quarter of the uniforms sit exactly on an entry of their round's row
+    on_entry = rng.random(600) < 0.25
+    rows = policy.round_cdf(1)[states]
+    u[on_entry] = rows[on_entry, rng.integers(0, n_signals, 600)[on_entry]]
+    got = policy.signals_for_states(states, u)
+    assert got.dtype == np.int64
+    want = [
+        int(learning._sample(policy.round_cdf(t + 1)[w], u[t])) for t, w in enumerate(states.tolist())
+    ]
+    assert got.tolist() == want
+
+
 def judge_radius(judge, judge_opt, t: int, signal: str) -> float | None:
     radii = learning._radii(scheme_stats(judge, judge_opt).marginals, judge.n_actions, t)
     return radii[judge_opt.signal_index(signal)]
@@ -1325,9 +1377,11 @@ class TestChunkedSummaries:
             mismatch, ("s1", "s2"), states, signals, signals.copy(), seed=0, scheme=None
         )
         assert alternating_stats(trace).alternation_ok
-        for lo in range(0, signals.size, 7):
+        # every s1 round in turn: a chunk's s1 rounds at even and at odd
+        # positions among that chunk's are each checked
+        for k in np.flatnonzero(signals == 0):
             flipped = states.copy()
-            flipped[lo] ^= 1  # the chunk's first s1 round
+            flipped[k] ^= 1
             trace = dataclasses.replace(trace, states=flipped)
             assert not alternating_stats(trace).alternation_ok
 
