@@ -44,6 +44,12 @@ def _spawn_rngs(seed: int) -> tuple[np.random.Generator, ...]:
     return tuple(np.random.default_rng(s) for s in seqs)
 
 
+def _check_count(name: str, value) -> None:
+    """Reject a ``value`` that is not an integer of at least 1; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValidationError(f"{name} must be an integer of at least 1, got {value!r}")
+
+
 def _sample(cdf: np.ndarray, u) -> np.ndarray:
     """Inverse-CDF draws: the first index whose CDF entry exceeds ``u``, else the last.
 
@@ -398,8 +404,7 @@ def checkpoint_marks(rounds: int, every: int | None = None) -> list[int]:
     """
     if every is None:
         every = max(rounds // 10, 1)
-    if every < 1:
-        raise ValidationError(f"checkpoint interval must be at least 1, got {every}")
+    _check_count("checkpoint interval", every)
     return [*range(every, rounds, every), rounds]
 
 
@@ -432,11 +437,6 @@ def _cell_index(rows: np.ndarray, cols: np.ndarray, n_cols: int) -> np.ndarray:
     return rows.astype(np.intp) * n_cols + cols
 
 
-def _sender_utils(utility: np.ndarray, actions: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """``utility[actions, states]``, gathered by one flat ``take``."""
-    return utility.ravel().take(_cell_index(actions, states, utility.shape[1]))
-
-
 def carried_cumsum(values: np.ndarray, total: np.float64 | None) -> np.float64 | None:
     """Turn ``values`` in place into running sums that continue ``total``, and return the last.
 
@@ -460,10 +460,10 @@ class SimulationTrace:
     ``simulate`` stores each index array in the smallest signed integer
     dtype that holds every index, int8 for up to 128 states, signals and
     actions.  ``scheme`` is the fixed sender's committed scheme, ``None``
-    for any other sender.  Each read of ``sender_utils`` or ``running_avg``
-    computes a full-horizon float array; ``chunks`` reads the trace one chunk
-    at a time, and ``final_average``, the checkpoint diagnostics and
-    ``to_csv`` read the running average through it.
+    for any other sender.  A trace is read through ``chunks``, one chunk at
+    a time, so no reader builds a full-horizon float array;
+    ``final_average``, the checkpoint diagnostics and ``to_csv`` read the
+    running average through it.
     """
 
     instance: PersuasionInstance
@@ -478,30 +478,25 @@ class SimulationTrace:
     def rounds(self) -> int:
         return int(self.states.size)
 
-    @property
-    def sender_utils(self) -> np.ndarray:
-        return _sender_utils(self.instance.sender_utility, self.actions, self.states)
-
     def chunks(self, size: int | None = None):
         """The trace ``size`` rounds at a time, as ``(lo, states, signals, actions, utils)``.
 
         Each chunk covers rounds ``lo + 1 ..``; ``utils`` is a new array of
-        the sender's utilities in those rounds, the rest are views.  ``size``
-        defaults to ``SIMULATE_CHUNK``; any other size must be an integer of
-        at least 1.
+        the sender's utilities at (action, state) in those rounds, gathered by
+        one flat ``take``; the rest are views.  ``size`` defaults to
+        ``SIMULATE_CHUNK``; any other size must be an integer of at least 1.
         """
-        if size is None:
-            size = SIMULATE_CHUNK
-        elif isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
-            raise ValidationError(f"chunk size must be an integer of at least 1, got {size!r}")
-        utility = self.instance.sender_utility
+        size = SIMULATE_CHUNK if size is None else size
+        _check_count("chunk size", size)
+        utility, n_states = self.instance.sender_utility.ravel(), self.instance.n_states
 
         def read():
             for lo in range(0, self.rounds, size):
                 states, signals, actions = (
                     x[lo : lo + size] for x in (self.states, self.signals, self.actions)
                 )
-                yield lo, states, signals, actions, _sender_utils(utility, actions, states)
+                utils = utility.take(_cell_index(actions, states, n_states))
+                yield lo, states, signals, actions, utils
 
         return read()
 
@@ -515,17 +510,11 @@ class SimulationTrace:
             total = carried_cumsum(sums, total)
             yield lo, states, signals, actions, sums
 
-    def _running_avg_chunks(self, size: int | None = None):
-        """``chunks(size)`` with each chunk's ``utils`` turned in place into the running average."""
-        for lo, states, signals, actions, avg in self._running_sums(size):
-            avg /= np.arange(lo + 1, lo + avg.size + 1)
-            yield lo, states, signals, actions, avg
-
     def _running_avg_at(self, marks: Sequence[int]) -> list[float]:
-        """``running_avg[t - 1]`` for each of the ascending rounds ``marks``.
+        """The mean sender utility over rounds 1..t, for each of the ascending rounds ``marks``.
 
-        Only the marked sums are divided, each by the same count as in
-        ``_running_avg_chunks``, so the floats are the same.
+        Only the marked sums are divided, each by its round ``t``, as
+        ``to_csv`` divides every round's, so the floats are the same.
         """
         idx = np.asarray(marks) - 1
         out = []
@@ -533,11 +522,6 @@ class SimulationTrace:
             a, b = np.searchsorted(idx, (lo, lo + sums.size))
             out += (sums[idx[a:b] - lo] / (idx[a:b] + 1)).tolist()
         return out
-
-    @property
-    def running_avg(self) -> np.ndarray:
-        """Mean sender utility over rounds 1..t, for every round t."""
-        return np.concatenate([chunk[-1] for chunk in self._running_avg_chunks()])
 
     @property
     def final_average(self) -> float:
@@ -617,9 +601,8 @@ class SimulationTrace:
         )
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write("t,state,signal,action,u,v,running_avg\r\n")
-            for lo, states, signals, actions, running_avg in self._running_avg_chunks(
-                TRACE_CHUNK
-            ):
+            for lo, states, signals, actions, running_avg in self._running_sums(TRACE_CHUNK):
+                running_avg /= np.arange(lo + 1, lo + running_avg.size + 1)
                 rows = zip(
                     range(lo + 1, lo + running_avg.size + 1),
                     _cell_index(states, signals, S).tolist(),
@@ -707,8 +690,7 @@ def simulate(
     tested exactly: a subclass may override ``act``, ``feed`` or
     ``round_cdf``, none of which the bulk path calls.
     """
-    if rounds < 1:
-        raise ValidationError("rounds must be positive")
+    _check_count("rounds", rounds)
     scheme = policy.scheme if isinstance(policy, FixedSchemePolicy) else None
     if scheme is not None:
         check_scheme(instance, scheme)
@@ -768,13 +750,11 @@ def run_replications(
     The seeds run on ``threads`` threads; the results do not depend on how
     many.  The factories are called in seed order in the calling thread.
     """
-    if rounds < 1:
-        raise ValidationError("rounds must be positive")
+    _check_count("rounds", rounds)
     seeds = list(seeds)
     if not seeds:
         raise ValidationError("seeds must not be empty")
-    if threads < 1:
-        raise ValidationError(f"threads must be at least 1, got {threads}")
+    _check_count("threads", threads)
     policies = [policy_factory() for _ in seeds]
     receivers = [receiver_factory() for _ in seeds]
 

@@ -1,11 +1,11 @@
-"""Seeded random draws for the bound sweep: satisfying instances and schemes."""
+"""Seeded random draws for the bound sweep: satisfying instances and scheme conditionals."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import PersuasionInstance, SignalingScheme, make_scheme, profile_instance
+from .model import PersuasionInstance, profile_instance
 
 
 def satisfied_instance(
@@ -59,9 +59,3 @@ def random_conditional(rng: np.random.Generator, instance: PersuasionInstance) -
     state's row drawn from a flat Dirichlet."""
     n_signals = int(rng.integers(1, instance.n_actions + 3))
     return rng.dirichlet(np.ones(n_signals), size=instance.n_states)
-
-
-def random_scheme(rng: np.random.Generator, instance: PersuasionInstance) -> SignalingScheme:
-    """The scheme of ``random_conditional``, with signals ``s0, s1, ...``."""
-    cond = random_conditional(rng, instance)
-    return make_scheme(instance, tuple(f"s{k}" for k in range(cond.shape[1])), cond)

@@ -1,7 +1,8 @@
 """Test inputs and oracles the library does not ship: unconstrained random
-instances, strategies drawn from a response set, the judge's optimal scheme,
-empirical conditional utilities drawn as ``simulate`` draws them, an exact
-rational check of a simplex basis, and Example 4.3's summary gathered whole."""
+instances and schemes, strategies drawn from a response set, the judge's
+optimal scheme, empirical conditional utilities drawn as ``simulate`` draws
+them, an exact rational check of a simplex basis, and a trace's sender
+utilities, running average and Example 4.3's summary gathered whole."""
 
 from fractions import Fraction
 from pathlib import Path
@@ -17,11 +18,13 @@ from persuasion_lab import (
     approx_set,
     builtin_instance,
     load_scheme,
+    make_scheme,
     scheme_stats,
 )
 from persuasion_lab.learning import _round_chunks, _spawn_rngs
 from persuasion_lab.model import check_scheme, obedience_margins
 from persuasion_lab.repro import AlternatingStats
+from persuasion_lab.sampling import random_conditional
 
 
 def judge_optimal_scheme() -> SignalingScheme:
@@ -52,6 +55,12 @@ def random_instance(
         sender_utility=rng.uniform(0.0, 1.0, (n, m)),
         receiver_utility=rng.uniform(0.0, 1.0, (n, m)),
     )
+
+
+def random_scheme(rng: np.random.Generator, instance: PersuasionInstance) -> SignalingScheme:
+    """The scheme of ``random_conditional``, with signals ``s0, s1, ...``."""
+    cond = random_conditional(rng, instance)
+    return make_scheme(instance, tuple(f"s{k}" for k in range(cond.shape[1])), cond)
 
 
 def approx_responding_strategy(
@@ -182,11 +191,22 @@ def exact_basis_violations(
     return violations
 
 
+def whole_sender_utils(trace) -> np.ndarray:
+    """The sender's utility in every round, by one 2-D gather over the whole horizon."""
+    actions, states = trace.actions.astype(np.intp), trace.states.astype(np.intp)
+    return trace.instance.sender_utility[actions, states]
+
+
+def whole_running_avg(trace) -> np.ndarray:
+    """The mean sender utility over rounds 1..t for every round t: one ``np.cumsum`` over the horizon."""
+    return np.cumsum(whole_sender_utils(trace)) / np.arange(1, trace.rounds + 1)
+
+
 def whole_alternating_stats(trace) -> AlternatingStats:
     """Example 4.3's summary from whole-horizon gathers: one ``np.cumsum`` over every round of a signal."""
     s1 = trace.signals == 0
     s1_states = trace.states[s1]
-    utils = trace.sender_utils
+    utils = whole_sender_utils(trace)
 
     def mean(values):
         return float(np.cumsum(values)[-1] / values.size) if values.size else None

@@ -33,12 +33,13 @@ from persuasion_lab.repro import (
     reproduce_convergence,
     reproduce_example_4_3,
 )
-from persuasion_lab.sampling import random_scheme, satisfied_instance
+from persuasion_lab.sampling import satisfied_instance
 from support import (
     approx_responding_strategy,
     deterministic_responding_strategy,
     empirical_conditional_utilities,
     random_instance,
+    random_scheme,
 )
 
 

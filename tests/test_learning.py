@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import hashlib
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -46,6 +47,8 @@ from support import (
     judge_optimal_scheme,
     random_instance,
     whole_alternating_stats,
+    whole_running_avg,
+    whole_sender_utils,
 )
 
 
@@ -79,26 +82,9 @@ def sender_case(sender, judge, judge_opt, mismatch):
     return mismatch, lambda: AlternatingSignalPolicy(mismatch)
 
 
-# a trace stores the index arrays; the utilities and running average are derived
+# a trace stores the index arrays; the utilities and running average are
+# read chunk by chunk, and ``support`` gathers them whole as oracles
 STORED_ARRAYS = ("states", "signals", "actions")
-TRACE_ARRAYS = (*STORED_ARRAYS, "sender_utils", "running_avg")
-
-
-def chunked_running_avg(sender_utils, chunk):
-    """The running average built chunk by chunk, with the running sum carried across."""
-    rounds = sender_utils.size
-    running_avg = np.empty(rounds)
-    total = 0.0
-    for lo in range(0, rounds, chunk):
-        hi = min(lo + chunk, rounds)
-        avg = running_avg[lo:hi]
-        avg[:] = sender_utils[lo:hi]
-        if lo:
-            avg[0] += total
-        np.cumsum(avg, out=avg)
-        total = avg[-1]
-        avg /= np.arange(lo + 1, hi + 1)
-    return running_avg
 
 
 def exp3_row(cumulative, config):
@@ -296,7 +282,7 @@ class TestSimulate:
         c = simulate(judge, FixedSchemePolicy(judge_opt), ExpWeights(), 500, 8)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.actions, b.actions)
-        assert np.array_equal(a.running_avg, b.running_avg)
+        assert np.array_equal(whole_running_avg(a), whole_running_avg(b))
         assert not np.array_equal(a.actions, c.actions)
 
     def test_receiver_change_keeps_state_stream(self, judge, judge_opt):
@@ -319,7 +305,7 @@ class TestSimulate:
         assert np.array_equal(fast.states, slow.states)
         assert np.array_equal(fast.signals, slow.signals)
         assert np.array_equal(fast.actions, slow.actions)
-        assert np.array_equal(fast.running_avg, slow.running_avg)
+        assert np.array_equal(whole_running_avg(fast), whole_running_avg(slow))
         assert_same_state(fast_receiver, slow_receiver)
 
     @pytest.mark.parametrize(
@@ -355,7 +341,7 @@ class TestSimulate:
         )
         monkeypatch.setattr(learning, "SIMULATE_CHUNK", 7)
         trace = simulate(inst, FixedSchemePolicy(judge_opt), ExpWeights(), 30, 0)
-        assert np.signbit(trace.running_avg).all()
+        assert np.signbit([c.running_avg for c in trace.checkpoints(1)]).all()
 
     @pytest.mark.parametrize("case", ["exp-weights/judge", "empirical-br/example-4-3"])
     def test_memory_beyond_trace_does_not_grow(self, judge, judge_opt, mismatch, case):
@@ -392,17 +378,16 @@ class TestSimulate:
         fast = simulate(inst, FixedSchemePolicy(scheme), fast_receiver, 1500, 2, fast=True)
         slow = simulate(inst, FixedSchemePolicy(scheme), slow_receiver, 1500, 2, fast=False)
         assert np.array_equal(fast.actions, slow.actions)
-        assert np.array_equal(fast.running_avg, slow.running_avg)
+        assert np.array_equal(whole_running_avg(fast), whole_running_avg(slow))
         assert_same_state(fast_receiver, slow_receiver)
 
     def test_running_average_identity(self, judge, judge_opt):
         tr = simulate(judge, FixedSchemePolicy(judge_opt), ExpWeights(), 300, 5)
+        checkpoints, utils = tr.checkpoints(1), whole_sender_utils(tr)
         for t in (1, 2, 137, 300):
-            assert tr.running_avg[t - 1] == pytest.approx(
-                tr.sender_utils[:t].mean(), abs=1e-12
-            )
+            assert checkpoints[t - 1].running_avg == pytest.approx(utils[:t].mean(), abs=1e-12)
         assert tr.rounds == 300
-        assert tr.final_average == tr.running_avg[-1]
+        assert tr.final_average == checkpoints[-1].running_avg
 
     def test_cold_start_round_one_uniform(self, judge, judge_opt):
         # round 1 action is the raw uniform draw thresholded at 1/2
@@ -549,7 +534,6 @@ class TestNarrowIndices:
         assert trace.actions.dtype == np.int8
         assert (trace.actions.astype(np.int64) * 12 + trace.states).max() > 127
         want = trace.instance.sender_utility[trace.actions, trace.states]
-        assert trace.sender_utils.tobytes() == want.tobytes()
         chunks = list(trace.chunks(1000))
         assert np.concatenate([c[-1] for c in chunks]).tobytes() == want.tobytes()
         for lo, states, _, actions, utils in chunks:
@@ -592,14 +576,18 @@ class TestDerivedTrace:
 
     def test_sender_utils_gathers_the_utility(self, fields):
         tr = SimulationTrace(**fields)
-        want = [tr.instance.sender_utility[a, w] for a, w in zip(tr.actions, tr.states)]
-        assert tr.sender_utils.tolist() == want
+        utility = tr.instance.sender_utility
+        for _, states, _, actions, utils in tr.chunks(7):
+            assert utils.tobytes() == utility[actions, states].tobytes()
 
     @pytest.mark.parametrize("chunk", [1, 7, ROUNDS])
-    def test_running_avg_equals_chunked_carry(self, fields, chunk):
+    def test_running_avg_equals_chunked_carry(self, fields, monkeypatch, chunk):
+        # the running average read chunk by chunk has the bits of one whole cumsum
         tr = SimulationTrace(**fields)
-        want = chunked_running_avg(tr.sender_utils, chunk)
-        assert tr.running_avg.tobytes() == want.tobytes()
+        want = whole_running_avg(tr)
+        monkeypatch.setattr(learning, "SIMULATE_CHUNK", chunk)
+        got = np.array([c.running_avg for c in tr.checkpoints(1)])
+        assert got.tobytes() == want.tobytes()
         assert tr.final_average == want[-1]
 
     @pytest.mark.parametrize("size", [0, -5, 2.0, 2.5, "7", True])
@@ -613,7 +601,8 @@ class TestDerivedTrace:
         chunks = list(tr.chunks(size))
         step = learning.SIMULATE_CHUNK if size is None else int(size)
         assert [c[0] for c in chunks] == list(range(0, self.ROUNDS, step))
-        assert np.concatenate([c[-1] for c in chunks]).tobytes() == tr.sender_utils.tobytes()
+        joined = np.concatenate([c[-1] for c in chunks])
+        assert joined.tobytes() == whole_sender_utils(tr).tobytes()
 
     @pytest.mark.parametrize("name", ["sender_utils", "running_avg"])
     def test_derived_values_not_accepted(self, fields, name):
@@ -642,8 +631,8 @@ def oracle_csv(trace, path):
         states = trace.instance.states
         actions = trace.instance.actions
         v = trace.instance.receiver_utility
-        u = trace.sender_utils
-        running_avg = trace.running_avg
+        u = whole_sender_utils(trace)
+        running_avg = whole_running_avg(trace)
         for i in range(trace.rounds):
             w.writerow(
                 [
@@ -680,7 +669,8 @@ class TestTraceCsv:
         oracle_csv(trace, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
-    @pytest.mark.parametrize("rounds", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    # 100,003 rounds span several ``SIMULATE_CHUNK``s and end on a part ``TRACE_CHUNK``
+    @pytest.mark.parametrize("rounds", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 100_003])
     def test_chunk_edges(self, judge, judge_opt, tmp_path, rounds):
         self.assert_oracle_bytes(
             simulate(judge, FixedSchemePolicy(judge_opt), ExpWeights(), rounds, 4), tmp_path
@@ -736,13 +726,14 @@ def oracle_checkpoints(trace, marks):
     marginals = [] if trace.scheme is None else scheme_stats(trace.instance, trace.scheme).marginals
     S, n = len(marginals), trace.instance.n_actions
     obeyed = [int(a == s) for a, s in zip(trace.actions.tolist(), trace.signals.tolist())]
+    utils = whole_sender_utils(trace).tolist()
     out, prev = [], 0
     for t in marks:
         radii = [r for p in marginals if (r := closed_form_radius(p, S, n, t)) is not None]
         out.append(
             (
                 t,
-                math.fsum(trace.sender_utils[:t].tolist()) / t,
+                math.fsum(utils[:t]) / t,
                 sum(obeyed[:t]) / t if direct else None,
                 sum(obeyed[prev:t]) / (t - prev) if direct else None,
                 max(radii) if radii else None,
@@ -799,9 +790,10 @@ class TestCheckpoints:
         trace = traces[sender]
         got = trace.checkpoints(every)
         want = oracle_checkpoints(trace, marks)
+        running_avg = whole_running_avg(trace)
         assert [c.t for c in got] == marks
         for c, (t, avg, obe, win, radius) in zip(got, want):
-            assert c.running_avg == trace.running_avg[t - 1]
+            assert c.running_avg == running_avg[t - 1]
             assert c.running_avg == pytest.approx(avg, abs=1e-12)
             assert c.obedience_frequency == obe
             assert c.window_obedience == win
@@ -885,9 +877,55 @@ class TestReplications:
             return ExpWeights()
 
         args = (judge, lambda: FixedSchemePolicy(judge_opt), receiver, 400, [0], lambda tr: tr.seed)
-        with pytest.raises(ValidationError, match=f"threads must be at least 1, got {threads}"):
+        with pytest.raises(
+            ValidationError, match=f"threads must be an integer of at least 1, got {threads}"
+        ):
             run_replications(*args, threads=threads)
         assert made == []
+
+
+# every count the learning layer takes, as entry.parameter, and the name its error gives
+COUNTS = {
+    "simulate.rounds": "rounds",
+    "run_replications.rounds": "rounds",
+    "run_replications.threads": "threads",
+    "checkpoints.every": "checkpoint interval",
+    "checkpoint_marks.every": "checkpoint interval",
+    "chunks.size": "chunk size",
+}
+
+
+def pass_count(entry, value, judge, judge_opt):
+    """Call ``entry`` with its count set to ``value`` and every other argument valid."""
+    policy = lambda: FixedSchemePolicy(judge_opt)
+    trace = simulate(judge, policy(), ExpWeights(), 50, 0)
+    calls = {
+        "simulate.rounds": lambda: simulate(judge, policy(), ExpWeights(), value, 0).final_average,
+        "run_replications.rounds": lambda: run_replications(
+            judge, policy, ExpWeights, value, [0, 1], lambda tr: tr.final_average
+        ),
+        "run_replications.threads": lambda: run_replications(
+            judge, policy, ExpWeights, 50, [0, 1], lambda tr: tr.final_average, threads=value
+        ),
+        "checkpoints.every": lambda: [(c.t, c.running_avg) for c in trace.checkpoints(value)],
+        "checkpoint_marks.every": lambda: learning.checkpoint_marks(10, value),
+        "chunks.size": lambda: [c[0] for c in trace.chunks(value)],
+    }
+    return calls[entry]()
+
+
+@pytest.mark.parametrize("value", [1.5, True, "3", 0])
+@pytest.mark.parametrize("entry", sorted(COUNTS))
+def test_count_must_be_an_integer_of_at_least_one(judge, judge_opt, entry, value):
+    message = f"{COUNTS[entry]} must be an integer of at least 1, got {value!r}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        pass_count(entry, value, judge, judge_opt)
+
+
+@pytest.mark.parametrize("entry", sorted(COUNTS))
+def test_count_may_be_a_numpy_integer(judge, judge_opt, entry):
+    got = pass_count(entry, np.int64(3), judge, judge_opt)
+    assert got == pass_count(entry, 3, judge, judge_opt)
 
 
 def checkpoint_fields(trace, every):
@@ -898,12 +936,13 @@ def checkpoint_fields(trace, every):
 
 
 def assert_same_trace(got, want):
-    """Same seed, signal names and per-round arrays, bit for bit."""
+    """Same seed, signal names, index arrays and final average, bit for bit."""
     assert got.seed == want.seed
     assert got.signal_ids == want.signal_ids
-    for field in TRACE_ARRAYS:
+    for field in STORED_ARRAYS:
         x, y = getattr(got, field), getattr(want, field)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
+    assert repr(got.final_average) == repr(want.final_average)
 
 
 EXP3_ROUNDS = 1500
@@ -1358,7 +1397,7 @@ class TestChunkedSummaries:
         monkeypatch.setattr(learning, "SIMULATE_CHUNK", chunk)
         assert repr(alternating_stats(trace)) == repr(want)
         # the order of the additions shows in the bits: numpy's pairwise sum differs
-        assert float(trace.sender_utils[trace.signals == 0].mean()) != want.s1_mean
+        assert float(whole_sender_utils(trace)[trace.signals == 0].mean()) != want.s1_mean
 
     def test_alternating_stats_of_a_simulated_run(self, mismatch):
         trace = simulate(
@@ -1426,7 +1465,7 @@ class TestChunkedSummaries:
     ):
         monkeypatch.setattr(learning, "SIMULATE_CHUNK", chunk)
         trace = simulate(judge, FixedSchemePolicy(judge_opt), ExpWeights(), rounds, 6)
-        running_avg = trace.running_avg
+        running_avg = whole_running_avg(trace)
         got = trace.checkpoints(every)
         assert [c.t for c in got] == learning.checkpoint_marks(rounds, every)
         for c in got:
@@ -1456,7 +1495,7 @@ class TestChunkedSummaries:
             ExpWeights,
             SUMMARY_ROUNDS,
             [0],
-            lambda trace: float(trace.sender_utils[-1]),
+            lambda trace: float(whole_sender_utils(trace)[-1]),
         )
         assert summary_peaks(monkeypatch, run)[0] >= SUMMARY_BOUND
 
@@ -1526,7 +1565,9 @@ class TestConvergencePipeline:
         made = []
         monkeypatch.setattr(learning, "ExpWeights", lambda: made.append("receiver"))
         monkeypatch.setattr(learning, "FixedSchemePolicy", lambda s: made.append("policy"))
-        with pytest.raises(ValidationError, match="threads must be at least 1"):
+        with pytest.raises(
+            ValidationError, match=f"threads must be an integer of at least 1, got {threads}"
+        ):
             convergence_report(judge, 0.2, 100, seeds=[0], threads=threads)
         assert made == []
 

@@ -36,8 +36,7 @@ from persuasion_lab import (
     verify_robustification,
 )
 from persuasion_lab.model import index_of
-from persuasion_lab.sampling import random_scheme
-from support import random_instance, signal_margin
+from support import random_instance, random_scheme, signal_margin
 
 
 def make_instance(prior, u, v, states=None, actions=None):

@@ -39,8 +39,8 @@ from persuasion_lab import (
 )
 from persuasion_lab.model import RESPONSE_SLACK
 from persuasion_lab.response import _knife_edges, _objective_core, _stack_stats
-from persuasion_lab.sampling import random_scheme, satisfied_instance
-from support import random_instance
+from persuasion_lab.sampling import satisfied_instance
+from support import random_instance, random_scheme
 
 SEEDS = st.integers(0, 2**32 - 1)
 GAMMAS = st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.5)

@@ -40,11 +40,12 @@ from persuasion_lab import (
 from persuasion_lab import response
 from persuasion_lab.repro import SWEEP_DELTAS, SWEEP_GAMMAS, sweep_instances
 from persuasion_lab.response import _tv_step, softmax
-from persuasion_lab.sampling import random_scheme, satisfied_instance
+from persuasion_lab.sampling import satisfied_instance
 from support import (
     approx_responding_strategy,
     deterministic_responding_strategy,
     random_instance,
+    random_scheme,
     signal_margin,
 )
 

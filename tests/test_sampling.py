@@ -8,11 +8,12 @@ from persuasion_lab import (
     is_approx_best_responding,
     profile_instance,
 )
-from persuasion_lab.sampling import random_scheme, satisfied_instance
+from persuasion_lab.sampling import satisfied_instance
 from support import (
     approx_responding_strategy,
     deterministic_responding_strategy,
     random_instance,
+    random_scheme,
 )
 
 
