@@ -459,11 +459,12 @@ class SimulationTrace:
 
     ``simulate`` stores each index array in the smallest signed integer
     dtype that holds every index, int8 for up to 128 states, signals and
-    actions.  ``scheme`` is the fixed sender's committed scheme, ``None``
-    for any other sender.  A trace is read through ``chunks``, one chunk at
-    a time, so no reader builds a full-horizon float array;
-    ``final_average``, the checkpoint diagnostics and ``to_csv`` read the
-    running average through it.
+    actions.  Construction checks that the three are 1-d integer arrays of
+    one length of at least 1, but not their entries.  ``scheme`` is the
+    fixed sender's committed scheme, ``None`` for any other sender.  A trace
+    is read through ``chunks``, one chunk at a time, so no reader builds a
+    full-horizon float array; ``final_average``, the checkpoint diagnostics
+    and ``to_csv`` read the running average through it.
     """
 
     instance: PersuasionInstance
@@ -473,6 +474,16 @@ class SimulationTrace:
     actions: np.ndarray
     seed: int
     scheme: SignalingScheme | None
+
+    def __post_init__(self):
+        arrays = (self.states, self.signals, self.actions)
+        if not (
+            all(isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype.kind in "iu" for x in arrays)
+            and self.states.size == self.signals.size == self.actions.size >= 1
+        ):
+            raise ValidationError(
+                "states, signals and actions must be 1-d integer arrays of one length >= 1"
+            )
 
     @property
     def rounds(self) -> int:
@@ -527,19 +538,19 @@ class SimulationTrace:
     def final_average(self) -> float:
         return self._running_avg_at([self.rounds])[0]
 
-    def _obeyed(self, start: int, stop: int | None) -> int:
-        """Number of rounds ``[start:stop]`` whose action index is the signal's."""
-        return int(np.count_nonzero(self.actions[start:stop] == self.signals[start:stop]))
+    def _obeyed(self, lo: int, hi: int | None) -> int:
+        """Number of rounds ``[lo:hi]`` whose action index is the signal's."""
+        return int(np.count_nonzero(self.actions[lo:hi] == self.signals[lo:hi]))
 
-    def obedience_frequency(self, start: int = 0, stop: int | None = None) -> float | None:
-        """Fraction of rounds ``[start:stop]`` (at least one) whose action index is the signal's."""
-        n = len(range(self.rounds)[start:stop])
+    def obedience_frequency(self, start: int = 0) -> float | None:
+        """Fraction of rounds ``[start:]`` (at least one) whose action index is the signal's."""
+        n = len(range(self.rounds)[start:])
         if not n:
-            raise ValidationError(f"rounds [{start}:{stop}] select none of {self.rounds}")
+            raise ValidationError(f"rounds [{start}:] select none of {self.rounds}")
         if self.signal_ids != self.instance.actions:
             return None
         # a count over a length is the float np.mean gives for that slice
-        return self._obeyed(start, stop) / n
+        return self._obeyed(start, None) / n
 
     @property
     def last_decile_obedience(self) -> float | None:
@@ -735,6 +746,14 @@ def simulate(
     )
 
 
+def _check_runs(rounds: int, seeds: Sequence[int], threads: int) -> None:
+    """Reject a ``run_replications`` call's counts: ``rounds``, at least one seed, ``threads``."""
+    _check_count("rounds", rounds)
+    if not seeds:
+        raise ValidationError("seeds must not be empty")
+    _check_count("threads", threads)
+
+
 def run_replications(
     instance: PersuasionInstance,
     policy_factory: Callable[[], object],
@@ -750,11 +769,8 @@ def run_replications(
     The seeds run on ``threads`` threads; the results do not depend on how
     many.  The factories are called in seed order in the calling thread.
     """
-    _check_count("rounds", rounds)
     seeds = list(seeds)
-    if not seeds:
-        raise ValidationError("seeds must not be empty")
-    _check_count("threads", threads)
+    _check_runs(rounds, seeds, threads)
     policies = [policy_factory() for _ in seeds]
     receivers = [receiver_factory() for _ in seeds]
 
@@ -839,6 +855,7 @@ def convergence_report(
     is always ``ExpWeights``.
     """
     seeds = tuple(seeds)
+    _check_runs(rounds, seeds, threads)
     if constant <= 0:
         raise ValidationError("constant must be positive")
     prof = require_assumption(profile_instance(instance))

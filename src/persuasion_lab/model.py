@@ -199,14 +199,6 @@ class ReceiverStrategy:
         _check_rows_sum_to_one("strategy", rho)
         object.__setattr__(self, "action_distribution", _freeze(rho))
 
-    @property
-    def n_signals(self) -> int:
-        return int(self.action_distribution.shape[0])
-
-    @property
-    def n_actions(self) -> int:
-        return int(self.action_distribution.shape[1])
-
 
 @dataclass(frozen=True, eq=False)
 class InstanceProfile:

@@ -398,7 +398,7 @@ def to_direct_revelation(
 
 # Float slack allowed on either side of the sandwich.
 BOUNDS_TOLERANCE = 1e-8
-# Random candidate schemes scored for the upper side, unless given.
+# Random candidate schemes scored for the upper side.
 DEFAULT_N_SCHEMES = 50
 
 
@@ -459,24 +459,17 @@ def bounds_report(
     *,
     n_schemes: int = DEFAULT_N_SCHEMES,
     seed: int = 0,
-    schemes: list[SignalingScheme] | None = None,
     eps_num: float = DEFAULT_EPS,
 ) -> BoundsReport:
     """Certify ``opt - slack <= worst <= best <= opt + slack`` numerically.
 
     The lower side is witnessed by robustifying the classic optimum with the
     smallest sufficient mixing weight and evaluating its worst mode.  The
-    upper side is checked on ``n_schemes`` sampled schemes (or the ones
-    provided) in best mode.  Both sides allow ``BOUNDS_TOLERANCE``.
+    upper side is checked on ``n_schemes`` sampled schemes in best mode.
+    Both sides allow ``BOUNDS_TOLERANCE``.
     """
     return bounds_grid(
-        instance,
-        (gamma,),
-        (delta,),
-        n_schemes=n_schemes,
-        seed=seed,
-        schemes=schemes,
-        eps_num=eps_num,
+        instance, (gamma,), (delta,), n_schemes=n_schemes, seed=seed, eps_num=eps_num
     )[0]
 
 
@@ -487,17 +480,17 @@ def bounds_grid(
     *,
     n_schemes: int = DEFAULT_N_SCHEMES,
     seed: int = 0,
-    schemes: list[SignalingScheme] | None = None,
     eps_num: float = DEFAULT_EPS,
 ) -> list[BoundsReport]:
     """``bounds_report`` for every (gamma, delta) cell, in gamma-major order.
 
     The cells share the work that does not depend on them: the classic LP
     and the candidate schemes with their statistics (every cell scores the
-    same candidates).  Sampled candidates stay bare conditionals
-    (``random_conditional``); they are never built as schemes.  Each gamma's ``response_window`` profiles the
-    instance once at ``eps_num`` and gives the ratio gamma/(mu_min*gap), the
-    mixing weight and the robustified certificate.
+    same candidates).  The candidates are bare conditionals drawn by
+    ``random_conditional``; they are never built as schemes.  Each gamma's
+    ``response_window`` profiles the instance once at ``eps_num`` and gives
+    the ratio gamma/(mu_min*gap), the mixing weight and the robustified
+    certificate.
     """
     check_eps_num(eps_num)
     if n_schemes < 0:
@@ -509,13 +502,8 @@ def bounds_grid(
         for delta in deltas:
             _check_objective_args(gamma, delta, "worst")
     opt_scheme, opt = solve_classic(instance)
-    if schemes is None:
-        rng = np.random.default_rng(seed)
-        conditionals = [random_conditional(rng, instance) for _ in range(n_schemes)]
-    else:
-        for scheme in schemes:
-            check_scheme(instance, scheme)
-        conditionals = [scheme.conditional for scheme in schemes]
+    rng = np.random.default_rng(seed)
+    conditionals = [random_conditional(rng, instance) for _ in range(n_schemes)]
     cand_marginals, cand_rv, cand_sv = _stack_stats(instance, conditionals)
 
     reports = []

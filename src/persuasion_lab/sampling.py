@@ -7,13 +7,14 @@ import numpy as np
 from .errors import ValidationError
 from .model import PersuasionInstance, profile_instance
 
+# Bounds of a ``satisfied_instance`` draw: actions, states, and draws before it gives up.
+MAX_STATES = 6
+MAX_ACTIONS = 5
+MAX_TRIES = 10_000
+
 
 def satisfied_instance(
-    rng: np.random.Generator,
-    max_states: int = 6,
-    max_actions: int = 5,
-    min_mu_delta: float | None = None,
-    max_tries: int = 10_000,
+    rng: np.random.Generator, min_mu_delta: float | None = None
 ) -> PersuasionInstance:
     """Instance with unique per-state optima, every action optimal somewhere.
 
@@ -23,9 +24,9 @@ def satisfied_instance(
     rejects draws until ``mu_min * gap`` exceeds it (needed when a bound
     sweep must keep gamma/(mu_min*gap) < 1).
     """
-    for _ in range(max_tries):
-        n = int(rng.integers(2, max_actions + 1))
-        m = int(rng.integers(n, max_states + 1))
+    for _ in range(MAX_TRIES):
+        n = int(rng.integers(2, MAX_ACTIONS + 1))
+        m = int(rng.integers(n, MAX_STATES + 1))
         owners = np.concatenate(
             [rng.permutation(n), rng.integers(0, n, size=m - n)]
         ).astype(int)
@@ -51,7 +52,7 @@ def satisfied_instance(
         if min_mu_delta is not None and prof.mu_min * prof.gap <= min_mu_delta:
             continue
         return inst
-    raise ValidationError(f"could not sample a satisfying instance in {max_tries} tries")
+    raise ValidationError(f"could not sample a satisfying instance in {MAX_TRIES} tries")
 
 
 def random_conditional(rng: np.random.Generator, instance: PersuasionInstance) -> np.ndarray:

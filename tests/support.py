@@ -4,6 +4,7 @@ optimal scheme, empirical conditional utilities drawn as ``simulate`` draws
 them, an exact rational check of a simplex basis, and a trace's sender
 utilities, running average and Example 4.3's summary gathered whole."""
 
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
@@ -61,6 +62,16 @@ def random_scheme(rng: np.random.Generator, instance: PersuasionInstance) -> Sig
     """The scheme of ``random_conditional``, with signals ``s0, s1, ...``."""
     cond = random_conditional(rng, instance)
     return make_scheme(instance, tuple(f"s{k}" for k in range(cond.shape[1])), cond)
+
+
+def drawn_in_turn(schemes: list[SignalingScheme]):
+    """A stand-in for ``random_conditional`` that returns the schemes' conditionals in turn.
+
+    It starts over after the last, so each bound report that draws
+    ``len(schemes)`` candidates scores exactly these.
+    """
+    conditionals = itertools.cycle([scheme.conditional for scheme in schemes])
+    return lambda rng, instance: next(conditionals)
 
 
 def approx_responding_strategy(

@@ -4,10 +4,11 @@ The callables are found by walking ``persuasion_lab.__all__``, and the
 test helpers in ``support`` that read a pair, for a signature with
 both ``instance`` and ``scheme``; their other arguments come
 from ``ARGS``, keyed by parameter name, so a new such function is covered
-as soon as it is exported.  A mismatched scheme or strategy must raise a
-``PersuasionError``: a returned value or any other exception fails.  The
-bound reports take their candidates as ``schemes=``, outside that walk, so
-they and ``evaluate_objective`` are checked by name as well.  The same walk
+as soon as it is exported; each key must name a parameter of a walked
+callable, so none outlives its parameter.  A mismatched scheme or strategy
+must raise a ``PersuasionError``: a returned value or any other exception
+fails.  ``evaluate_objective`` must raise the dimension mismatch itself,
+and is checked by name as well.  The same walk
 finds every callable with an ``eps_num`` tolerance, which must
 reject a negative or non-finite one.  That tolerance is the instance
 profile's tie tolerance, so only the profile's readers take it; response
@@ -95,17 +96,12 @@ ARGS = {
     "lam": 2.0,
     "mode": "worst",
     "n_schemes": 2,
-    "receiver_values": lambda: np.array([[[0.2, 0.8]]]),
     "rng": lambda: np.random.default_rng(0),
     # the judge's mixture at ``alpha``, for the audit of a mixture
     "robust": lambda: robustify(builtin_instance("judge"), judge_optimal_scheme(), 0.1),
-    "rounds": 20,
-    "schemes": None,
     "seed": 0,
-    "seeds": (0,),
     "signal": 0,
     "t": 1000,
-    "threads": 1,
 }
 
 
@@ -150,6 +146,12 @@ def test_walk_finds_the_guarded_calls():
     assert "empirical_conditional_utilities" in GUARDED
 
 
+def test_every_arg_names_a_walked_parameter():
+    # ``call`` reaches only the guarded and the tolerant callables
+    walked = {p for name in {*GUARDED, *TOLERANT} for p in _params(CALLABLES[name])}
+    assert set(ARGS) <= walked, set(ARGS) - walked
+
+
 def test_eps_num_is_read_by_the_profile_readers_only():
     assert TOLERANT == sorted(["profile_instance", "bounds_grid", "bounds_report", *ROBUSTIFY])
 
@@ -168,13 +170,13 @@ def test_scheme_for_other_states_raises(name, n_states, judge):
 
 
 @pytest.mark.parametrize("n_states", [1, 3])
-@pytest.mark.parametrize("name", ["bounds_grid", "bounds_report", "evaluate_objective"])
-def test_scored_scheme_for_other_states_raises_mismatch(name, n_states, judge, judge_opt):
+@pytest.mark.parametrize("name", ["evaluate_objective"])
+def test_scored_scheme_for_other_states_raises_mismatch(name, n_states, judge):
     # the statistics kernel broadcasts a one-state conditional against the
-    # prior, so the scorers check each scheme, supplied candidates included
+    # prior, so the scorer checks the scheme
     other = SignalingScheme(judge.actions, np.full((n_states, judge.n_actions), 0.5))
     with pytest.raises(DimensionMismatchError):
-        call(name, judge, other, schemes=[judge_opt, other])
+        call(name, judge, other)
 
 
 @pytest.mark.parametrize("shape", [(1, 2), (3, 2), (2, 1), (2, 3)])

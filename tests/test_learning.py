@@ -406,11 +406,11 @@ class TestSimulate:
         )
         assert tr2.obedience_frequency() is None
 
-    @pytest.mark.parametrize("start, stop", [(5, 5), (60, None), (10, 2)])
-    def test_obedience_frequency_rejects_empty_range(self, judge, judge_opt, start, stop):
+    @pytest.mark.parametrize("start", [50, 60])
+    def test_obedience_frequency_rejects_empty_range(self, judge, judge_opt, start):
         tr = simulate(judge, FixedSchemePolicy(judge_opt), ExpWeights(), 50, 0)
         with pytest.raises(ValidationError):
-            tr.obedience_frequency(start, stop)
+            tr.obedience_frequency(start)
 
     def test_index_arrays_read_only(self, judge, judge_opt):
         tr = simulate(judge, FixedSchemePolicy(judge_opt), ExpWeights(), 50, 0)
@@ -603,6 +603,22 @@ class TestDerivedTrace:
         assert [c[0] for c in chunks] == list(range(0, self.ROUNDS, step))
         joined = np.concatenate([c[-1] for c in chunks])
         assert joined.tobytes() == whole_sender_utils(tr).tobytes()
+
+    @pytest.mark.parametrize(
+        "case", ["no-rounds", "short-signals", "float-actions", "2-d-states", "list-states"]
+    )
+    def test_indices_must_be_1d_integer_arrays_of_one_length(self, fields, case):
+        # unchecked, 0 rounds made final_average raise IndexError while
+        # checkpoints() returned (); short signals gave invented obedience
+        bad = {
+            "no-rounds": {name: fields[name][:0] for name in STORED_ARRAYS},
+            "short-signals": {"signals": fields["signals"][:-1]},
+            "float-actions": {"actions": fields["actions"].astype(float)},
+            "2-d-states": {"states": fields["states"].reshape(2, -1)},
+            "list-states": {"states": fields["states"].tolist()},
+        }[case]
+        with pytest.raises(ValidationError, match="1-d integer arrays of one length >= 1"):
+            SimulationTrace(**{**fields, **bad})
 
     @pytest.mark.parametrize("name", ["sender_utils", "running_avg"])
     def test_derived_values_not_accepted(self, fields, name):
@@ -809,10 +825,11 @@ class TestCheckpoints:
     def test_running_counts_equal_slice_means(self, judge, judge_opt):
         # a count over a length is the float np.mean gives for the slice
         trace = simulate(judge, FixedSchemePolicy(judge_opt), ExpWeights(), 60_000, 8)
+        obeyed = trace.actions == trace.signals
         prev = 0
         for c in trace.checkpoints(997):
-            assert c.obedience_frequency == trace.obedience_frequency(0, c.t)
-            assert c.window_obedience == trace.obedience_frequency(prev, c.t)
+            assert c.obedience_frequency == obeyed[: c.t].mean()
+            assert c.window_obedience == obeyed[prev : c.t].mean()
             prev = c.t
 
     @pytest.mark.parametrize("every", [0, -3])
@@ -1570,6 +1587,23 @@ class TestConvergencePipeline:
         ):
             convergence_report(judge, 0.2, 100, seeds=[0], threads=threads)
         assert made == []
+
+    @pytest.mark.parametrize(
+        "rounds, seeds, threads",
+        [(0, [0], 1), (10, [], 1), (10, [0], 0)],
+        ids=["rounds", "seeds", "threads"],
+    )
+    def test_counts_checked_before_the_lp(self, judge, monkeypatch, rounds, seeds, threads):
+        solved, original = [], learning.robustified_optimum
+
+        def spy(*args):
+            solved.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(learning, "robustified_optimum", spy)
+        with pytest.raises(ValidationError):
+            convergence_report(judge, 0.2, rounds, seeds, threads=threads)
+        assert solved == []
 
     def test_one_shot_seed_iterable(self, judge):
         rep = convergence_report(judge, 0.2, 2_000, seeds=(s for s in [0, 1]))

@@ -605,7 +605,7 @@ def test_make_scheme_builds_or_rejects(data, k):
 def test_receiver_strategy_builds_or_rejects(rho):
     strat = built_or_rejected(lambda: ReceiverStrategy(rho))
     if strat is not None:
-        assert strat.n_signals >= 1
+        assert strat.action_distribution.shape[0] >= 1
         assert np.all(strat.action_distribution >= 0)
         assert np.allclose(strat.action_distribution.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 

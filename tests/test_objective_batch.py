@@ -20,6 +20,8 @@ lists mix signal counts from 1 to n_actions + 2 and include signals that are
 never sent.
 """
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -37,10 +39,11 @@ from persuasion_lab import (
     scheme_stats,
     solve_classic,
 )
+from persuasion_lab import response, sampling
 from persuasion_lab.model import RESPONSE_SLACK
 from persuasion_lab.response import _knife_edges, _objective_core, _stack_stats
-from persuasion_lab.sampling import satisfied_instance
-from support import random_instance, random_scheme
+from persuasion_lab.sampling import random_conditional, satisfied_instance
+from support import drawn_in_turn, random_instance, random_scheme
 
 SEEDS = st.integers(0, 2**32 - 1)
 GAMMAS = st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.5)
@@ -208,25 +211,31 @@ def test_value_matches_brute_force(data, gamma, delta, mode):
 @settings(max_examples=25, deadline=None)
 def test_grid_cells_match_single_cell_reports(seed, data):
     rng = np.random.default_rng(seed)
-    inst = satisfied_instance(rng, max_states=4, max_actions=4)
+    # not the monkeypatch fixture: it is function-scoped, which @given rejects
+    with patch.object(sampling, "MAX_STATES", 4), patch.object(sampling, "MAX_ACTIONS", 4):
+        inst = satisfied_instance(rng)
     prof = profile_instance(inst)
     limit = 0.9 * prof.mu_min * prof.gap
     gamma_values = st.just(0.0) | st.floats(0.0, limit)
     gammas = tuple(data.draw(st.lists(gamma_values, min_size=1, max_size=3)))
     deltas = tuple(data.draw(st.lists(DELTAS, min_size=1, max_size=3)))
+    # the tie candidates are fed to the sampler; ``None`` keeps its own draws
     schemes = data.draw(st.none() | scheme_lists(inst))
     scheme_seed = int(rng.integers(0, 2**31 - 1))
-    grid = bounds_grid(inst, gammas, deltas, n_schemes=6, seed=scheme_seed, schemes=schemes)
-
-    cells = [(g, d) for g in gammas for d in deltas]
-    assert len(grid) == len(cells)
-    candidates = schemes
-    if candidates is None:
+    if schemes is None:
         draws = np.random.default_rng(scheme_seed)
-        candidates = [random_scheme(draws, inst) for _ in range(6)]
+        candidates, sampler = [random_scheme(draws, inst) for _ in range(6)], random_conditional
+    else:
+        candidates, sampler = schemes, drawn_in_turn(schemes)
+    kwargs = dict(n_schemes=len(candidates), seed=scheme_seed)
+    with patch.object(response, "random_conditional", sampler):
+        grid = bounds_grid(inst, gammas, deltas, **kwargs)
+        cells = [(g, d) for g in gammas for d in deltas]
+        refs = [bounds_report(inst, gamma, delta, **kwargs) for gamma, delta in cells]
+
+    assert len(grid) == len(cells)
     opt_scheme, _ = solve_classic(inst)
-    for rep, (gamma, delta) in zip(grid, cells):
-        ref = bounds_report(inst, gamma, delta, n_schemes=6, seed=scheme_seed, schemes=schemes)
+    for rep, ref, (gamma, delta) in zip(grid, refs, cells):
         assert rep.to_dict() == ref.to_dict()
         assert rep.upper_values == ref.upper_values
         cert = robustify(inst, opt_scheme, rep.alpha)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from persuasion_lab import UnknownTargetError, ValidationError, builtin_instance, reproduce
+from persuasion_lab import UnknownTargetError, ValidationError, builtin_instance, repro, reproduce
 from persuasion_lab.repro import TARGETS, reproduce_bounds_sweep, reproduce_judge
 
 
@@ -78,3 +78,17 @@ def test_bounds_sweep_counts_below_one(n_instances):
 def test_learning_targets_need_a_seed(target):
     with pytest.raises(ValidationError):
         reproduce(target, rounds=100, n_seeds=0)
+
+
+@pytest.mark.parametrize("count", ["rounds", "n_seeds", "threads"])
+def test_example_4_3_checks_counts_before_the_lp(monkeypatch, count):
+    solved, original = [], repro.solve_classic
+
+    def spy(instance):
+        solved.append(instance)
+        return original(instance)
+
+    monkeypatch.setattr(repro, "solve_classic", spy)
+    with pytest.raises(ValidationError):
+        reproduce("example-4-3", **{count: 0})
+    assert solved == []

@@ -44,6 +44,7 @@ from persuasion_lab.sampling import satisfied_instance
 from support import (
     approx_responding_strategy,
     deterministic_responding_strategy,
+    drawn_in_turn,
     random_instance,
     random_scheme,
     signal_margin,
@@ -413,18 +414,7 @@ class TestBoundsReport:
         assert a.upper_values == b.upper_values
         assert a.lower_certificate == b.lower_certificate
 
-    def test_explicit_scheme_list(self, judge, judge_opt):
-        rep = bounds_report(judge, 0.05, 0.0, schemes=[judge_opt])
-        assert len(rep.upper_values) == 1
-        assert rep.upper_values[0] <= rep.opt + rep.slack + 1e-8
-
-    def test_seed_without_a_draw_leaves_the_report_unchanged(self, judge, judge_opt):
-        # with the candidates given, no scheme is drawn and the seed does not act
-        a = bounds_report(judge, 0.03, 0.0, schemes=[judge_opt], seed=7)
-        b = bounds_report(judge, 0.03, 0.0, schemes=[judge_opt], seed=8)
-        assert a.to_dict() == b.to_dict()
-
-    def test_knife_edge_schemes_counted_once(self, judge, judge_opt):
+    def test_knife_edge_schemes_counted_once(self, judge, judge_opt, monkeypatch):
         # split the convict signal of a robustified scheme in two: both halves
         # sit on the gamma cutoff, and the scheme counts once
         mixed = robustify(judge, judge_opt, 0.1)
@@ -436,7 +426,11 @@ class TestBoundsReport:
         single = evaluate_objective(judge, split, gamma, 0.0, "best")
         assert single.knife_edge_signals == ("c1", "c2")
         assert evaluate_objective(judge, judge_opt, gamma, 0.0, "best").knife_edge_signals == ()
-        rep = bounds_report(judge, gamma, 0.0, schemes=[split, judge_opt, split])
+        monkeypatch.setattr(response, "random_conditional", drawn_in_turn([split, judge_opt, split]))
+        rep = bounds_report(judge, gamma, 0.0, n_schemes=3)
+        assert rep.upper_values == tuple(
+            evaluate_objective(judge, c, gamma, 0.0, "best").value for c in (split, judge_opt, split)
+        )
         # the certificate is robustified past gamma, so only the splits count
         assert rep.knife_edge_schemes == 2
 

@@ -8,6 +8,7 @@ from persuasion_lab import (
     is_approx_best_responding,
     profile_instance,
 )
+from persuasion_lab import sampling
 from persuasion_lab.sampling import satisfied_instance
 from support import (
     approx_responding_strategy,
@@ -29,10 +30,11 @@ def test_satisfied_instance_meets_assumption(seed):
     assert set(prof.per_state_optimal.values()) == set(inst.actions)
 
 
-def test_satisfied_instance_impossible_floor():
+def test_satisfied_instance_impossible_floor(monkeypatch):
+    monkeypatch.setattr(sampling, "MAX_TRIES", 50)
     rng = np.random.default_rng(0)
-    with pytest.raises(ValidationError):
-        satisfied_instance(rng, min_mu_delta=5.0, max_tries=50)
+    with pytest.raises(ValidationError, match="in 50 tries"):
+        satisfied_instance(rng, min_mu_delta=5.0)
 
 
 def test_random_instance_shapes(rng):
