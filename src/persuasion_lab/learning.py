@@ -81,6 +81,12 @@ def _sample(cdf: np.ndarray, u) -> np.ndarray:
 # views of state-major counts and action-major scores, and each op runs
 # along the batch axis; every float is the same in either layout.
 #
+# Exp3's rule builds its weights by a plain loop, not a comprehension: on
+# CPython 3.11 a comprehension that reads the rule's locals makes them cell
+# variables, and every round then builds a closure, a function and a frame
+# (3.12 inlines comprehensions).  On the ``bandit`` workload's streams the
+# loop takes 1.03-1.15 us per round against 1.36-1.46 us (2-vCPU Xeon).
+#
 # A per-chunk path gathers by one flat ``take`` and splits by ``compress``,
 # never by a boolean mask or a gather over two index arrays.  At 16,384
 # rounds (2-vCPU Xeon, numpy 2.4): ``u.compress(m)`` 21-26 us against 83 us
@@ -168,12 +174,14 @@ def exp3_act(cumulative: list[float], config: Exp3Config, u: float) -> tuple[int
     this runs once per round, so it works on plain floats; ``lr * max`` is
     the max of the scaled estimates because ``Exp3Config`` keeps ``lr >= 0``.
     """
-    lr = config.learning_rate
+    lr, g = config.learning_rate, config.exploration
     top = lr * max(cumulative)
-    e = [math.exp(lr * c - top) for c in cumulative]
+    e = []  # a plain loop: see "receiver decision rules" above
+    for c in cumulative:
+        e.append(math.exp(lr * c - top))
     total = math.fsum(e)
-    keep = 1.0 - config.exploration
-    floor = config.exploration / len(e)
+    keep = 1.0 - g
+    floor = g / len(e)
     running = 0.0
     for a, x in enumerate(e):
         p = x * keep / total + floor
@@ -543,14 +551,17 @@ class SimulationTrace:
         return int(np.count_nonzero(self.actions[lo:hi] == self.signals[lo:hi]))
 
     def obedience_frequency(self, start: int = 0) -> float | None:
-        """Fraction of rounds ``[start:]`` (at least one) whose action index is the signal's."""
-        n = len(range(self.rounds)[start:])
-        if not n:
-            raise ValidationError(f"rounds [{start}:] select none of {self.rounds}")
+        """Fraction of rounds ``[start:]`` whose action index is the signal's.
+
+        ``start`` is an integer, not a bool, with ``0 <= start < rounds``.
+        """
+        integer = isinstance(start, (int, np.integer)) and not isinstance(start, bool)
+        if not (integer and 0 <= start < self.rounds):
+            raise ValidationError(f"start must be an integer in [0, {self.rounds}), got {start!r}")
         if self.signal_ids != self.instance.actions:
             return None
         # a count over a length is the float np.mean gives for that slice
-        return self._obeyed(start, None) / n
+        return self._obeyed(start, None) / (self.rounds - int(start))
 
     @property
     def last_decile_obedience(self) -> float | None:

@@ -1,10 +1,12 @@
 """Test inputs and oracles the library does not ship: unconstrained random
 instances and schemes, strategies drawn from a response set, the judge's
 optimal scheme, empirical conditional utilities drawn as ``simulate`` draws
-them, an exact rational check of a simplex basis, and a trace's sender
-utilities, running average and Example 4.3's summary gathered whole."""
+them, an exact rational check of a simplex basis, a trace's sender
+utilities, running average and Example 4.3's summary gathered whole, and
+Exp3's rule as a list comprehension over plain floats."""
 
 import itertools
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -230,3 +232,24 @@ def whole_alternating_stats(trace) -> AlternatingStats:
         s2_mean=mean(utils[~s1]),
         alternation_ok=bool(np.all(s1_states[0::2] == 0) and np.all(s1_states[1::2] == 1)),
     )
+
+
+def exp3_oracle(cumulative: list[float], config, u) -> tuple[int, float]:
+    """``learning.exp3_act`` with its weights built by a list comprehension.
+
+    Every float operation and its order are ``exp3_act``'s, so the two must
+    agree to the bit; a reordered sum or product shows in the last bits.
+    """
+    lr = config.learning_rate
+    top = lr * max(cumulative)
+    e = [math.exp(lr * c - top) for c in cumulative]
+    total = math.fsum(e)
+    keep = 1.0 - config.exploration
+    floor = config.exploration / len(e)
+    running = 0.0
+    for a, x in enumerate(e):
+        p = x * keep / total + floor
+        running += p
+        if running > u:
+            break
+    return a, p

@@ -5,10 +5,13 @@ import hashlib
 import math
 import re
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persuasion_lab import (
     AlternatingSignalPolicy,
@@ -44,6 +47,7 @@ from persuasion_lab.repro import alternating_stats
 from persuasion_lab.sampling import satisfied_instance
 from support import (
     empirical_conditional_utilities,
+    exp3_oracle,
     judge_optimal_scheme,
     random_instance,
     whole_alternating_stats,
@@ -107,6 +111,18 @@ def exp3_reference(cumulative, config):
     """EXP3's probabilities written directly in numpy."""
     w = np.exp(config.learning_rate * (cumulative - cumulative.max()))
     return (1.0 - config.exploration) * w / w.sum() + config.exploration / cumulative.size
+
+
+class RunningSums:
+    """A ``u`` that no running sum exceeds: ``running > u`` falls back to
+    ``u.__lt__(running)``, which records the sum."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __lt__(self, running):
+        self.seen.append(running)
+        return False
 
 
 def assert_same_state(a, b):
@@ -218,6 +234,43 @@ class TestExp3:
     def test_config_validation(self, exploration, learning_rate):
         with pytest.raises(ValidationError):
             Exp3Config(exploration, learning_rate)
+
+    @given(
+        st.data(),
+        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rule_matches_the_comprehension_oracle_to_the_bit(self, data, cumulative, exploration):
+        for k in data.draw(st.sets(st.integers(0, len(cumulative) - 1))):
+            cumulative[k] = max(cumulative)  # repeated maxima
+        # a rate that spreads the scaled estimates over [-40, 0] keeps most
+        # weights off 0 and 1, where a reordered sum shows
+        spread = max(max(cumulative) - min(cumulative), 1e-6)
+        spread_out = st.floats(0.0, 40.0).map(lambda z: z / spread)
+        learning_rate = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0), spread_out))
+        config = Exp3Config(exploration, learning_rate)
+        sums = RunningSums()
+        exp3_oracle(cumulative, config, sums)
+        us = [0.0, math.nextafter(sums.seen[-1], math.inf), math.inf]
+        for s in sums.seen:  # each running sum, one ulp below it, and the last one
+            us += [s, math.nextafter(s, -math.inf)]
+        for u in us + data.draw(st.lists(st.floats(0.0, 1.0), max_size=3)):
+            a, p = exp3_act(cumulative, config, u)
+            want_a, want_p = exp3_oracle(cumulative, config, u)
+            assert (a, p.hex()) == (want_a, want_p.hex()), u
+
+    def test_rule_builds_no_function_per_round(self):
+        # On CPython 3.11 a comprehension that reads the rule's locals makes
+        # them cell variables, and every round then builds a closure, a
+        # function and a frame: 1.36-1.46 against 1.03-1.15 us per round on
+        # the bandit workload's streams.  From 3.12 comprehensions are inlined.
+        code = exp3_act.__code__
+        nested = [c.co_name for c in code.co_consts if isinstance(c, types.CodeType)]
+        assert code.co_cellvars == () and nested == [], (
+            f"exp3_act has cell variables {code.co_cellvars} and nested code {nested}: "
+            "a closure per round took the bandit loop from 1.03-1.15 to 1.36-1.46 us per round"
+        )
 
     def test_one_action_tuning_is_valid(self):
         assert Exp3Config.for_horizon(1, 1000) == Exp3Config(0.0, 0.0)
@@ -406,11 +459,16 @@ class TestSimulate:
         )
         assert tr2.obedience_frequency() is None
 
-    @pytest.mark.parametrize("start", [50, 60])
+    @pytest.mark.parametrize("start", [50, 60, -5, 2.5, "3", None, True])
     def test_obedience_frequency_rejects_empty_range(self, judge, judge_opt, start):
         tr = simulate(judge, FixedSchemePolicy(judge_opt), ExpWeights(), 50, 0)
         with pytest.raises(ValidationError):
             tr.obedience_frequency(start)
+
+    def test_obedience_frequency_takes_a_numpy_integer(self, judge, judge_opt):
+        tr = simulate(judge, FixedSchemePolicy(judge_opt), ExpWeights(), 50, 0)
+        got = tr.obedience_frequency(np.int64(10))
+        assert type(got) is float and got == tr.obedience_frequency(10)
 
     def test_index_arrays_read_only(self, judge, judge_opt):
         tr = simulate(judge, FixedSchemePolicy(judge_opt), ExpWeights(), 50, 0)
