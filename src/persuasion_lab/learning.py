@@ -1,19 +1,19 @@
 """Repeated persuasion against learning receivers.
 
-Per round: the sender commits to a scheme for this round, nature draws a
-state from the prior, a signal is drawn from the scheme, the receiver picks
-an action knowing only its own history and the current signal, then feedback
-is revealed (the state under full feedback, the realized utility under
-partial feedback).
+Per round: nature draws a state from the prior, the sender maps it to a
+signal without reading the receiver's actions, the receiver picks an action
+knowing only its own history and the current signal, then feedback is
+revealed (the state under full feedback, the realized utility under partial
+feedback).
 
 Determinism contract: a run is driven by three independent substreams
 (states, signals, receiver randomization) spawned from one seed, each
 consumed as one uniform per round through inverse-CDF sampling.  Identical
-(instance, policy, receiver, rounds, seed) give bit-identical traces; the
-bulk path reproduces the per-round loop exactly.  ``simulate`` draws and
-plays ``SIMULATE_CHUNK`` rounds at a time, so a run holds its trace, one byte
-per index for up to 128 states, signals and actions, plus one chunk of
-working memory, and no output depends on the chunk size.
+(instance, policy, receiver, rounds, seed) give bit-identical traces; a
+receiver's bulk path reproduces its per-round loop exactly.  ``simulate``
+draws and plays ``SIMULATE_CHUNK`` rounds at a time, so a run holds its
+trace, one byte per index for up to 128 states, signals and actions, plus
+one chunk of working memory, and no output depends on the chunk size.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .errors import ValidationError, WrongInstanceError
 from .model import (
     PersuasionInstance,
     SignalingScheme,
+    check_integer,
     check_scheme,
     profile_instance,
     scheme_stats,
@@ -42,12 +43,6 @@ from .robustify import margin_lift, require_assumption, robustified_optimum
 def _spawn_rngs(seed: int) -> tuple[np.random.Generator, ...]:
     seqs = np.random.SeedSequence(seed).spawn(3)
     return tuple(np.random.default_rng(s) for s in seqs)
-
-
-def _check_count(name: str, value) -> None:
-    """Reject a ``value`` that is not an integer of at least 1; a bool is not a count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValidationError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 def _sample(cdf: np.ndarray, u) -> np.ndarray:
@@ -212,7 +207,7 @@ class _FullFeedbackReceiver:
         p = self._probs(self.counts[signal : signal + 1], np.array([float(t)]))[0]
         return int(_sample(np.add.accumulate(p), u))
 
-    def feed(self, signal: int, action: int, state: int, payoff: float, t: int) -> None:
+    def feed(self, signal: int, action: int, state: int, payoff: float) -> None:
         self.counts[signal, state] += 1.0
 
     def bulk_actions(
@@ -288,7 +283,7 @@ class Exp3:
         a, self._last_prob = exp3_act(self.cumulative[signal], self.tuned, u)
         return a
 
-    def feed(self, signal: int, action: int, state: int, payoff: float, t: int) -> None:
+    def feed(self, signal: int, action: int, state: int, payoff: float) -> None:
         self.cumulative[signal][action] += payoff / self._last_prob
 
     def bulk_actions(
@@ -322,6 +317,9 @@ def make_receiver(kind: str):
 
 # ---------------------------------------------------------------------------
 # sender policies
+#
+# A sender has ``signals``, ``reset()`` and ``signals_for_states(states,
+# u_signals)``, which ``simulate`` calls once per chunk in round order.
 
 
 class FixedSchemePolicy:
@@ -335,12 +333,6 @@ class FixedSchemePolicy:
         self._cdf_by_signal = np.cumsum(scheme.conditional, axis=1).T.copy()
 
     def reset(self) -> None:
-        pass
-
-    def round_cdf(self, t: int) -> np.ndarray:
-        return self._cdf_by_signal.T
-
-    def observe(self, t: int, state: int, signal: int, action: int) -> None:
         pass
 
     def signals_for_states(self, states: np.ndarray, u_signals: np.ndarray) -> np.ndarray:
@@ -364,27 +356,16 @@ class AlternatingSignalPolicy:
             raise WrongInstanceError(
                 f"alternating policy needs exactly 2 states, got {instance.n_states}"
             )
-        # conditional rows: P(s1|w) = 1 when w == target else 0
-        cond0 = np.array([[1.0, 0.0], [0.0, 1.0]])
-        cond1 = np.array([[0.0, 1.0], [1.0, 0.0]])
-        self._cdfs = np.stack([np.cumsum(cond0, axis=1), np.cumsum(cond1, axis=1)])
         self.reset()
 
     def reset(self) -> None:
         self.target = 0
 
-    def round_cdf(self, t: int) -> np.ndarray:
-        return self._cdfs[self.target]
-
-    def observe(self, t: int, state: int, signal: int, action: int) -> None:
-        if state == self.target:
-            self.target = 1 - self.target
-
     def signals_for_states(self, states: np.ndarray, u_signals: np.ndarray) -> np.ndarray:
         # each round leaves target = 1 - state, so s1 falls exactly on the
-        # rounds whose state differs from the round before; the per-round
-        # scheme is deterministic, so the signal uniforms go unused as the
-        # inverse CDF ignores them, and consecutive calls equal one whole call
+        # rounds whose state differs from the round before; the signal is a
+        # function of the state and the target, so the uniforms go unused,
+        # and consecutive calls equal one whole call
         out = (np.diff(states, prepend=1 - self.target) == 0).astype(np.int64)
         if states.size:
             self.target = 1 - int(states[-1])
@@ -412,7 +393,7 @@ def checkpoint_marks(rounds: int, every: int | None = None) -> list[int]:
     """
     if every is None:
         every = max(rounds // 10, 1)
-    _check_count("checkpoint interval", every)
+    check_integer("checkpoint interval", every, 1)
     return [*range(every, rounds, every), rounds]
 
 
@@ -506,7 +487,7 @@ class SimulationTrace:
         ``SIMULATE_CHUNK``; any other size must be an integer of at least 1.
         """
         size = SIMULATE_CHUNK if size is None else size
-        _check_count("chunk size", size)
+        check_integer("chunk size", size, 1)
         utility, n_states = self.instance.sender_utility.ravel(), self.instance.n_states
 
         def read():
@@ -687,40 +668,35 @@ def _round_chunks(instance: PersuasionInstance, rounds: int, rngs: Sequence[np.r
         yield lo, _sample(prior_cdf, state_rng.random(n)), *[rng.random(n) for rng in others]
 
 
-# Senders whose signals do not depend on the receiver's actions.
-_BULK_SENDERS = (FixedSchemePolicy, AlternatingSignalPolicy)
-
-
 def simulate(
     instance: PersuasionInstance,
     policy,
     receiver,
     rounds: int,
     seed: int,
-    *,
-    fast: bool = True,
 ) -> SimulationTrace:
-    """Run the repeated interaction for ``rounds`` rounds.
+    """Run the repeated interaction for ``rounds`` rounds from the integer ``seed >= 0``.
 
     The receiver only ever sees (signal, round index, its own uniform draw)
     before acting; states and payoffs reach it through feedback after the
     action is fixed.  Rounds are drawn and played ``SIMULATE_CHUNK`` at a
     time, in int64, into the preallocated trace of narrow index arrays.
-    With ``fast=True`` a built-in sender and receiver play each chunk in
-    bulk, through ``signals_for_states`` and ``bulk_actions``; the result
-    and the receiver's final state are identical either way.  Types are
-    tested exactly: a subclass may override ``act``, ``feed`` or
-    ``round_cdf``, none of which the bulk path calls.
+    Each chunk's signals come from one ``policy.signals_for_states`` call.
+    A built-in receiver then plays the chunk through ``bulk_actions``; any
+    other, a subclass included, steps through ``act`` and ``feed`` round by
+    round, so an override of either takes effect.  The trace and the
+    receiver's final state are the same either way.
     """
-    _check_count("rounds", rounds)
+    check_integer("rounds", rounds, 1)
+    check_integer("seed", seed, 0)
     scheme = policy.scheme if isinstance(policy, FixedSchemePolicy) else None
     if scheme is not None:
         check_scheme(instance, scheme)
     policy.reset()
     signal_ids = tuple(policy.signals)
     receiver.reset(len(signal_ids), instance, rounds)
-    bulk = fast and type(policy) in _BULK_SENDERS and type(receiver) in _RECEIVERS.values()
-    v = instance.receiver_utility
+    bulk = type(receiver) in _RECEIVERS.values()
+    v = instance.receiver_utility.tolist()
 
     # the smallest signed dtype that holds every index: int8 up to 128 of each
     dtype = np.min_scalar_type(-max(instance.n_states, len(signal_ids), instance.n_actions))
@@ -729,20 +705,17 @@ def simulate(
     actions = np.empty(rounds, dtype=dtype)
     for lo, w, u_signals, u_actions in _round_chunks(instance, rounds, _spawn_rngs(seed)):
         hi = lo + w.size
+        s = policy.signals_for_states(w, u_signals)
         states[lo:hi] = w
+        signals[lo:hi] = s
         if bulk:
-            s = policy.signals_for_states(w, u_signals)
-            signals[lo:hi] = s
             actions[lo:hi] = receiver.bulk_actions(w, s, u_actions, lo)
-        else:
-            for i, state in enumerate(w.tolist()):
-                t = lo + i + 1
-                s = int(_sample(policy.round_cdf(t)[state], u_signals[i]))
-                a = receiver.act(s, t, u_actions[i])
-                signals[lo + i] = s
-                actions[lo + i] = a
-                receiver.feed(s, a, state, v[a, state], t)
-                policy.observe(t, state, s, a)
+            continue
+        played = zip(w.tolist(), s.tolist(), u_actions.tolist())
+        for t, (state, signal, u) in enumerate(played, lo + 1):
+            a = receiver.act(signal, t, u)
+            actions[t - 1] = a
+            receiver.feed(signal, a, state, v[a][state])
     for drawn in (states, signals, actions):
         drawn.setflags(write=False)
 
@@ -758,11 +731,13 @@ def simulate(
 
 
 def _check_runs(rounds: int, seeds: Sequence[int], threads: int) -> None:
-    """Reject a ``run_replications`` call's counts: ``rounds``, at least one seed, ``threads``."""
-    _check_count("rounds", rounds)
+    """Reject a ``run_replications`` call's counts, every seed before any runs."""
+    check_integer("rounds", rounds, 1)
     if not seeds:
         raise ValidationError("seeds must not be empty")
-    _check_count("threads", threads)
+    for seed in seeds:
+        check_integer("seed", seed, 0)
+    check_integer("threads", threads, 1)
 
 
 def run_replications(
@@ -867,8 +842,8 @@ def convergence_report(
     """
     seeds = tuple(seeds)
     _check_runs(rounds, seeds, threads)
-    if constant <= 0:
-        raise ValidationError("constant must be positive")
+    if not 0 < constant < math.inf:  # written so that NaN fails too
+        raise ValidationError(f"constant must be finite and positive, got {constant!r}")
     prof = require_assumption(profile_instance(instance))
     scheme, alpha, opt = robustified_optimum(instance, constant)
     marginals = scheme_stats(instance, scheme).marginals

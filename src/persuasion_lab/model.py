@@ -80,6 +80,12 @@ def check_gamma(gamma: float) -> None:
         raise ValidationError(f"gamma must be nonnegative, got {gamma!r}")
 
 
+def check_integer(name: str, value, least: int) -> None:
+    """Reject a ``value`` that is not an integer of at least ``least``; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValidationError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 def check_eps_num(eps_num: float) -> None:
     """Reject a negative or non-finite tolerance; written so that NaN fails too."""
     if not 0 <= eps_num < math.inf:

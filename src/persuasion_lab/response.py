@@ -28,6 +28,7 @@ from .model import (
     best_response_mask,
     check_eps_num,
     check_gamma,
+    check_integer,
     check_scheme,
     check_sent,
     check_strategy,
@@ -493,10 +494,8 @@ def bounds_grid(
     certificate.
     """
     check_eps_num(eps_num)
-    if n_schemes < 0:
-        raise ValidationError(f"n_schemes must be at least 0, got {n_schemes}")
-    if seed is None or seed < 0:  # None would draw a seed no run can repeat
-        raise ValidationError(f"seed must be an integer at least 0, got {seed!r}")
+    check_integer("n_schemes", n_schemes, 0)
+    check_integer("seed", seed, 0)  # None would draw a seed no run can repeat
     windows = [response_window(instance, gamma, eps_num) for gamma in gammas]
     for gamma in gammas:
         for delta in deltas:

@@ -2,9 +2,11 @@
 instances and schemes, strategies drawn from a response set, the judge's
 optimal scheme, empirical conditional utilities drawn as ``simulate`` draws
 them, an exact rational check of a simplex basis, a trace's sender
-utilities, running average and Example 4.3's summary gathered whole, and
-Exp3's rule as a list comprehension over plain floats."""
+utilities, running average and Example 4.3's summary gathered whole,
+Exp3's rule as a list comprehension over plain floats, the two senders'
+rules written round by round, and receivers that take the per-round loop."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -253,3 +255,39 @@ def exp3_oracle(cumulative: list[float], config, u) -> tuple[int, float]:
         if running > u:
             break
     return a, p
+
+
+def fixed_signals(scheme: SignalingScheme, states, u) -> list[int]:
+    """The fixed sender's rule, round by round: the first signal whose running
+    sum of ``scheme.conditional[w]`` exceeds ``u``, else the last."""
+    out = []
+    for w, x in zip(states.tolist(), u.tolist()):
+        running, signal = 0.0, scheme.n_signals - 1
+        for k, p in enumerate(scheme.conditional[w].tolist()):
+            running += p
+            if running > x:
+                signal = k
+                break
+        out.append(signal)
+    return out
+
+
+def alternating_signals(states, target: int = 0) -> list[int]:
+    """The alternating sender's rule, round by round: ``s1`` (index 0) exactly
+    when the state equals the target, and the target then flips."""
+    out = []
+    for w in states.tolist():
+        out.append(0 if w == target else 1)
+        if w == target:
+            target = 1 - target
+    return out
+
+
+@functools.cache
+def per_round(cls):
+    """A subclass of the receiver class ``cls`` that overrides nothing.
+
+    ``simulate`` plays only the built-in receiver classes in bulk, so an
+    instance of this steps through ``act`` and ``feed`` round by round.
+    """
+    return type(f"PerRound{cls.__name__}", (cls,), {})

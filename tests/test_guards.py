@@ -45,6 +45,7 @@ from support import (
     deterministic_responding_strategy,
     empirical_conditional_utilities,
     judge_optimal_scheme,
+    per_round,
 )
 
 # the package's exports, and the test helpers that read a pair through them
@@ -212,13 +213,16 @@ def test_directness_is_the_signal_list(judge, judge_opt):
             verify_robustification(judge, judge_opt, other, 0.1)
 
 
-@pytest.mark.parametrize("fast", [True, False])
+@pytest.mark.parametrize("bulk", [True, False])
 @pytest.mark.parametrize("n_states", [1, 3])
 @pytest.mark.parametrize("kind", ["empirical-br", "exp-weights", "exp3"])
-def test_simulate_rejects_fixed_scheme_for_other_states(kind, n_states, fast, judge):
+def test_simulate_rejects_fixed_scheme_for_other_states(kind, n_states, bulk, judge):
     scheme = SignalingScheme(judge.actions, np.full((n_states, judge.n_actions), 0.5))
+    receiver = make_receiver(kind)
+    if not bulk:
+        receiver = per_round(type(receiver))()
     with pytest.raises(PersuasionError):
-        simulate(judge, FixedSchemePolicy(scheme), make_receiver(kind), 20, 0, fast=fast)
+        simulate(judge, FixedSchemePolicy(scheme), receiver, 20, 0)
 
 
 @pytest.mark.parametrize("name", TOLERANT)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import gc
 import hashlib
+import itertools
 import math
 import re
 import tracemalloc
@@ -46,9 +47,12 @@ from persuasion_lab.model import best_response_mask
 from persuasion_lab.repro import alternating_stats
 from persuasion_lab.sampling import satisfied_instance
 from support import (
+    alternating_signals,
     empirical_conditional_utilities,
     exp3_oracle,
+    fixed_signals,
     judge_optimal_scheme,
+    per_round,
     random_instance,
     whole_alternating_stats,
     whole_running_avg,
@@ -71,10 +75,26 @@ class MirroredExp3(Exp3):
 
 
 class FlippedPolicy(FixedSchemePolicy):
-    """Overrides ``round_cdf``, which the bulk path never calls."""
+    """Sends the scheme's signals in reverse order, through its own ``signals_for_states``."""
 
-    def round_cdf(self, t):
-        return super().round_cdf(t)[::-1].copy()
+    def signals_for_states(self, states, u_signals):
+        return len(self.signals) - 1 - super().signals_for_states(states, u_signals)
+
+
+class EvenOddSender:
+    """A sender written to the protocol alone: ``signals``, ``reset`` and
+    ``signals_for_states``, and no built-in class.  It sends ``odd`` on the
+    first, third, ... state-0 rounds and whenever the uniform is below 0.2."""
+
+    signals = ("even", "odd")
+
+    def reset(self):
+        self.zeros = 0
+
+    def signals_for_states(self, states, u_signals):
+        zeros = self.zeros + np.cumsum(states == 0)
+        self.zeros = int(zeros[-1])
+        return ((zeros % 2 == 1) & (states == 0) | (u_signals < 0.2)).astype(np.int64)
 
 
 def sender_case(sender, judge, judge_opt, mismatch):
@@ -137,8 +157,8 @@ def assert_same_state(a, b):
 def fed(receiver, instance, pairs, n_signals=2):
     """Reset a full-feedback receiver and feed it (signal, state) rounds."""
     receiver.reset(n_signals, instance, len(pairs))
-    for t, (sig, w) in enumerate(pairs, 1):
-        receiver.feed(sig, 0, w, 0.0, t)
+    for sig, w in pairs:
+        receiver.feed(sig, 0, w, 0.0)
     return receiver
 
 
@@ -159,7 +179,7 @@ class TestReceiverState:
         rec.reset(2, three, 10)
         for t, payoff in ((1, 1.5), (2, 1.0 / 6.0)):
             assert rec.act(1, t, 0.9) == 2  # uniform play: u = 0.9 picks the last action
-            rec.feed(1, 2, 0, payoff, t)
+            rec.feed(1, 2, 0, payoff)
         assert rec.cumulative[1] == [0.0, 0.0, 5.0]
         assert rec.cumulative[0] == [0.0, 0.0, 0.0]
 
@@ -306,15 +326,8 @@ class TestAlternatingPolicy:
         halves = [pol.signals_for_states(p, np.zeros(p.size)) for p in (states[:73], states[73:])]
         assert np.concatenate(halves).tolist() == vec.tolist()
         assert pol.target == vec_target
-        pol.reset()
-        step = []
-        for i, w in enumerate(states.tolist()):
-            cdf = pol.round_cdf(i + 1)
-            s = 0 if cdf[w, 0] >= 1.0 else 1  # deterministic rows: s1 iff cdf[w,0]==1
-            step.append(s)
-            pol.observe(i + 1, w, s, 0)
-        assert vec.tolist() == step
-        assert pol.target == vec_target
+        # the rule from its definition, one round at a time
+        assert vec.tolist() == alternating_signals(states)
 
     def test_two_states_required(self, rng):
         inst = random_instance(rng, max_states=6)
@@ -352,14 +365,44 @@ class TestSimulate:
     @pytest.mark.parametrize("sender", ["fixed", "flipped", "alternating"])
     def test_fast_path_matches_generic(self, judge, judge_opt, mismatch, receiver_cls, sender):
         inst, make_policy = sender_case(sender, judge, judge_opt, mismatch)
-        fast_receiver, slow_receiver = receiver_cls(), receiver_cls()
-        fast = simulate(inst, make_policy(), fast_receiver, 3000, 11, fast=True)
-        slow = simulate(inst, make_policy(), slow_receiver, 3000, 11, fast=False)
+        fast_receiver, slow_receiver = receiver_cls(), per_round(receiver_cls)()
+        fast = simulate(inst, make_policy(), fast_receiver, 3000, 11)
+        slow = simulate(inst, make_policy(), slow_receiver, 3000, 11)
         assert np.array_equal(fast.states, slow.states)
         assert np.array_equal(fast.signals, slow.signals)
         assert np.array_equal(fast.actions, slow.actions)
         assert np.array_equal(whole_running_avg(fast), whole_running_avg(slow))
         assert_same_state(fast_receiver, slow_receiver)
+
+    @pytest.mark.parametrize("receiver_cls", [EmpiricalBestResponse, ExpWeights, Exp3])
+    def test_protocol_sender_takes_either_path(self, judge, monkeypatch, receiver_cls):
+        # the sender is no built-in class; chunks of 7 make it carry its count
+        monkeypatch.setattr(learning, "SIMULATE_CHUNK", 7)
+        fast_receiver, slow_receiver = receiver_cls(), per_round(receiver_cls)()
+        fast = simulate(judge, EvenOddSender(), fast_receiver, 500, 3)
+        slow = simulate(judge, EvenOddSender(), slow_receiver, 500, 3)
+        assert_same_trace(fast, slow)
+        assert_same_state(fast_receiver, slow_receiver)
+        assert fast.scheme is None and fast.signal_ids == ("even", "odd")
+        # the trace holds the sender's rule: odd on every other state-0 round, or u < 0.2
+        zeros = np.cumsum(fast.states == 0)
+        u = learning._spawn_rngs(3)[1].random(500)
+        assert fast.signals.tolist() == (((zeros % 2 == 1) & (fast.states == 0)) | (u < 0.2)).tolist()
+
+    @pytest.mark.parametrize("receiver_cls", [ExpWeights, per_round(ExpWeights)])
+    def test_flipped_sender_changes_the_trace(self, judge, judge_opt, receiver_cls):
+        # so the subclass tests cannot pass on a flip that never runs
+        plain = simulate(judge, FixedSchemePolicy(judge_opt), receiver_cls(), 300, 4)
+        flipped = simulate(judge, FlippedPolicy(judge_opt), receiver_cls(), 300, 4)
+        assert flipped.signals.tolist() == (1 - plain.signals).tolist()
+        # the receiver learns per signal, so relabeling the signals moves no action
+        assert flipped.actions.tobytes() == plain.actions.tobytes()
+
+    @pytest.mark.parametrize("seed", [None, True, -1, 1.5, "3"])
+    def test_seed_must_be_an_integer_of_at_least_zero(self, judge, judge_opt, seed):
+        message = f"seed must be an integer of at least 0, got {seed!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            simulate(judge, FixedSchemePolicy(judge_opt), ExpWeights(), 50, seed)
 
     @pytest.mark.parametrize(
         "receiver_cls",
@@ -377,9 +420,9 @@ class TestSimulate:
         whole_receiver = receiver_cls()
         whole = simulate(inst, make_policy(), whole_receiver, rounds, 11)
         monkeypatch.setattr(learning, "SIMULATE_CHUNK", chunk)
-        for fast in (True, False):
-            receiver = receiver_cls()
-            chunked = simulate(inst, make_policy(), receiver, rounds, 11, fast=fast)
+        for cls in (receiver_cls, per_round(receiver_cls)):
+            receiver = cls()
+            chunked = simulate(inst, make_policy(), receiver, rounds, 11)
             assert_same_trace(chunked, whole)
             assert_same_state(receiver, whole_receiver)
 
@@ -427,9 +470,9 @@ class TestSimulate:
             inst = random_instance(rng, max_states=6, max_actions=12)
         cond = rng.dirichlet(np.ones(3), size=inst.n_states)
         scheme = make_scheme(inst, ("s0", "s1", "s2"), cond)
-        fast_receiver, slow_receiver = receiver_cls(), receiver_cls()
-        fast = simulate(inst, FixedSchemePolicy(scheme), fast_receiver, 1500, 2, fast=True)
-        slow = simulate(inst, FixedSchemePolicy(scheme), slow_receiver, 1500, 2, fast=False)
+        fast_receiver, slow_receiver = receiver_cls(), per_round(receiver_cls)()
+        fast = simulate(inst, FixedSchemePolicy(scheme), fast_receiver, 1500, 2)
+        slow = simulate(inst, FixedSchemePolicy(scheme), slow_receiver, 1500, 2)
         assert np.array_equal(fast.actions, slow.actions)
         assert np.array_equal(whole_running_avg(fast), whole_running_avg(slow))
         assert_same_state(fast_receiver, slow_receiver)
@@ -570,8 +613,8 @@ class TestNarrowIndices:
         # the widest of the three axes decides, on both paths
         inst, scheme = one_wide_axis(axis, n)
         traces = [
-            simulate(inst, FixedSchemePolicy(scheme), receiver_cls(), 300, 1, fast=fast)
-            for fast in (True, False)
+            simulate(inst, FixedSchemePolicy(scheme), cls(), 300, 1)
+            for cls in (receiver_cls, per_round(receiver_cls))
         ]
         for trace in traces:
             assert [getattr(trace, name).dtype for name in STORED_ARRAYS] == [dtype] * 3
@@ -750,12 +793,13 @@ class TestTraceCsv:
             simulate(judge, FixedSchemePolicy(judge_opt), ExpWeights(), rounds, 4), tmp_path
         )
 
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_awkward_names_and_floats(self, tmp_path, fast):
+    @pytest.mark.parametrize("bulk", [True, False])
+    def test_awkward_names_and_floats(self, tmp_path, bulk):
         inst = awkward_instance()
         cond = np.array([[0.5, 0.3, 0.2], [0.2, 0.2, 0.6], [0.1, 0.8, 0.1]])
         scheme = make_scheme(inst, ("s,1", '"s2"', ""), cond)
-        trace = simulate(inst, FixedSchemePolicy(scheme), Exp3(), 3000, 1, fast=fast)
+        receiver = Exp3() if bulk else per_round(Exp3)()
+        trace = simulate(inst, FixedSchemePolicy(scheme), receiver, 3000, 1)
         # exploration visits every (action, state) cell, so every name and
         # utility is written
         assert np.unique(trace.actions * 3 + trace.states).size == 9
@@ -766,7 +810,7 @@ class TestTraceCsv:
             assert field in data
 
     def test_generic_loop(self, judge, judge_opt, tmp_path):
-        trace = simulate(judge, FlippedPolicy(judge_opt), Exp3(), 5000, 2, fast=False)
+        trace = simulate(judge, FlippedPolicy(judge_opt), per_round(Exp3)(), 5000, 2)
         self.assert_oracle_bytes(trace, tmp_path)
 
     def test_alternating_sender(self, mismatch, tmp_path):
@@ -915,9 +959,9 @@ class ProtocolProbe:
         self.acted.append(t)
         return 0
 
-    def feed(self, signal, action, state, payoff, t):
-        assert self.acted[-1] == t, "feedback for a round that has not acted"
-        self.fed.append(t)
+    def feed(self, signal, action, state, payoff):
+        assert len(self.fed) == len(self.acted) - 1, "feedback for a round that has not acted"
+        self.fed.append(self.acted[-1])
 
 
 def test_protocol_hygiene(judge, judge_opt):
@@ -957,6 +1001,21 @@ class TestReplications:
         ):
             run_replications(*args, threads=threads)
         assert made == []
+
+    @pytest.mark.parametrize("bad", [None, True, -1, 1.5, "3"])
+    def test_every_seed_checked_before_any_runs(self, judge, judge_opt, bad):
+        ran = []
+        message = f"seed must be an integer of at least 0, got {bad!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            run_replications(
+                judge, lambda: FixedSchemePolicy(judge_opt), ExpWeights, 50, [0, 1, bad], ran.append
+            )
+        assert ran == []
+
+    def test_numpy_integer_seed(self, judge, judge_opt):
+        args = (judge, lambda: FixedSchemePolicy(judge_opt), ExpWeights, 50)
+        got = run_replications(*args, [np.int64(3)], lambda tr: tr)[0]
+        assert_same_trace(got, run_replications(*args, [3], lambda tr: tr)[0])
 
 
 # every count the learning layer takes, as entry.parameter, and the name its error gives
@@ -1047,7 +1106,7 @@ class TestExp3FastPath:
         for tr in traces:
             if (sender, tr.seed) not in oracle_traces:
                 oracle_traces[sender, tr.seed] = simulate(
-                    inst, make_policy(), Exp3(), EXP3_ROUNDS, tr.seed, fast=False
+                    inst, make_policy(), per_round(Exp3)(), EXP3_ROUNDS, tr.seed
                 )
             want = oracle_traces[sender, tr.seed]
             assert_same_trace(tr, want)
@@ -1064,10 +1123,11 @@ class TestExp3FastPath:
             assert_same_trace(g, simulate(judge, FixedSchemePolicy(judge_opt), Exp3(cfg), 200, seed))
 
     def test_subclasses_run_per_seed(self, judge, judge_opt, monkeypatch):
-        # overrides of act/feed or round_cdf must reach the generic loop
+        # an override of feed must reach the per-round loop, and a sender's
+        # own signals_for_states is called whatever the receiver
         class DoubledExp3(Exp3):
-            def feed(self, signal, action, state, payoff, t):
-                super().feed(signal, action, state, 2.0 * payoff, t)
+            def feed(self, signal, action, state, payoff):
+                super().feed(signal, action, state, 2.0 * payoff)
 
         for policy_cls, receiver_cls in ((FixedSchemePolicy, DoubledExp3), (FlippedPolicy, Exp3)):
             calls = []
@@ -1083,7 +1143,7 @@ class TestExp3FastPath:
             monkeypatch.undo()
             assert calls == [1, 2]
             for seed, g in zip((1, 2), got):
-                want = simulate(judge, policy_cls(judge_opt), receiver_cls(), 200, seed, fast=False)
+                want = simulate(judge, policy_cls(judge_opt), per_round(receiver_cls)(), 200, seed)
                 assert_same_trace(g, want)
 
     def test_rounds_positive(self, judge, judge_opt):
@@ -1172,7 +1232,7 @@ class TestPrefixCounts:
         want = []
         for t, (w, s, x) in enumerate(zip(states.tolist(), signals.tolist(), u), 1):
             a = loop.act(s, t, x)
-            loop.feed(s, a, w, inst.receiver_utility[a, w], t)
+            loop.feed(s, a, w, inst.receiver_utility[a, w])
             want.append(a)
         got = []
         for lo in range(0, self.ROUNDS, chunk):
@@ -1250,7 +1310,7 @@ class TestSample:
 @pytest.mark.parametrize("n_signals", [1, 2, 7])
 @pytest.mark.parametrize("dtype", [np.int8, np.int64])
 def test_signal_draws_are_per_round_samples(n_signals, dtype):
-    """``FixedSchemePolicy.signals_for_states`` draws each round as ``_sample`` of its CDF row."""
+    """``FixedSchemePolicy.signals_for_states`` draws each round as the rule from its definition."""
     rng = np.random.default_rng(n_signals)
     inst = random_instance(rng)
     probs = rng.random((inst.n_states, n_signals)) * (rng.random((inst.n_states, n_signals)) < 0.7)
@@ -1258,19 +1318,15 @@ def test_signal_draws_are_per_round_samples(n_signals, dtype):
     scheme = make_scheme(
         inst, tuple(f"s{k}" for k in range(n_signals)), probs / probs.sum(axis=1, keepdims=True)
     )
-    policy = FixedSchemePolicy(scheme)
     states = rng.integers(0, inst.n_states, 600).astype(dtype)
     u = rng.random(600)
-    # a quarter of the uniforms sit exactly on an entry of their round's row
-    on_entry = rng.random(600) < 0.25
-    rows = policy.round_cdf(1)[states]
-    u[on_entry] = rows[on_entry, rng.integers(0, n_signals, 600)[on_entry]]
-    got = policy.signals_for_states(states, u)
+    # a quarter of the uniforms sit exactly on a running sum of their round's row
+    on_entry = np.flatnonzero(rng.random(600) < 0.25)
+    for t, k in zip(on_entry, rng.integers(0, n_signals, on_entry.size)):
+        u[t] = list(itertools.accumulate(scheme.conditional[states[t]].tolist()))[k]
+    got = FixedSchemePolicy(scheme).signals_for_states(states, u)
     assert got.dtype == np.int64
-    want = [
-        int(learning._sample(policy.round_cdf(t + 1)[w], u[t])) for t, w in enumerate(states.tolist())
-    ]
-    assert got.tolist() == want
+    assert got.tolist() == fixed_signals(scheme, states, u)
 
 
 def judge_radius(judge, judge_opt, t: int, signal: str) -> float | None:
@@ -1647,11 +1703,20 @@ class TestConvergencePipeline:
         assert made == []
 
     @pytest.mark.parametrize(
-        "rounds, seeds, threads",
-        [(0, [0], 1), (10, [], 1), (10, [0], 0)],
-        ids=["rounds", "seeds", "threads"],
+        "rounds, seeds, threads, constant",
+        [
+            (0, [0], 1, 0.2),
+            (10, [], 1, 0.2),
+            (10, [0], 0, 0.2),
+            (10, [0, -1], 1, 0.2),
+            (10, [0], 1, math.nan),
+            (10, [0], 1, math.inf),
+        ],
+        ids=["rounds", "seeds", "threads", "negative-seed", "nan", "inf"],
     )
-    def test_counts_checked_before_the_lp(self, judge, monkeypatch, rounds, seeds, threads):
+    def test_counts_checked_before_the_lp(
+        self, judge, monkeypatch, rounds, seeds, threads, constant
+    ):
         solved, original = [], learning.robustified_optimum
 
         def spy(*args):
@@ -1660,7 +1725,7 @@ class TestConvergencePipeline:
 
         monkeypatch.setattr(learning, "robustified_optimum", spy)
         with pytest.raises(ValidationError):
-            convergence_report(judge, 0.2, rounds, seeds, threads=threads)
+            convergence_report(judge, constant, rounds, seeds, threads=threads)
         assert solved == []
 
     def test_one_shot_seed_iterable(self, judge):

@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -487,6 +488,24 @@ class TestBoundsReport:
     def test_zero_candidates_accepted(self, judge):
         rep = bounds_report(judge, 0.03, 0.0, n_schemes=0)
         assert rep.upper_values == () and rep.upper_ok and rep.lower_ok
+
+    @pytest.mark.parametrize("value", [None, True, -1, 1.5, "3"])
+    @pytest.mark.parametrize("name", ["seed", "n_schemes"])
+    @pytest.mark.parametrize("entry", [bounds_report, bounds_grid], ids=lambda f: f.__name__)
+    def test_seed_and_count_must_be_integers_of_at_least_zero(
+        self, judge, monkeypatch, entry, name, value
+    ):
+        solved = []
+        monkeypatch.setattr(response, "solve_classic", lambda *a: solved.append(a))
+        cells = (0.03, 0.0) if entry is bounds_report else ((0.03,), (0.0,))
+        message = f"{name} must be an integer of at least 0, got {value!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            entry(judge, *cells, **{name: value})
+        assert solved == []
+
+    def test_numpy_integer_seed_and_count(self, judge):
+        got = bounds_report(judge, 0.03, 0.01, n_schemes=np.int64(4), seed=np.int64(2))
+        assert got.to_dict() == bounds_report(judge, 0.03, 0.01, n_schemes=4, seed=2).to_dict()
 
     def test_window_holds_at_every_eps_num(self, judge):
         # eps_num is the profile's tie tolerance only; below judge's gap of 1
