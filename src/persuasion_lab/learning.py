@@ -133,50 +133,34 @@ def exp_weights_probs(counts: np.ndarray, utility: np.ndarray, t: np.ndarray) ->
     return softmax(scores)
 
 
-@dataclass(frozen=True)
-class Exp3Config:
-    """Exploration and learning rate for the partial-feedback learner.
-
-    Defaults follow the classic tuning for a known horizon:
-    exploration = min(1, sqrt(n log n / ((e-1) T))), learning rate
-    exploration / n.
+def exp3_rates(n_actions: int, horizon: int) -> tuple[float, float]:
+    """Exp3's ``(exploration, learning_rate)``, the classic tuning for a known horizon T:
+    exploration = min(1, sqrt(n log n / ((e-1) T))), learning rate exploration / n.
     """
-
-    exploration: float
-    learning_rate: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.exploration <= 1.0:
-            raise ValidationError(f"exploration must lie in [0, 1], got {self.exploration!r}")
-        if not 0.0 <= self.learning_rate < math.inf:
-            raise ValidationError(
-                f"learning_rate must be finite and nonnegative, got {self.learning_rate!r}"
-            )
-
-    @staticmethod
-    def for_horizon(n_actions: int, horizon: int) -> "Exp3Config":
-        g = min(1.0, math.sqrt(n_actions * math.log(n_actions) / ((math.e - 1.0) * max(horizon, 1))))
-        return Exp3Config(exploration=g, learning_rate=g / n_actions)
+    g = min(1.0, math.sqrt(n_actions * math.log(n_actions) / ((math.e - 1.0) * max(horizon, 1))))
+    return g, g / n_actions
 
 
-def exp3_act(cumulative: list[float], config: Exp3Config, u: float) -> tuple[int, float]:
+def exp3_act(
+    cumulative: list[float], exploration: float, learning_rate: float, u: float
+) -> tuple[int, float]:
     """EXP3 (Auer et al. 2002): draw an action and return it with its probability.
 
     The probabilities are a softmax of one signal's cumulative
     importance-weighted reward estimates, mixed with uniform exploration.
     The draw is ``_sample``'s: the first action whose running sum of
     probabilities exceeds ``u``, else the last.  A row has a few entries and
-    this runs once per round, so it works on plain floats; ``lr * max`` is
-    the max of the scaled estimates because ``Exp3Config`` keeps ``lr >= 0``.
+    this runs once per round, so it works on plain floats.  ``exploration``
+    lies in [0, 1] and ``learning_rate`` is finite and at least 0, so
+    ``learning_rate * max`` is the max of the scaled estimates.
     """
-    lr, g = config.learning_rate, config.exploration
-    top = lr * max(cumulative)
+    top = learning_rate * max(cumulative)
     e = []  # a plain loop: see "receiver decision rules" above
     for c in cumulative:
-        e.append(math.exp(lr * c - top))
+        e.append(math.exp(learning_rate * c - top))
     total = math.fsum(e)
-    keep = 1.0 - g
-    floor = g / len(e)
+    keep = 1.0 - exploration
+    floor = exploration / len(e)
     running = 0.0
     for a, x in enumerate(e):
         p = x * keep / total + floor
@@ -270,17 +254,14 @@ class Exp3:
     feedback_mode = "partial"
     kind = "exp3"
 
-    def __init__(self, config: Exp3Config | None = None):
-        self.config = config
-
     def reset(self, n_signals: int, instance: PersuasionInstance, horizon: int) -> None:
-        self.tuned = self.config or Exp3Config.for_horizon(instance.n_actions, horizon)
+        self.rates = exp3_rates(instance.n_actions, horizon)
         self.utility = instance.receiver_utility
         self.cumulative = [[0.0] * instance.n_actions for _ in range(n_signals)]
         self._last_prob: float | None = None
 
     def act(self, signal: int, t: int, u: float) -> int:
-        a, self._last_prob = exp3_act(self.cumulative[signal], self.tuned, u)
+        a, self._last_prob = exp3_act(self.cumulative[signal], *self.rates, u)
         return a
 
     def feed(self, signal: int, action: int, state: int, payoff: float) -> None:
@@ -294,12 +275,12 @@ class Exp3:
         The estimates change every round, so each round is one ``exp3_act``
         and one importance-weighted update; no rule reads the round index.
         """
-        cumulative, config = self.cumulative, self.tuned
+        (g, lr), cumulative = self.rates, self.cumulative
         v = self.utility.tolist()
         actions = []
         p = self._last_prob
         for s, w, u in zip(signals.tolist(), states.tolist(), u_actions.tolist()):
-            a, p = exp3_act(cumulative[s], config, u)
+            a, p = exp3_act(cumulative[s], g, lr, u)
             cumulative[s][a] += v[a][w] / p
             actions.append(a)
         self._last_prob = p
@@ -536,9 +517,9 @@ class SimulationTrace:
 
         ``start`` is an integer, not a bool, with ``0 <= start < rounds``.
         """
-        integer = isinstance(start, (int, np.integer)) and not isinstance(start, bool)
-        if not (integer and 0 <= start < self.rounds):
-            raise ValidationError(f"start must be an integer in [0, {self.rounds}), got {start!r}")
+        check_integer("start", start, 0)
+        if start >= self.rounds:
+            raise ValidationError(f"start must be below {self.rounds}, got {start!r}")
         if self.signal_ids != self.instance.actions:
             return None
         # a count over a length is the float np.mean gives for that slice

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classic import solve_classic
-from .errors import UnknownTargetError, ValidationError
+from .errors import UnknownTargetError
 from .fixtures import builtin_instance
 from .learning import (
     AlternatingSignalPolicy,
@@ -23,7 +23,7 @@ from .learning import (
     convergence_report,
     run_replications,
 )
-from .model import full_revelation_scheme, posterior
+from .model import check_integer, full_revelation_scheme, posterior
 from .response import BOUNDS_TOLERANCE, DEFAULT_N_SCHEMES, bounds_grid, evaluate_objective
 from .robustify import response_window
 from .sampling import satisfied_instance
@@ -146,6 +146,13 @@ def alternating_stats(trace: SimulationTrace) -> AlternatingStats:
     )
 
 
+def _seeds(base_seed: int, n_seeds: int) -> list[int]:
+    """A learning target's seeds: ``n_seeds`` of them from ``base_seed`` on."""
+    check_integer("n_seeds", n_seeds, 1)
+    check_integer("base_seed", base_seed, 0)
+    return list(range(base_seed, base_seed + n_seeds))
+
+
 def _seed_mean(values: list) -> float | None:
     """The mean over seeds, ``None`` when some seed has no value."""
     return None if None in values else float(np.mean(values))
@@ -158,7 +165,7 @@ def reproduce_example_4_3(
     threads: int = 1,
 ) -> dict:
     inst = builtin_instance("example-4-3")
-    seeds = list(range(base_seed, base_seed + n_seeds))
+    seeds = _seeds(base_seed, n_seeds)
 
     stats = run_replications(
         inst,
@@ -195,15 +202,15 @@ def reproduce_example_4_3(
     return _finish("example-4-3", config, checks)
 
 
-def sweep_instances(n_instances: int, seed: int, max_gamma: float):
+def sweep_instances(n_instances: int, seed: int):
     """The bound sweep's ``(instance, scheme seed)`` pairs, in sweep order.
 
     Instances satisfy the uniqueness assumption with ``mu_min * gap`` above
-    ``1.3 * max_gamma``, so every gamma of the sweep admits a mixing weight.
+    ``1.3 * max(SWEEP_GAMMAS)``, so every gamma of the sweep admits a mixing weight.
     """
     rng = np.random.default_rng(seed)
     for _ in range(n_instances):
-        inst = satisfied_instance(rng, min_mu_delta=max_gamma * 1.3)
+        inst = satisfied_instance(rng, min_mu_delta=max(SWEEP_GAMMAS) * 1.3)
         yield inst, int(rng.integers(0, 2**31 - 1))
 
 
@@ -212,13 +219,13 @@ def reproduce_bounds_sweep(
     seed: int = 2024,
 ) -> dict:
     """Two-sided bound check over seeded random satisfying instances."""
-    if n_instances < 1:
-        raise ValidationError("n_instances must be positive")
+    check_integer("n_instances", n_instances, 1)
+    check_integer("seed", seed, 0)
     lower_viol = 0
     upper_viol = 0
     worst_lower_margin = np.inf
     worst_upper_margin = np.inf
-    for inst, scheme_seed in sweep_instances(n_instances, seed, max(SWEEP_GAMMAS)):
+    for inst, scheme_seed in sweep_instances(n_instances, seed):
         for rep in bounds_grid(inst, SWEEP_GAMMAS, SWEEP_DELTAS, seed=scheme_seed):
             if not rep.lower_ok:
                 lower_viol += 1
@@ -260,7 +267,7 @@ def reproduce_convergence(
     threads: int = 1,
 ) -> dict:
     inst = builtin_instance("judge")
-    seeds = list(range(base_seed, base_seed + n_seeds))
+    seeds = _seeds(base_seed, n_seeds)
     rep = convergence_report(inst, CONVERGENCE_CONSTANT, rounds, seeds, threads=threads)
     checks = [
         _check(

@@ -112,7 +112,10 @@ def robustified_optimum(
 
     Theorem 4.1's sender: the optimal scheme mixed with weight
     ``alpha = min(constant / 2, 1)``.  Returns ``(scheme, alpha, opt)``.
+    ``constant`` is finite and at least 0; at 0 this is the classic scheme.
     """
+    if not 0 <= constant < math.inf:  # written so that NaN fails too
+        raise ValidationError(f"constant must be finite and at least 0, got {constant!r}")
     alpha = min(constant / 2.0, 1.0)
     opt_scheme, opt = solve_classic(instance)
     return robustify(instance, opt_scheme, alpha, eps_num), alpha, opt

@@ -236,18 +236,19 @@ def whole_alternating_stats(trace) -> AlternatingStats:
     )
 
 
-def exp3_oracle(cumulative: list[float], config, u) -> tuple[int, float]:
+def exp3_oracle(
+    cumulative: list[float], exploration: float, learning_rate: float, u
+) -> tuple[int, float]:
     """``learning.exp3_act`` with its weights built by a list comprehension.
 
     Every float operation and its order are ``exp3_act``'s, so the two must
     agree to the bit; a reordered sum or product shows in the last bits.
     """
-    lr = config.learning_rate
-    top = lr * max(cumulative)
-    e = [math.exp(lr * c - top) for c in cumulative]
+    top = learning_rate * max(cumulative)
+    e = [math.exp(learning_rate * c - top) for c in cumulative]
     total = math.fsum(e)
-    keep = 1.0 - config.exploration
-    floor = config.exploration / len(e)
+    keep = 1.0 - exploration
+    floor = exploration / len(e)
     running = 0.0
     for a, x in enumerate(e):
         p = x * keep / total + floor

@@ -862,6 +862,8 @@ def test_counts_below_one_exit_1(tmp_path, capsys, argv):
         (("reproduce", "theorem-3-1-sweep", "--seed", -2), "--seed must be at least 0"),
         # 2 epsilon overflows; a NaN belief would silently pick action 0
         ((*EVALUATE, "--mode", "perturbed:1e308"), "overflows the perturbation step"),
+        # the message names the option given, not the alpha it maps to
+        ((*SIMULATE[:4], "robustified:-1", *SIMULATE[5:], "--rounds", 10), "constant must be finite and at least 0"),
     ],
 )
 def test_non_finite_numbers_exit_1(tmp_path, capsys, judge_opt, argv, message):

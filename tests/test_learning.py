@@ -18,7 +18,6 @@ from persuasion_lab import (
     AlternatingSignalPolicy,
     EmpiricalBestResponse,
     Exp3,
-    Exp3Config,
     ExpWeights,
     FixedSchemePolicy,
     PersuasionInstance,
@@ -111,11 +110,11 @@ def sender_case(sender, judge, judge_opt, mismatch):
 STORED_ARRAYS = ("states", "signals", "actions")
 
 
-def exp3_row(cumulative, config):
+def exp3_row(cumulative, exploration, learning_rate):
     """Every action's probability, read off ``exp3_act`` one CDF step at a time."""
     probs, running = [], 0.0
     for expect in range(len(cumulative)):
-        a, p = exp3_act(cumulative, config, running)
+        a, p = exp3_act(cumulative, exploration, learning_rate, running)
         assert a == expect
         probs.append(p)
         running += p
@@ -127,10 +126,10 @@ def sample_oracle(cdf_row, u):
     return min(int(np.searchsorted(cdf_row, u, side="right")), cdf_row.size - 1)
 
 
-def exp3_reference(cumulative, config):
+def exp3_reference(cumulative, exploration, learning_rate):
     """EXP3's probabilities written directly in numpy."""
-    w = np.exp(config.learning_rate * (cumulative - cumulative.max()))
-    return (1.0 - config.exploration) * w / w.sum() + config.exploration / cumulative.size
+    w = np.exp(learning_rate * (cumulative - cumulative.max()))
+    return (1.0 - exploration) * w / w.sum() + exploration / cumulative.size
 
 
 class RunningSums:
@@ -171,11 +170,12 @@ class TestReceiverState:
         expect = rec.counts @ judge.receiver_utility.T
         assert np.array_equal(learning._scores(rec.counts, judge.receiver_utility), expect)
 
-    def test_partial_feedback_accumulates_estimates(self):
+    def test_partial_feedback_accumulates_estimates(self, monkeypatch):
         three = PersuasionInstance(
             ("w0", "w1"), ("a0", "a1", "a2"), [0.5, 0.5], np.zeros((3, 2)), np.zeros((3, 2))
         )
-        rec = Exp3(Exp3Config(exploration=1.0, learning_rate=0.0))
+        monkeypatch.setattr(learning, "exp3_rates", lambda n_actions, horizon: (1.0, 0.0))
+        rec = Exp3()
         rec.reset(2, three, 10)
         for t, payoff in ((1, 1.5), (2, 1.0 / 6.0)):
             assert rec.act(1, t, 0.9) == 2  # uniform play: u = 0.9 picks the last action
@@ -233,27 +233,17 @@ class TestExpWeights:
 
 class TestExp3:
     def test_for_horizon_formula(self):
-        cfg = Exp3Config.for_horizon(4, 100_000)
         g = min(1.0, math.sqrt(4 * math.log(4) / ((math.e - 1) * 100_000)))
-        assert cfg.exploration == pytest.approx(g, abs=1e-15)
-        assert cfg.learning_rate == pytest.approx(g / 4, abs=1e-15)
+        got = learning.exp3_rates(4, 100_000)
+        assert [x.hex() for x in got] == [g.hex(), (g / 4).hex()]
 
     def test_cold_start_uniform(self):
-        assert np.allclose(exp3_row([0.0] * 4, Exp3Config.for_horizon(4, 1000)), 0.25)
+        assert np.allclose(exp3_row([0.0] * 4, *learning.exp3_rates(4, 1000)), 0.25)
 
     def test_exploration_floor(self):
-        cfg = Exp3Config(exploration=0.2, learning_rate=0.05)
-        p = exp3_row([50.0, 0.0], cfg)
+        p = exp3_row([50.0, 0.0], 0.2, 0.05)
         assert p.min() >= 0.1 - 1e-15
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize(
-        "exploration, learning_rate",
-        [(0.1, -0.01), (0.1, math.nan), (math.nan, 0.1), (1.5, 0.1), (-0.1, 0.1), (0.1, math.inf)],
-    )
-    def test_config_validation(self, exploration, learning_rate):
-        with pytest.raises(ValidationError):
-            Exp3Config(exploration, learning_rate)
 
     @given(
         st.data(),
@@ -269,15 +259,14 @@ class TestExp3:
         spread = max(max(cumulative) - min(cumulative), 1e-6)
         spread_out = st.floats(0.0, 40.0).map(lambda z: z / spread)
         learning_rate = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0), spread_out))
-        config = Exp3Config(exploration, learning_rate)
         sums = RunningSums()
-        exp3_oracle(cumulative, config, sums)
+        exp3_oracle(cumulative, exploration, learning_rate, sums)
         us = [0.0, math.nextafter(sums.seen[-1], math.inf), math.inf]
         for s in sums.seen:  # each running sum, one ulp below it, and the last one
             us += [s, math.nextafter(s, -math.inf)]
         for u in us + data.draw(st.lists(st.floats(0.0, 1.0), max_size=3)):
-            a, p = exp3_act(cumulative, config, u)
-            want_a, want_p = exp3_oracle(cumulative, config, u)
+            a, p = exp3_act(cumulative, exploration, learning_rate, u)
+            want_a, want_p = exp3_oracle(cumulative, exploration, learning_rate, u)
             assert (a, p.hex()) == (want_a, want_p.hex()), u
 
     def test_rule_builds_no_function_per_round(self):
@@ -293,7 +282,9 @@ class TestExp3:
         )
 
     def test_one_action_tuning_is_valid(self):
-        assert Exp3Config.for_horizon(1, 1000) == Exp3Config(0.0, 0.0)
+        rates = learning.exp3_rates(1, 1000)
+        assert [x.hex() for x in rates] == [(0.0).hex()] * 2
+        assert exp3_act([0.0], *rates, 0.5) == (0, 1.0)
 
     def test_make_receiver(self):
         assert isinstance(make_receiver("exp3"), Exp3)
@@ -1112,15 +1103,17 @@ class TestExp3FastPath:
             assert_same_trace(tr, want)
             assert checkpoint_fields(tr, 500) == checkpoint_fields(want, 500)
 
-    def test_mixed_configs_run_per_seed(self, judge, judge_opt):
-        configs = [Exp3Config(0.3, 0.02), Exp3Config(0.1, 0.05)]
-        pending = iter(configs)
+    def test_mixed_configs_run_per_seed(self, judge, judge_opt, monkeypatch):
+        # ``reset`` looks the rates up as each seed starts, so seed k gets pair k
+        pairs = [(0.3, 0.02), (0.1, 0.05)]
+        pending = iter(pairs)
+        monkeypatch.setattr(learning, "exp3_rates", lambda n_actions, horizon: next(pending))
         got = run_replications(
-            judge, lambda: FixedSchemePolicy(judge_opt), lambda: Exp3(next(pending)), 200, [1, 2],
-            lambda tr: tr,
+            judge, lambda: FixedSchemePolicy(judge_opt), Exp3, 200, [1, 2], lambda tr: tr
         )
-        for seed, cfg, g in zip((1, 2), configs, got):
-            assert_same_trace(g, simulate(judge, FixedSchemePolicy(judge_opt), Exp3(cfg), 200, seed))
+        for seed, pair, g in zip((1, 2), pairs, got):
+            monkeypatch.setattr(learning, "exp3_rates", lambda n_actions, horizon: pair)
+            assert_same_trace(g, simulate(judge, FixedSchemePolicy(judge_opt), Exp3(), 200, seed))
 
     def test_subclasses_run_per_seed(self, judge, judge_opt, monkeypatch):
         # an override of feed must reach the per-round loop, and a sender's
@@ -1181,13 +1174,13 @@ class TestRuleBatches:
 
     def test_exp3_matches_numpy_reference(self):
         rng = np.random.default_rng(8)
-        cfg = Exp3Config(exploration=0.05, learning_rate=0.4)
+        rates = (0.05, 0.4)  # exploration, learning rate
         for row in rng.random((6, 11)) * 30.0:
-            p_ref = exp3_reference(row, cfg)
+            p_ref = exp3_reference(row, *rates)
             cumulative = row.tolist()
-            assert exp3_row(cumulative, cfg) == pytest.approx(p_ref, rel=1e-14)
+            assert exp3_row(cumulative, *rates) == pytest.approx(p_ref, rel=1e-14)
             for u in rng.random(200):
-                a, p = exp3_act(cumulative, cfg, u)
+                a, p = exp3_act(cumulative, *rates, u)
                 assert a == sample_oracle(np.cumsum(p_ref), u)
                 assert p == pytest.approx(p_ref[a], rel=1e-14)
 

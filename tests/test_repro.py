@@ -3,8 +3,27 @@ import json
 
 import pytest
 
-from persuasion_lab import UnknownTargetError, ValidationError, builtin_instance, repro, reproduce
+from persuasion_lab import (
+    UnknownTargetError,
+    ValidationError,
+    builtin_instance,
+    learning,
+    repro,
+    reproduce,
+)
 from persuasion_lab.repro import TARGETS, reproduce_bounds_sweep, reproduce_judge
+
+
+def spy_on(monkeypatch, module, name: str) -> list:
+    """Record each call of ``module.name``, which still runs."""
+    calls, original = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 def test_targets_frozen():
@@ -38,14 +57,7 @@ def test_fast_targets_pass_and_serialize(target):
 
 def test_judge_profiles_once(monkeypatch):
     module = importlib.import_module("persuasion_lab.robustify")
-    original = module.profile_instance
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, "profile_instance", spy)
+    calls = spy_on(monkeypatch, module, "profile_instance")
     assert reproduce_judge()["ok"] is True
     assert len(calls) == 1
 
@@ -68,27 +80,44 @@ def test_bounds_sweep_small_structure():
     assert result["config"]["n_schemes"] == 50
 
 
-@pytest.mark.parametrize("n_instances", [0, -3])
-def test_bounds_sweep_counts_below_one(n_instances):
-    with pytest.raises(ValidationError):
-        reproduce("theorem-3-1-sweep", n_instances=n_instances)
+# a count or seed that is no integer (a bool is none) or is below its least value
+NOT_INTEGERS = (None, True, -1, 1.5, "3")
+LEARNING_TARGETS = ("theorem-4-1", "example-4-3")
 
 
-@pytest.mark.parametrize("target", ["theorem-4-1", "example-4-3"])
-def test_learning_targets_need_a_seed(target):
-    with pytest.raises(ValidationError):
-        reproduce(target, rounds=100, n_seeds=0)
+@pytest.mark.parametrize(
+    "overrides",
+    [pytest.param({"n_instances": n}, id=str(n)) for n in (0, -3, None, True, 1.5, "3")]
+    + [pytest.param({"n_instances": 1, "seed": s}, id=f"seed={s}") for s in NOT_INTEGERS],
+)
+def test_bounds_sweep_counts_below_one(monkeypatch, overrides):
+    drawn = spy_on(monkeypatch, repro, "satisfied_instance")
+    with pytest.raises(ValidationError, match="must be an integer of at least"):
+        reproduce("theorem-3-1-sweep", **overrides)
+    assert drawn == []
+
+
+@pytest.mark.parametrize(
+    "target, overrides",
+    [pytest.param(t, {"n_seeds": 0}, id=t) for t in LEARNING_TARGETS]
+    + [
+        pytest.param(t, {name: bad}, id=f"{t}-{name}={bad}")
+        for t in LEARNING_TARGETS
+        for name in ("n_seeds", "base_seed")
+        for bad in NOT_INTEGERS
+    ],
+)
+def test_learning_targets_need_a_seed(monkeypatch, target, overrides):
+    ran = spy_on(monkeypatch, learning, "simulate")
+    solved = spy_on(monkeypatch, learning, "robustified_optimum")
+    with pytest.raises(ValidationError, match="must be an integer of at least"):
+        reproduce(target, rounds=100, **overrides)
+    assert ran == solved == []
 
 
 @pytest.mark.parametrize("count", ["rounds", "n_seeds", "threads"])
 def test_example_4_3_checks_counts_before_the_lp(monkeypatch, count):
-    solved, original = [], repro.solve_classic
-
-    def spy(instance):
-        solved.append(instance)
-        return original(instance)
-
-    monkeypatch.setattr(repro, "solve_classic", spy)
+    solved = spy_on(monkeypatch, repro, "solve_classic")
     with pytest.raises(ValidationError):
         reproduce("example-4-3", **{count: 0})
     assert solved == []

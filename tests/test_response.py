@@ -521,7 +521,7 @@ class TestBoundsReport:
         # sweep scores them; when eps_num also widened the response sets, the
         # lower side failed in 10, 65 and 93 cells and the upper side in 0, 0
         # and 4
-        instances = list(sweep_instances(60, 2024, max(SWEEP_GAMMAS)))
+        instances = list(sweep_instances(60, 2024))
         for eps_num in (0.01, 0.1, 0.3):
             lower = upper = 0
             for inst, scheme_seed in instances:

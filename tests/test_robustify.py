@@ -17,6 +17,7 @@ from persuasion_lab import (
     make_scheme,
     posterior,
     response_window,
+    robustified_optimum,
     robustify,
     scheme_stats,
     solve_classic,
@@ -98,6 +99,21 @@ class TestEdges:
             robustify(judge, judge_opt, -0.1)
         with pytest.raises(ValidationError):
             robustify(judge, judge_opt, 1.5)
+
+    @pytest.mark.parametrize("constant", [-1.0, float("nan"), float("inf")])
+    def test_constant_checked_before_the_lp(self, judge, monkeypatch, constant):
+        # checked first, so the message names the constant, not the alpha it maps to
+        module = importlib.import_module("persuasion_lab.robustify")
+        solved, original = [], module.solve_classic
+
+        def spy(instance):
+            solved.append(instance)
+            return original(instance)
+
+        monkeypatch.setattr(module, "solve_classic", spy)
+        with pytest.raises(ValidationError, match="constant must be finite and at least 0"):
+            robustified_optimum(judge, constant)
+        assert solved == []
 
     def test_requires_direct_revelation(self, judge):
         labeled = make_scheme(judge, ("s0", "s1"), np.eye(2))

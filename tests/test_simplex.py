@@ -6,7 +6,7 @@ import pytest
 from persuasion_lab import BUILTIN_INSTANCES, builtin_instance, simplex
 from persuasion_lab.classic import build_obedience_lp, solve_classic
 from persuasion_lab.errors import LPError, LPInfeasibleError, LPIterationLimitError
-from persuasion_lab.repro import SWEEP_GAMMAS, sweep_instances
+from persuasion_lab.repro import sweep_instances
 from persuasion_lab.simplex import solve_standard_form
 from support import exact_basis_violations
 
@@ -114,7 +114,7 @@ def test_builtin_lps_certified_exactly(name):
 @pytest.mark.parametrize("seed", [2024, 20])
 def test_sweep_lps_certified_exactly(seed):
     # the default sweep seed, and seed 20, whose instance 16 drifts
-    for inst, _ in sweep_instances(25, seed, max(SWEEP_GAMMAS)):
+    for inst, _ in sweep_instances(25, seed):
         lp = build_obedience_lp(inst)
         certified_solve(lp.A, lp.b, lp.c)
 
@@ -156,7 +156,7 @@ def drifting_sweep_lp():
     Its 16 x 28 tableau drifts by 8e-4 in the right-hand side over the
     pivots; the final basis itself is optimal.
     """
-    inst, _ = list(sweep_instances(17, 20, 0.05))[16]
+    inst, _ = list(sweep_instances(17, 20))[16]
     return build_obedience_lp(inst)
 
 
@@ -204,7 +204,7 @@ def test_drifted_suboptimal_basis_raises(monkeypatch):
 def test_suboptimal_basis_raises_without_drift(monkeypatch):
     # stop phase 2 one pivot short of optimal on a sweep obedience LP; the
     # tableau has not drifted, so only the reduced-cost check can catch it
-    inst, _ = next(sweep_instances(1, 0, 0.05))
+    inst, _ = next(sweep_instances(1, 0))
     lp = build_obedience_lp(inst)
     real = simplex._bland_iterate
     calls = []
@@ -239,7 +239,7 @@ def test_sweep_optima_match_highs():
     # the bound sweep solves one classic LP per instance and reuses it in
     # every (gamma, delta) cell; check those optima against HiGHS
     optimize = pytest.importorskip("scipy.optimize")
-    for inst, _ in sweep_instances(25, 0, 0.05):
+    for inst, _ in sweep_instances(25, 0):
         lp = build_obedience_lp(inst)
         ref = optimize.linprog(
             -lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs"
