@@ -129,16 +129,60 @@ def _check_objective_args(gamma: float, delta: float, mode: str) -> None:
     check_gamma(gamma)
 
 
-def _knife_edges(marginals: np.ndarray, receiver_values: np.ndarray, gamma: float) -> np.ndarray:
-    """Flags of the sent signals where some margin lies within 10 RESPONSE_SLACK of gamma.
-
-    Near-cutoff margins make set membership arithmetic-sensitive; the
-    canonical argmax has margin 0 by construction and is never at risk.
-    """
+def _margins(receiver_values: np.ndarray) -> np.ndarray:
+    """Each action's distance below its signal's best receiver value; inf at
+    the canonical argmax, whose margin is 0 by construction and never at risk."""
     margins = receiver_values.max(axis=-1, keepdims=True) - receiver_values
     np.put_along_axis(margins, margins.argmin(axis=-1)[..., None], np.inf, axis=-1)
+    return margins
+
+
+def _knife_edges(marginals: np.ndarray, margins: np.ndarray, gamma: float) -> np.ndarray:
+    """Flags of the sent signals where some of ``_margins`` lies within 10
+    RESPONSE_SLACK of gamma: there set membership is arithmetic-sensitive."""
     near = np.any(np.abs(margins - gamma) <= 10.0 * RESPONSE_SLACK, axis=-1)
     return near & (marginals > 0.0)
+
+
+def _pick(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    return np.take_along_axis(values, index[..., None], axis=-1)[..., 0]
+
+
+def _outer_extremes(sender_values: np.ndarray, mode: str) -> tuple[np.ndarray, ...]:
+    """``(signed, outer, su_outer)``, free of gamma and delta: the sender values
+    signed so that ``mode``'s extremum is a minimum, and per signal the
+    extremal action overall with its sender value."""
+    signed = sender_values if mode == "worst" else -sender_values
+    outer = np.argmin(signed, axis=-1)
+    return signed, outer, _pick(sender_values, outer)
+
+
+def _inner_extremes(
+    signed: np.ndarray, sender_values: np.ndarray, mask: np.ndarray, outer: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """``(inner, su_inner, in_set)``, free of delta: per signal the extremal
+    action inside the set ``mask`` with its sender value, and whether
+    ``outer`` lies inside the set and so takes all the mass."""
+    inner = np.argmin(np.where(mask, signed, np.inf), axis=-1)
+    return inner, _pick(sender_values, inner), _pick(mask, outer)
+
+
+def _mix(
+    marginals: np.ndarray,
+    su_inner: np.ndarray,
+    su_outer: np.ndarray,
+    in_set: np.ndarray,
+    delta: float,
+) -> np.ndarray:
+    """Each scheme's value: mass 1-delta on ``inner`` and delta on ``outer``,
+    or all on ``outer`` where it is in the set.  Values are summed signal by
+    signal in signal order, so each row is bit-identical to a batch of one."""
+    sig_values = np.where(in_set, su_outer, (1.0 - delta) * su_inner + delta * su_outer)
+    weighted = np.where(marginals > 0.0, marginals * sig_values, 0.0)
+    values = np.zeros(weighted.shape[0])
+    for s in range(weighted.shape[1]):
+        values += weighted[:, s]
+    return values
 
 
 def _objective_core(
@@ -150,25 +194,12 @@ def _objective_core(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Extremal values of a batch of schemes under the response sets ``mask``.
 
-    Per signal, ``inner`` is the extremal action inside the set and
-    ``outer`` the extremal action overall; ``in_set`` marks the signals
-    whose ``outer`` lies inside the set and so takes all the mass.  Returns
-    ``(values, inner, outer, in_set)``.  Values are summed signal by signal
-    in signal order, so each row is bit-identical to a batch of one.
+    Composes ``_outer_extremes``, ``_inner_extremes`` and ``_mix``.  Returns
+    ``(values, inner, outer, in_set)``.
     """
-    su = sender_values
-    signed = su if mode == "worst" else -su
-    inner = np.argmin(np.where(mask, signed, np.inf), axis=-1)
-    outer = np.argmin(signed, axis=-1)
-    su_inner = np.take_along_axis(su, inner[..., None], axis=-1)[..., 0]
-    su_outer = np.take_along_axis(su, outer[..., None], axis=-1)[..., 0]
-    in_set = np.take_along_axis(mask, outer[..., None], axis=-1)[..., 0]
-    sig_values = np.where(in_set, su_outer, (1.0 - delta) * su_inner + delta * su_outer)
-    weighted = np.where(marginals > 0.0, marginals * sig_values, 0.0)
-    values = np.zeros(weighted.shape[0])
-    for s in range(weighted.shape[1]):
-        values += weighted[:, s]
-    return values, inner, outer, in_set
+    signed, outer, su_outer = _outer_extremes(sender_values, mode)
+    inner, su_inner, in_set = _inner_extremes(signed, sender_values, mask, outer)
+    return _mix(marginals, su_inner, su_outer, in_set, delta), inner, outer, in_set
 
 
 def evaluate_objective(
@@ -198,7 +229,7 @@ def evaluate_objective(
     rho[sent] = 0.0
     rho[sent, inner[0, sent]] = np.where(keep, 0.0, 1.0 - delta)
     rho[sent, outer[0, sent]] += np.where(keep, 1.0, delta)
-    knife = _knife_edges(marginals, receiver_values, gamma)[0]
+    knife = _knife_edges(marginals, _margins(receiver_values), gamma)[0]
 
     return ObjectiveEstimate(
         value=float(values[0]),
@@ -485,13 +516,17 @@ def bounds_grid(
 ) -> list[BoundsReport]:
     """``bounds_report`` for every (gamma, delta) cell, in gamma-major order.
 
-    The cells share the work that does not depend on them: the classic LP
-    and the candidate schemes with their statistics (every cell scores the
-    same candidates).  The candidates are bare conditionals drawn by
-    ``random_conditional``; they are never built as schemes.  Each gamma's
-    ``response_window`` profiles the instance once at ``eps_num`` and gives
-    the ratio gamma/(mu_min*gap), the mixing weight and the robustified
-    certificate.
+    The cells share the work that does not depend on them.  Once per
+    instance: the classic LP, and the candidate schemes with their
+    statistics, their best-mode extremal actions overall and their receiver
+    margins (every cell scores the same candidates).  Once per gamma: the
+    robustified certificate with its statistics, both sides' response sets
+    with their in-set extremes, and the knife-edge count.  Once per cell:
+    the delta mix of the in-set and overall extremes.  The candidates are
+    bare conditionals drawn by ``random_conditional``; they are never built
+    as schemes.  Each gamma's ``response_window`` profiles the instance
+    once at ``eps_num`` and gives the ratio gamma/(mu_min*gap), the mixing
+    weight and the robustified certificate.
     """
     check_eps_num(eps_num)
     check_integer("n_schemes", n_schemes, 0)
@@ -504,20 +539,27 @@ def bounds_grid(
     rng = np.random.default_rng(seed)
     conditionals = [random_conditional(rng, instance) for _ in range(n_schemes)]
     cand_marginals, cand_rv, cand_sv = _stack_stats(instance, conditionals)
+    cand_signed, cand_outer, cand_su_outer = _outer_extremes(cand_sv, "best")
+    cand_margins = _margins(cand_rv)
 
     reports = []
     for gamma, window in zip(gammas, windows):
         certificate = window.robustify(opt_scheme)
         cert_marginals, cert_rv, cert_sv = _stack_stats(instance, [certificate.conditional])
-        cert_mask = best_response_mask(cert_rv, gamma)
-        cand_mask = best_response_mask(cand_rv, gamma)
-        knife = int(_knife_edges(cert_marginals, cert_rv, gamma).any()) + int(
-            np.count_nonzero(_knife_edges(cand_marginals, cand_rv, gamma).any(axis=1))
+        cert_signed, cert_outer, cert_su_outer = _outer_extremes(cert_sv, "worst")
+        _, cert_su_inner, cert_in_set = _inner_extremes(
+            cert_signed, cert_sv, best_response_mask(cert_rv, gamma), cert_outer
+        )
+        _, cand_su_inner, cand_in_set = _inner_extremes(
+            cand_signed, cand_sv, best_response_mask(cand_rv, gamma), cand_outer
+        )
+        knife = int(_knife_edges(cert_marginals, _margins(cert_rv), gamma).any()) + int(
+            np.count_nonzero(_knife_edges(cand_marginals, cand_margins, gamma).any(axis=1))
         )
         for delta in deltas:
             slack = window.ratio + delta
-            lower = float(_objective_core(cert_marginals, cert_sv, cert_mask, delta, "worst")[0][0])
-            upper = _objective_core(cand_marginals, cand_sv, cand_mask, delta, "best")[0]
+            lower = float(_mix(cert_marginals, cert_su_inner, cert_su_outer, cert_in_set, delta)[0])
+            upper = _mix(cand_marginals, cand_su_inner, cand_su_outer, cand_in_set, delta)
             violations = int(np.count_nonzero(upper > opt + slack + BOUNDS_TOLERANCE))
             reports.append(
                 BoundsReport(

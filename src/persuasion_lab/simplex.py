@@ -34,7 +34,7 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     # eliminate the pivot column from every other row, cost row included
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
+    tableau -= factors[:, None] * tableau[row]
     basis[row] = col
 
 
@@ -42,25 +42,28 @@ def _bland_iterate(tableau: np.ndarray, basis: np.ndarray, max_iter: int) -> int
     """Run simplex iterations (minimization tableau) until optimal.
 
     Entering column: smallest-index column with negative reduced cost.
-    Leaving row: minimum ratio, ties broken by smallest basis variable index.
+    Leaving row: minimum ratio over the rows with a positive pivot entry,
+    ties broken by smallest basis variable index.
     """
     n_rows = tableau.shape[0] - 1
+    # views stay current: the pivots write into ``tableau`` in place
+    reduced = tableau[-1, :-1]
+    rhs = tableau[:n_rows, -1]
+    ratios = np.empty(n_rows)
+    unused = tableau.shape[1]  # above every basis index
     for it in range(max_iter):
-        reduced = tableau[-1, :-1]
-        candidates = np.flatnonzero(reduced < -_PIVOT_TOL)
-        if candidates.size == 0:
+        negative = reduced < -_PIVOT_TOL
+        col = int(negative.argmax())
+        if not negative[col]:
             return it
-        col = int(candidates[0])
         column = tableau[:n_rows, col]
-        rhs = tableau[:n_rows, -1]
-        rows = np.flatnonzero(column > _PIVOT_TOL)
-        if rows.size == 0:
+        ratios.fill(np.inf)
+        np.divide(rhs, column, out=ratios, where=column > _PIVOT_TOL)
+        best = ratios.min(initial=np.inf)  # a program with no rows has no ratios
+        if not best < np.inf:
             raise LPError("unbounded pivot column; problem is not a bounded program")
-        ratios = rhs[rows] / column[rows]
-        best = ratios.min()
-        tied = rows[np.flatnonzero(ratios <= best + 0.0)]
         # Bland: among minimum-ratio rows pick the smallest basis index
-        row = int(tied[np.argmin(basis[tied])])
+        row = int(np.where(ratios == best, basis, unused).argmin())
         _pivot(tableau, basis, row, col)
     raise LPIterationLimitError(f"simplex did not converge in {max_iter} iterations")
 

@@ -4,7 +4,9 @@ optimal scheme, empirical conditional utilities drawn as ``simulate`` draws
 them, an exact rational check of a simplex basis, a trace's sender
 utilities, running average and Example 4.3's summary gathered whole,
 Exp3's rule as a list comprehension over plain floats, the two senders'
-rules written round by round, and receivers that take the per-round loop."""
+rules written round by round, receivers that take the per-round loop, the
+satisfying-instance draw written state by state, and Bland's rule written
+with index lists."""
 
 import functools
 import itertools
@@ -16,6 +18,7 @@ import numpy as np
 
 from persuasion_lab import (
     FixedSchemePolicy,
+    LPError,
     PersuasionInstance,
     ReceiverStrategy,
     SignalingScheme,
@@ -24,11 +27,14 @@ from persuasion_lab import (
     builtin_instance,
     load_scheme,
     make_scheme,
+    profile_instance,
     scheme_stats,
 )
+from persuasion_lab.errors import LPIterationLimitError
 from persuasion_lab.learning import _round_chunks, _spawn_rngs
 from persuasion_lab.model import check_scheme, obedience_margins
 from persuasion_lab.repro import AlternatingStats
+from persuasion_lab import sampling
 from persuasion_lab.sampling import random_conditional
 
 
@@ -292,3 +298,71 @@ def per_round(cls):
     instance of this steps through ``act`` and ``feed`` round by round.
     """
     return type(f"PerRound{cls.__name__}", (cls,), {})
+
+
+def satisfied_instance_oracle(
+    rng: np.random.Generator, min_mu_delta: float | None = None
+) -> PersuasionInstance:
+    """``sampling.satisfied_instance`` drawn state by state: one scalar margin
+    per state, each added to its column's maximum, and the prior's flat
+    Dirichlet drawn by ``Generator.dirichlet``.  It must draw the same
+    instance from the same stream and leave the generator in the same state."""
+    for _ in range(sampling.MAX_TRIES):
+        n = int(rng.integers(2, sampling.MAX_ACTIONS + 1))
+        m = int(rng.integers(n, sampling.MAX_STATES + 1))
+        owners = np.concatenate(
+            [rng.permutation(n), rng.integers(0, n, size=m - n)]
+        ).astype(int)
+
+        v = rng.uniform(0.0, 0.3, (n, m))
+        for w in range(m):
+            margin = rng.uniform(0.35, 0.7)
+            v[owners[w], w] = v[:, w].max() + margin
+
+        base = 0.6 / m
+        prior = base + rng.dirichlet(np.ones(m)) * (1.0 - m * base)
+
+        inst = PersuasionInstance(
+            states=tuple(f"w{k}" for k in range(m)),
+            actions=tuple(f"a{k}" for k in range(n)),
+            prior=prior,
+            sender_utility=rng.uniform(0.0, 1.0, (n, m)),
+            receiver_utility=np.clip(v, 0.0, 1.0),
+        )
+        prof = profile_instance(inst)
+        if not prof.assumption_satisfied:
+            continue
+        if min_mu_delta is not None and prof.mu_min * prof.gap <= min_mu_delta:
+            continue
+        return inst
+    raise ValidationError(f"could not sample a satisfying instance in {sampling.MAX_TRIES} tries")
+
+
+def bland_iterate_oracle(tableau: np.ndarray, basis: np.ndarray, max_iter: int) -> int:
+    """``simplex._bland_iterate`` written with index lists.
+
+    The entering column is the first of the negative reduced costs' indices;
+    the ratio test runs over the index list of positive pivot entries; the
+    leaving row is the tied row of smallest basis index, found through the
+    list of tied rows; the pivot eliminates with ``np.outer``.  The pivots,
+    and every float, must be ``_bland_iterate``'s.
+    """
+    n_rows = tableau.shape[0] - 1
+    for it in range(max_iter):
+        candidates = np.flatnonzero(tableau[-1, :-1] < -1e-9)
+        if candidates.size == 0:
+            return it
+        col = int(candidates[0])
+        column = tableau[:n_rows, col]
+        rows = np.flatnonzero(column > 1e-9)
+        if rows.size == 0:
+            raise LPError("unbounded pivot column")
+        ratios = tableau[:n_rows, -1][rows] / column[rows]
+        tied = rows[np.flatnonzero(ratios <= ratios.min())]
+        row = int(tied[np.argmin(basis[tied])])
+        tableau[row] /= tableau[row, col]
+        factors = tableau[:, col].copy()
+        factors[row] = 0.0
+        tableau -= np.outer(factors, tableau[row])
+        basis[row] = col
+    raise LPIterationLimitError(f"simplex did not converge in {max_iter} iterations")

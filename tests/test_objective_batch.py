@@ -41,7 +41,7 @@ from persuasion_lab import (
 )
 from persuasion_lab import response, sampling
 from persuasion_lab.model import RESPONSE_SLACK
-from persuasion_lab.response import _knife_edges, _objective_core, _stack_stats
+from persuasion_lab.response import _knife_edges, _margins, _objective_core, _stack_stats
 from persuasion_lab.sampling import random_conditional, satisfied_instance
 from support import drawn_in_turn, random_instance, random_scheme
 
@@ -185,7 +185,7 @@ def test_batch_rows_equal_single_evaluation(data, gamma, delta, mode):
         )
         mask = best_response_mask(receiver_values, gamma)
         values = _objective_core(marginals, sender_values, mask, delta, mode)[0]
-        knife = _knife_edges(marginals, receiver_values, gamma)
+        knife = _knife_edges(marginals, _margins(receiver_values), gamma)
         for row, i in enumerate(batch_order):
             assert values[row] == singles[i].value
             flagged = tuple(schemes[i].signals[s] for s in np.flatnonzero(knife[row]))
@@ -216,9 +216,6 @@ def test_grid_cells_match_single_cell_reports(seed, data):
         inst = satisfied_instance(rng)
     prof = profile_instance(inst)
     limit = 0.9 * prof.mu_min * prof.gap
-    gamma_values = st.just(0.0) | st.floats(0.0, limit)
-    gammas = tuple(data.draw(st.lists(gamma_values, min_size=1, max_size=3)))
-    deltas = tuple(data.draw(st.lists(DELTAS, min_size=1, max_size=3)))
     # the tie candidates are fed to the sampler; ``None`` keeps its own draws
     schemes = data.draw(st.none() | scheme_lists(inst))
     scheme_seed = int(rng.integers(0, 2**31 - 1))
@@ -227,6 +224,20 @@ def test_grid_cells_match_single_cell_reports(seed, data):
         candidates, sampler = [random_scheme(draws, inst) for _ in range(6)], random_conditional
     else:
         candidates, sampler = schemes, drawn_in_turn(schemes)
+    # a gamma on a candidate's receiver margin puts that candidate on a knife edge
+    edges = sorted(
+        {
+            float(margin)
+            for scheme in candidates
+            for margin in _margins(scheme_stats(inst, scheme).receiver_values).ravel()
+            if margin <= limit
+        }
+    )
+    gamma_values = st.just(0.0) | st.floats(0.0, limit)
+    if edges:
+        gamma_values |= st.sampled_from(edges)
+    gammas = tuple(data.draw(st.lists(gamma_values, min_size=1, max_size=3)))
+    deltas = tuple(data.draw(st.lists(DELTAS, min_size=1, max_size=3)))
     kwargs = dict(n_schemes=len(candidates), seed=scheme_seed)
     with patch.object(response, "random_conditional", sampler):
         grid = bounds_grid(inst, gammas, deltas, **kwargs)

@@ -8,7 +8,20 @@ from persuasion_lab.classic import build_obedience_lp, solve_classic
 from persuasion_lab.errors import LPError, LPInfeasibleError, LPIterationLimitError
 from persuasion_lab.repro import sweep_instances
 from persuasion_lab.simplex import solve_standard_form
-from support import exact_basis_violations
+from support import bland_iterate_oracle, exact_basis_violations
+
+# Beale's example: cycles under naive pivoting, Bland's rule terminates
+BEALE = (
+    np.array(
+        [
+            [0.25, -60.0, -1.0 / 25.0, 9.0, 1.0, 0.0, 0.0],
+            [0.5, -90.0, -1.0 / 50.0, 3.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+        ]
+    ),
+    np.array([0.0, 0.0, 1.0]),
+    np.array([0.75, -150.0, 1.0 / 50.0, -6.0, 0.0, 0.0, 0.0]),
+)
 
 
 def certified_solve(A, b, c):
@@ -63,6 +76,18 @@ def test_infeasible_lp_raises():
         solve_standard_form(A, b, c)
 
 
+@pytest.mark.parametrize(
+    "A, b",
+    [
+        (np.array([[1.0, -1.0]]), np.array([0.0])),  # x1 = x2 grows without bound
+        (np.zeros((0, 2)), np.zeros(0)),  # no rows: the ratio test has none to scan
+    ],
+)
+def test_unbounded_lp_raises(A, b):
+    with pytest.raises(LPError, match="unbounded pivot column"):
+        solve_standard_form(A, b, np.array([1.0, 0.0]))
+
+
 def test_redundant_rows_are_tolerated():
     A = np.array([[1.0, 1.0], [2.0, 2.0]])
     b = np.array([1.0, 2.0])
@@ -74,17 +99,7 @@ def test_redundant_rows_are_tolerated():
 
 
 def test_degenerate_pivoting_terminates():
-    # Beale's example: cycles under naive pivoting, Bland's rule terminates
-    A = np.array(
-        [
-            [0.25, -60.0, -1.0 / 25.0, 9.0, 1.0, 0.0, 0.0],
-            [0.5, -90.0, -1.0 / 50.0, 3.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-    b = np.array([0.0, 0.0, 1.0])
-    c = np.array([0.75, -150.0, 1.0 / 50.0, -6.0, 0.0, 0.0, 0.0])
-    res = solve_standard_form(A, b, c)
+    res = solve_standard_form(*BEALE)
     assert res.objective == pytest.approx(0.05, abs=1e-9)
 
 
@@ -247,3 +262,58 @@ def test_sweep_optima_match_highs():
         assert ref.status == 0
         _, opt = solve_classic(inst)
         assert opt == pytest.approx(-ref.fun, abs=1e-9)
+
+
+def assert_same_pivot_path(A, b, c, monkeypatch):
+    """``solve_standard_form`` gives the same result, to the bit, with its
+    Bland loop or with the index-list oracle in its place."""
+    res = solve_standard_form(A, b, c)
+    with monkeypatch.context() as patched:
+        patched.setattr(simplex, "_bland_iterate", bland_iterate_oracle)
+        ref = solve_standard_form(A, b, c)
+    assert res.iterations == ref.iterations
+    assert res.basis.tolist() == ref.basis.tolist()
+    assert res.rows.tolist() == ref.rows.tolist()
+    assert res.x.tobytes() == ref.x.tobytes()
+    assert res.objective == ref.objective
+
+
+@pytest.mark.parametrize("seed", [0, 2024, 20])
+def test_sweep_lps_follow_the_oracle_pivot_path(seed, monkeypatch):
+    for inst, _ in sweep_instances(25, seed):
+        lp = build_obedience_lp(inst)
+        assert_same_pivot_path(lp.A, lp.b, lp.c, monkeypatch)
+
+
+@pytest.mark.parametrize("name", BUILTIN_INSTANCES)
+def test_builtin_lps_follow_the_oracle_pivot_path(name, monkeypatch):
+    lp = build_obedience_lp(builtin_instance(name))
+    assert_same_pivot_path(lp.A, lp.b, lp.c, monkeypatch)
+
+
+def test_beale_follows_the_oracle_pivot_path(monkeypatch):
+    assert_same_pivot_path(*BEALE, monkeypatch)
+
+
+def test_tie_goes_to_the_smaller_basis_index_not_the_first_row(monkeypatch):
+    # x1 = 0, x0 + x1 = 0, x2 = 1.  Phase 1 enters x0 at row 1 (the only
+    # positive entry); then x1 ties rows 0 and 1 at ratio 0, and row 1 leaves
+    # because its basic variable x0 has a smaller index than row 0's
+    # artificial (index 3).  The last pivot drives that artificial out.
+    A = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    b = np.array([0.0, 0.0, 1.0])
+    c = np.array([1.0, 0.0, 1.0])
+    pivots = []
+    real = simplex._pivot
+
+    def record(tableau, basis, row, col):
+        pivots.append((row, col))
+        real(tableau, basis, row, col)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(simplex, "_pivot", record)
+        res = solve_standard_form(A, b, c)
+    assert pivots == [(1, 0), (1, 1), (2, 2), (0, 0)]
+    assert res.basis.tolist() == [0, 1, 2]
+    assert res.objective == brute_force_optimum(A, b, c) == 1.0
+    assert_same_pivot_path(A, b, c, monkeypatch)
